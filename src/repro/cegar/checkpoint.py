@@ -1,59 +1,41 @@
 """Crash-safe checkpoint journal for CEGAR runs.
 
-A CEGAR verify is a long-running iterative search; on production-scale
-designs a single run spans many minutes of model checking.  Without
-checkpoints, a crashed parent process (OOM kill, node preemption,
-ctrl-C at the wrong moment) discards *everything*: every refined
-scheme, every eliminated counterexample, every cached solve.
+Without checkpoints, a crashed parent process (OOM kill, preemption,
+ctrl-C) discards every refined scheme, eliminated counterexample and
+cached solve of a long verify.  :class:`CheckpointJournal` makes the
+loop resumable: after every completed CEGAR iteration the loop appends
+a :class:`CegarCheckpoint` (scheme, iteration counter, stats,
+pruned-candidate set, RNG state, solve-cache snapshot) as a numbered
+entry, ``<dir>/journal-000007.ckpt``, keeping the newest ``keep``.
 
-:class:`CheckpointJournal` makes the loop resumable.  After every
-completed CEGAR iteration the loop appends a :class:`CegarCheckpoint`
-— the current scheme, the iteration counter, the running
-:class:`~repro.cegar.loop.RefinementStats`, the pruned-candidate set
-and a snapshot of the solve cache — to a numbered journal entry on
-disk.  Entries are written atomically (write-tmp-then-rename through
-:func:`repro.ioutil.atomic_write` with an fsync) and carry a SHA-256
-content checksum, so:
-
-- a crash mid-write never leaves a half-written entry under a journal
-  name (the rename is atomic);
-- a torn or bit-flipped entry (power loss after the rename, disk
-  corruption, an injected fault) is *detected* on read and the reader
-  falls back to the most recent intact entry instead of resuming from
-  garbage.
-
-Journal layout: ``<dir>/journal-000007.ckpt`` — one file per
-checkpoint, monotonically numbered; the newest few are kept (``keep``)
-and older ones pruned.  File format::
-
-    COMPASS-CKPT v1\\n
-    <64 hex chars: sha256 of the payload>\\n
-    <pickled CegarCheckpoint payload>
-
-Restored cache entries go through the *validating*
-:meth:`~repro.formal.cache.SolveCache.merge_entries`, so even a
-corrupted entry that survives inside an intact pickle (e.g. injected
-by :func:`repro.faults.corrupt_entry` before the checkpoint was taken)
-is rejected on merge instead of poisoning a verdict.
+Each entry is a one-record segment (:mod:`repro.store.segment`: atomic,
+fsync'd, checksummed) holding the checkpoint as :mod:`repro.codec`
+JSON.  A torn or corrupted entry is detected and the reader falls back
+to the newest intact one; nothing read back is unpickled.  The format
+and its guarantees are in ``docs/robustness.md``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-import pickle
 import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.cegar.loop import RefinementStats
+from repro.codec import CodecError, dumps, from_doc, loads, to_doc
 from repro.faults import FaultPlan
-from repro.ioutil import atomic_write, sweep_orphans
+from repro.formal.cache import CachedVerdict
+from repro.ioutil import sweep_orphans
+from repro.store.segment import SegmentError, read_segment, write_segment
+from repro.taint.space import TaintScheme
 
-MAGIC = b"COMPASS-CKPT v1\n"
+#: Magic of the pickle journals written before the JSON format.
+LEGACY_MAGIC = b"COMPASS-CKPT v1\n"
 _ENTRY_RE = re.compile(r"^journal-(\d{6})\.ckpt$")
 
 #: Bump when the checkpoint payload schema changes incompatibly.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -74,51 +56,51 @@ class CegarCheckpoint:
     task_name: str
     config_digest: str
     iteration: int
-    scheme: Any                      # TaintScheme
-    stats: Any                       # RefinementStats
+    scheme: TaintScheme
+    stats: RefinementStats
     last_bound: int = -1
-    rng_state: Optional[tuple] = None
-    cache_entries: Dict[str, Any] = field(default_factory=dict)
+    #: ``random.Random.getstate()``: (version, 625 words, gauss_next).
+    rng_state: Optional[Tuple[int, Tuple[int, ...], Optional[float]]] = None
+    cache_entries: Dict[str, CachedVerdict] = field(default_factory=dict)
     #: Refinement locations that exhausted the option ladder so far
     #: (the loop's pruned-candidate set, restored for observability and
     #: so resumed runs keep identical retry trajectories).
     pruned_candidates: Set[str] = field(default_factory=set)
     #: In-flight speculation at checkpoint time (``{"n": fan-out,
     #: "schemes": [TaintScheme, ...]}``) so a resumed run re-primes the
-    #: same wave.  ``None`` for sequential runs and pre-speculation
-    #: checkpoints (the field defaults keep old journals loadable, and
-    #: readers use ``getattr`` so new journals load in old code too).
+    #: same wave.  ``None`` for sequential runs.
     speculation: Optional[Dict[str, Any]] = None
 
 
 def _encode(checkpoint: CegarCheckpoint) -> bytes:
-    payload = pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-    return MAGIC + digest + b"\n" + payload
+    """The journal record payload for ``checkpoint``."""
+    return dumps(to_doc(checkpoint))
 
 
-def _decode(blob: bytes) -> CegarCheckpoint:
+def _read(path: str) -> CegarCheckpoint:
     """Parse and verify one journal entry; raises CheckpointError."""
-    if not blob.startswith(MAGIC):
-        raise CheckpointError("bad magic (not a compass checkpoint)")
-    rest = blob[len(MAGIC):]
-    digest, sep, payload = rest.partition(b"\n")
-    if not sep or len(digest) != 64:
-        raise CheckpointError("malformed checksum header")
-    actual = hashlib.sha256(payload).hexdigest().encode("ascii")
-    if actual != digest:
+    try:
+        records, torn = read_segment(path)
+    except SegmentError as exc:
+        with open(path, "rb") as handle:
+            legacy = handle.read(len(LEGACY_MAGIC)) == LEGACY_MAGIC
+        if legacy:
+            raise CheckpointError(
+                "the journal predates the JSON checkpoint format (pickle "
+                "payload); delete the journal and rerun") from exc
+        raise CheckpointError(
+            "bad magic (not a compass checkpoint)") from exc
+    if torn or len(records) != 1:
         raise CheckpointError("checksum mismatch (torn or corrupted entry)")
     try:
-        checkpoint = pickle.loads(payload)
-    except Exception as exc:  # pickle raises a zoo of types
+        doc = loads(records[0])
+        version = doc.get("version") if isinstance(doc, dict) else None
+        if version != FORMAT_VERSION:
+            raise CheckpointError(
+                f"format version {version!r} != {FORMAT_VERSION}")
+        return from_doc(CegarCheckpoint, doc)
+    except CodecError as exc:
         raise CheckpointError(f"undecodable payload: {exc}") from exc
-    if not isinstance(checkpoint, CegarCheckpoint):
-        raise CheckpointError(
-            f"payload is a {type(checkpoint).__name__}, not a CegarCheckpoint")
-    if checkpoint.version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"format version {checkpoint.version} != {FORMAT_VERSION}")
-    return checkpoint
 
 
 class CheckpointJournal:
@@ -170,9 +152,7 @@ class CheckpointJournal:
         entries = self.entries()
         index = entries[-1][0] + 1 if entries else 0
         path = os.path.join(self.directory, f"journal-{index:06d}.ckpt")
-        blob = _encode(checkpoint)
-        with atomic_write(path, "wb", fsync=True) as handle:
-            handle.write(blob)
+        write_segment(path, [_encode(checkpoint)])
         self._prune(index)
         if self.faults is not None:
             # May damage the file just written or SIGKILL this process.
@@ -208,9 +188,7 @@ class CheckpointJournal:
         skipped: List[str] = []
         for index, path in reversed(entries):
             try:
-                with open(path, "rb") as handle:
-                    blob = handle.read()
-                return _decode(blob), skipped
+                return _read(path), skipped
             except (OSError, CheckpointError) as exc:
                 skipped.append(f"journal-{index:06d}.ckpt: {exc}")
         if entries:

@@ -17,7 +17,6 @@ of refinements, and the t_MC / t_Simu / t_BT / t_Gen runtime breakdown.
 
 from __future__ import annotations
 
-import copy
 import enum
 import hashlib
 import json
@@ -25,7 +24,7 @@ import random
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.faults import FaultPlan
 from repro.hdl.circuit import Circuit
@@ -44,6 +43,9 @@ from repro.cegar.falsetaint import (
     exact_false_taint_check,
 )
 from repro.cegar.refine import CorrelationImprecisionAlert, apply_refinement
+
+if TYPE_CHECKING:
+    from repro.store.store import StoreStats
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,8 @@ class TaintVerificationTask:
     symbolic_registers: FrozenSet[str] = frozenset()
     blackbox_modules: Optional[Tuple[str, ...]] = None
     precise_modules: Tuple[str, ...] = ()
-    stimulus_sampler: Optional[object] = field(default=None, compare=False)
+    stimulus_sampler: Optional[object] = field(
+        default=None, compare=False, metadata={"codec": False})  # code
 
     def initial_scheme(self) -> TaintScheme:
         from repro.taint.space import Complexity, Granularity, TaintOption
@@ -270,7 +273,7 @@ class RefinementStats:
     #: :class:`repro.store.StoreStats` counters when the run used a
     #: ``store_dir`` (entries loaded/persisted, recovery events, hits
     #: served from disk).  None when no store was attached.
-    store: Optional[object] = None
+    store: Optional[StoreStats] = None
     #: Speculation observability (``speculate > 0``): candidate waves
     #: launched, workers submitted, model-checking calls answered by a
     #: speculative verdict (hits) vs verified inline (misses), losers
@@ -677,7 +680,7 @@ def _run_compass_inner(
         start_iteration = restored.iteration
         last_bound = restored.last_bound
         pruned_candidates = set(restored.pruned_candidates)
-        if rng is not None and restored.rng_state is not None:
+        if restored.rng_state is not None:
             rng.setstate(restored.rng_state)
         if solve_cache is not None:
             # Validating merge: entries corrupted on disk are counted
@@ -685,8 +688,6 @@ def _run_compass_inner(
             solve_cache.merge_entries(restored.cache_entries)
             stats.cache = solve_cache.stats
         tracer.count("cegar.resumes")
-    restored_speculation = (getattr(restored, "speculation", None)
-                            if restored is not None else None)
     started = time.monotonic()
 
     speculator = None
@@ -701,21 +702,20 @@ def _run_compass_inner(
     def write_checkpoint(next_iteration: int) -> None:
         if journal is None:
             return
-        snapshot = copy.deepcopy(stats)
-        snapshot.cache = (replace(solve_cache.stats)
-                          if solve_cache is not None else None)
+        # append() encodes on the spot, so live objects need no copies;
+        # stats.cache is the solve cache's own live counters.
         journal.append(CegarCheckpoint(
             version=FORMAT_VERSION,
             task_name=task.name,
             config_digest=digest,
             iteration=next_iteration,
-            scheme=scheme.copy(),
-            stats=snapshot,
+            scheme=scheme,
+            stats=stats,
             last_bound=last_bound,
-            rng_state=rng.getstate() if rng is not None else None,
+            rng_state=rng.getstate(),
             cache_entries=(solve_cache.snapshot_entries()
                            if solve_cache is not None else {}),
-            pruned_candidates=set(pruned_candidates),
+            pruned_candidates=pruned_candidates,
             speculation=(speculator.snapshot()
                          if speculator is not None else None),
         ))
@@ -773,11 +773,10 @@ def _run_compass_inner(
             # resumed (from the initial scheme, with an empty cache).
             write_checkpoint(start_iteration)
 
-        if speculator is not None and restored_speculation:
+        if speculator is not None and restored and restored.speculation:
             # Re-prime the wave the interrupted run had in flight so a
             # resume replays the same speculative overlap.
-            speculator.advance(list(restored_speculation.get("schemes", ())),
-                               mc_limit())
+            speculator.advance(restored.speculation["schemes"], mc_limit())
 
         verify_time = 0.0
         for iteration in range(start_iteration, config.max_counterexamples + 1):

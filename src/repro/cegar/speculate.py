@@ -18,16 +18,14 @@ schedulable unit and runs those predictions concurrently:
   settings; wall-clock-limited runs are deterministic modulo their
   time limits, exactly like the sequential loop).
 
-- :class:`SpeculativeScheduler` owns a supervised process pool in the
-  style of :mod:`repro.formal.portfolio`: crashed workers are
-  relaunched with exponential backoff, losers are cancelled on the
-  first refinement signal (terminate → join → kill), and every worker
-  streams its solve results back through the shared cache as they are
-  produced — a cancelled loser's work still warms the (store-backed)
-  cache for the next iteration.  With ``remote`` set, candidates are
-  dispatched to the job daemon as ``candidate`` jobs instead; remote
-  cancellation is advisory (an abandoned job completes server-side and
-  warms the daemon's store).
+- :class:`SpeculativeScheduler` runs candidates on the same
+  :class:`~repro.supervise.WorkerPool` as the portfolio: crashed
+  workers are relaunched, losers are cancelled on the first refinement
+  signal, and a cancelled loser's streamed solves still warm the
+  (store-backed) cache for the next iteration.  With ``remote`` set,
+  candidates are dispatched to the job daemon as ``candidate`` jobs
+  instead; remote cancellation is advisory (an abandoned job completes
+  server-side and warms the daemon's store).
 
 Workers run their nested portfolio in forced-sequential mode: daemonic
 pool processes cannot spawn children, and a cancel must never leave
@@ -37,21 +35,20 @@ orphan grandchildren behind.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.codec import CodecError, dumps, from_doc, to_doc
 from repro.formal.bmc import BmcStatus, bounded_model_check
-from repro.formal.cache import CacheStats, SolveCache
+from repro.formal.cache import SolveCache
 from repro.formal.counterexample import Counterexample
 from repro.formal.induction import InductionStatus, k_induction
 from repro.formal.portfolio import (
-    EngineReport,
     PortfolioConfig,
     PortfolioResult,
     PortfolioStatus,
-    _StreamingCache,
     verify_portfolio,
 )
 from repro.obs import NULL_TRACER, Tracer
@@ -69,8 +66,7 @@ def scheme_digest(scheme: TaintScheme) -> str:
     """Content digest of a candidate scheme (the scheduler's slot key)."""
     doc = scheme_to_dict(scheme)
     doc.pop("name", None)  # candidate identity, not its display name
-    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return hashlib.sha256(dumps(doc, canonical=True)).hexdigest()
 
 
 @dataclass
@@ -340,61 +336,6 @@ def predict_candidates(
 
 
 # ---------------------------------------------------------------------------
-# Worker process entry point
-# ---------------------------------------------------------------------------
-
-def _candidate_worker(queue, digest, task, scheme, config, time_limit,
-                      seed_entries, traced=False, attempt=0):
-    """Run :func:`verify_candidate` in a pool process.
-
-    Solve results stream to the parent as they are produced (through
-    :class:`~repro.formal.portfolio._StreamingCache` under the
-    ``spec`` engine label), so a cancelled loser's partial work — and
-    the memoized portfolio verdict of a completed one — still reaches
-    the shared (store-backed) cache.
-    """
-    import os
-
-    faults = config.faults
-    local = _StreamingCache(queue, SPEC_ENGINE, faults=faults,
-                            attempt=attempt)
-    if seed_entries:
-        local.merge_entries(seed_entries)
-    baseline = replace(local.stats)
-    tracer = Tracer() if traced else None
-    try:
-        verdict = verify_candidate(
-            task, scheme, config, cache=local, tracer=tracer,
-            time_limit=time_limit, in_worker=True,
-        )
-        verdict.source = "speculative"
-        stats = local.stats
-        stats.hits -= baseline.hits  # report only this worker's traffic
-        stats.misses -= baseline.misses
-        stats.stores -= baseline.stores
-        stats.evictions -= baseline.evictions
-        stats.rejected -= baseline.rejected
-        msg = {
-            "type": "spec-verdict", "digest": digest, "verdict": verdict,
-            "entries": local.snapshot_entries(), "cache_stats": stats,
-        }
-        if tracer is not None:
-            msg["trace_events"] = tracer.snapshot_events()
-            msg["trace_pid"] = os.getpid()
-        if faults is not None:
-            delay = faults.verdict_delay(SPEC_ENGINE, attempt)
-            if delay > 0:
-                time.sleep(delay)
-        queue.put(msg)
-    except Exception as exc:  # pragma: no cover - shipped as a miss
-        queue.put({
-            "type": "spec-verdict", "digest": digest, "verdict": None,
-            "error": f"{type(exc).__name__}: {exc}",
-            "entries": local.snapshot_entries(), "cache_stats": CacheStats(),
-        })
-
-
-# ---------------------------------------------------------------------------
 # The scheduler
 # ---------------------------------------------------------------------------
 
@@ -404,17 +345,8 @@ class _Slot:
 
     digest: str
     scheme: TaintScheme
-    state: str = "running"  # running | delayed | done | failed | cancelled
-    proc: Any = None
-    thread: Any = None
-    started: float = 0.0
-    kill_at: Optional[float] = None      # backstop past the time budget
-    relaunch_at: float = 0.0             # crashed: not before this time
-    attempts: int = 0
-    retries: int = 0
+    state: str = "running"  # running | done | failed | cancelled
     time_limit: Optional[float] = None
-    dead_since: Optional[float] = None
-    job: Optional[Dict[str, Any]] = None  # remote mode submission doc
 
 
 class SpeculativeScheduler:
@@ -432,16 +364,15 @@ class SpeculativeScheduler:
     ``advance`` reconciles the in-flight set against the new wave:
     slots whose candidate survives are *promoted* (kept running), the
     rest are cancelled — first-refinement-signal-wins, mirroring the
-    per-property portfolio race.  All worker solve traffic merges into
-    ``cache`` (losers included), and per-candidate tracer spans are
-    adopted onto the parent timeline under the worker's pid track.
+    per-property portfolio race.  Local workers run on a
+    :class:`~repro.supervise.WorkerPool`, which merges all their solve
+    traffic into ``cache`` (losers included) and adopts their tracer
+    spans onto the parent timeline.
     """
 
     def __init__(self, task, config, cache: Optional[SolveCache],
                  stats, tracer: Optional[Tracer] = None,
                  remote: Optional[str] = None) -> None:
-        import multiprocessing
-
         # The stimulus sampler is a closure (unpicklable) and only the
         # sim prefilter uses it — workers never do.
         self.task = replace(task, stimulus_sampler=None)
@@ -456,23 +387,24 @@ class SpeculativeScheduler:
         self._slots: Dict[str, _Slot] = {}
         self._results: Dict[str, CandidateVerdict] = {}
         self._closed = False
+        self._pool = None
         if remote is None:
-            self._ctx = multiprocessing.get_context()
-            self._queue = self._ctx.Queue()
+            from repro.supervise import WorkerPool
+
+            self._pool = WorkerPool(
+                cache, self.tracer, max_retries=config.max_worker_retries,
+                retry_backoff=config.retry_backoff, faults=config.faults)
         else:
             import threading
 
-            self._ctx = None
-            self._queue = None
             self._lock = threading.Lock()
-            self._remote_task_doc = self._build_remote_task_doc()
+            self._remote_task_doc = to_doc(self.task)
 
     # -- public API --------------------------------------------------------
 
     def in_flight(self) -> List[str]:
         """Digests of candidates currently speculated on (for snapshots)."""
-        return sorted(d for d, s in self._slots.items()
-                      if s.state in ("running", "delayed"))
+        return sorted(d for d, s in self._slots.items() if s.state == "running")
 
     def snapshot(self) -> Dict[str, Any]:
         """Checkpointable record of the in-flight speculation."""
@@ -499,8 +431,7 @@ class SpeculativeScheduler:
             return
         if len(self._active()) >= self.jobs:
             victim = next((d for d in reversed(list(self._slots))
-                           if self._slots[d].state in ("running", "delayed")),
-                          None)
+                           if self._slots[d].state == "running"), None)
             if victim is None:
                 return
             self._cancel(victim)
@@ -521,14 +452,11 @@ class SpeculativeScheduler:
         wanted = {}
         for scheme in wave[:self.jobs]:
             wanted.setdefault(scheme_digest(scheme), scheme)
-        for digest in list(self._slots):
-            slot = self._slots[digest]
-            if slot.state not in ("running", "delayed"):
-                continue
-            if digest in wanted:
+        for slot in self._active():
+            if slot.digest in wanted:
                 self.stats.spec_promoted += 1
             else:
-                self._cancel(digest)
+                self._cancel(slot.digest)
         for digest, scheme in wanted.items():
             if len(self._active()) >= self.jobs:
                 break
@@ -542,8 +470,7 @@ class SpeculativeScheduler:
             return
         self._drain()
         digest = scheme_digest(scheme)
-        if digest in self._slots and self._slots[digest].state in (
-                "running", "delayed"):
+        if digest in self._slots and self._slots[digest].state == "running":
             self._cancel(digest)
         self._results.pop(digest, None)
 
@@ -570,20 +497,17 @@ class SpeculativeScheduler:
         """Cancel everything in flight and tear the pool down."""
         if self._closed:
             return
-        for digest in list(self._slots):
-            if self._slots[digest].state in ("running", "delayed"):
-                self._cancel(digest)
+        for slot in self._active():
+            self._cancel(slot.digest)
         self._drain()
-        if self._queue is not None:
-            self._queue.close()
-            self._queue.cancel_join_thread()
+        if self._pool is not None:
+            self._pool.close()
         self._closed = True
 
     # -- submission --------------------------------------------------------
 
     def _active(self) -> List[_Slot]:
-        return [s for s in self._slots.values()
-                if s.state in ("running", "delayed")]
+        return [s for s in self._slots.values() if s.state == "running"]
 
     def _submit(self, scheme: TaintScheme, digest: str,
                 time_limit: Optional[float]) -> None:
@@ -592,228 +516,104 @@ class SpeculativeScheduler:
         self._slots[digest] = slot
         self.stats.spec_submitted += 1
         self.tracer.count("speculate.submitted")
-        if self.remote is not None:
+        if self._pool is None:
             self._launch_remote(slot)
         else:
-            self._launch(slot)
-
-    def _launch(self, slot: _Slot) -> None:
-        seed = self.cache.snapshot_entries() if self.cache is not None else None
-        attempt = slot.attempts
-        slot.attempts += 1
-        proc = self._ctx.Process(
-            target=_candidate_worker,
-            args=(self._queue, slot.digest, self.task, slot.scheme,
-                  self.config, slot.time_limit, seed, self.tracer.enabled,
-                  attempt),
-            daemon=True,
-        )
-        proc.start()
-        slot.proc = proc
-        slot.started = time.monotonic()
-        slot.state = "running"
-        slot.dead_since = None
-        budget = slot.time_limit
-        slot.kill_at = None if budget is None else budget + 2.0 + 0.25 * budget
+            # Nested portfolios run in-process: daemonic pool workers
+            # cannot spawn children, and a cancel must never leave
+            # orphan grandchildren behind.
+            self._pool.submit(digest, partial(verify_candidate, in_worker=True),
+                              (self.task, slot.scheme, self.config),
+                              budget=time_limit, label=SPEC_ENGINE)
 
     def _cancel(self, digest: str) -> None:
-        slot = self._slots[digest]
-        slot.state = "cancelled"
+        self._slots[digest].state = "cancelled"
         self.stats.spec_cancelled += 1
         self.tracer.count("speculate.cancelled")
-        if slot.proc is not None:
-            self._reap(slot)
+        if self._pool is not None:
+            self._pool.cancel(digest)
         # Remote cancellation is advisory: the daemon completes the job
         # and its verdict warms the daemon-side store; we just stop
         # listening (the submission thread is a daemon thread).
 
-    def _reap(self, slot: _Slot) -> None:
-        proc = slot.proc
-        if proc is None:
-            return
-        if proc.is_alive():
-            proc.terminate()
-        proc.join(timeout=5.0)
-        if proc.is_alive():  # pragma: no cover - ignores SIGTERM: escalate
-            proc.kill()
-            proc.join(timeout=5.0)
-        slot.proc = None
-
     # -- result plumbing ---------------------------------------------------
 
-    def _drain(self, timeout: Optional[float] = None) -> bool:
-        """Pump queued worker messages; True when a verdict arrived."""
-        if self._queue is None:
-            return False
-        import queue as queue_mod
-
-        got_verdict = False
-        while True:
-            try:
-                msg = self._queue.get(timeout=timeout) if timeout else \
-                    self._queue.get_nowait()
-            except queue_mod.Empty:
-                return got_verdict
-            timeout = None  # only block for the first message
-            if msg.get("type") == "entry":
-                if self.cache is not None:
-                    self.cache.merge_entries(
-                        {str(msg["key"]): msg["entry"]})
-                continue
-            if msg.get("type") == "spec-verdict":
-                got_verdict = True
-                self._finish(msg)
-
-    def _finish(self, msg: Dict[str, Any]) -> None:
-        digest = str(msg["digest"])
-        slot = self._slots.get(digest)
-        # Losers warm the cache too: merge entries no matter the state.
-        if self.cache is not None:
-            self.cache.merge_entries(msg.get("entries") or {})
-            stats = msg.get("cache_stats")
-            if isinstance(stats, CacheStats):
-                self.cache.stats.hits += stats.hits
-                self.cache.stats.misses += stats.misses
-                self.cache.stats.rejected += stats.rejected
-        if self.tracer.enabled and msg.get("trace_events"):
-            self.tracer.adopt(msg["trace_events"])
-            self.tracer.label_track(int(msg["trace_pid"]),
-                                    f"{SPEC_ENGINE} worker")
-        if slot is None or slot.state == "cancelled":
+    def _drain(self, timeout: float = 0.0) -> None:
+        """Pump the pool dry and fold its outcomes into the slots."""
+        if self._pool is None:
             return
-        verdict = msg.get("verdict")
-        if verdict is None:
-            # In-worker exception: deterministic, so retrying is
-            # pointless — record a miss and let the loop run inline
-            # (which reproduces the error if it is real).
-            slot.state = "failed"
-            self._reap(slot)
-            return
-        slot.state = "done"
-        self._reap(slot)
-        self._results[digest] = verdict
-
-    def _supervise(self) -> None:
-        """Crash/backstop policing for all running local workers."""
-        now = time.monotonic()
-        for slot in list(self._slots.values()):
-            if slot.state == "delayed":
-                if now >= slot.relaunch_at:
-                    self._launch(slot)
-                continue
-            if slot.state != "running" or slot.proc is None:
-                continue
-            if slot.kill_at is not None and now - slot.started > slot.kill_at:
-                # Wedged past its budget plus grace: cut it loose.
-                self._reap(slot)
-                slot.state = "failed"
-                continue
-            if not slot.proc.is_alive():
-                # Verdict may still be in flight through the queue.
-                if slot.dead_since is None:
-                    slot.dead_since = now
-                elif now - slot.dead_since > 1.0:
-                    self._crash(slot)
-
-    def _crash(self, slot: _Slot) -> None:
-        proc = slot.proc
-        exitcode = proc.exitcode if proc is not None else None
-        self._reap(slot)
-        slot.dead_since = None
-        self.stats.spec_crashes += 1
-        self.tracer.count("speculate.worker_crashes")
-        if slot.retries < self.config.max_worker_retries:
-            backoff = self.config.retry_backoff * (2 ** slot.retries)
-            slot.retries += 1
-            slot.state = "delayed"
-            slot.relaunch_at = time.monotonic() + backoff
-            self.stats.spec_retries += 1
-            self.tracer.count("speculate.worker_retries")
-        else:
-            slot.state = "failed"
-            self.tracer.count("speculate.worker_crashes_unrecovered")
-            _ = exitcode  # recorded via counters; no report object here
+        outcomes = self._pool.poll(timeout)
+        while outcomes:
+            for outcome in outcomes:
+                slot = self._slots[outcome.key]
+                if outcome.status == "retrying":
+                    self.stats.spec_crashes += 1
+                    self.stats.spec_retries += 1
+                    self.tracer.count("speculate.worker_crashes")
+                    self.tracer.count("speculate.worker_retries")
+                elif outcome.status == "done":
+                    slot.state = "done"
+                    verdict = outcome.result
+                    verdict.source = "speculative"
+                    self._results[slot.digest] = verdict
+                else:
+                    # In-worker exception (deterministic, so not
+                    # retried), a wedged worker, or retries exhausted:
+                    # a miss, and the loop verifies inline (which
+                    # reproduces a real error).
+                    slot.state = "failed"
+                    if outcome.status == "crashed":
+                        self.stats.spec_crashes += 1
+                        self.tracer.count("speculate.worker_crashes")
+                        self.tracer.count(
+                            "speculate.worker_crashes_unrecovered")
+            outcomes = self._pool.poll(0.0)
 
     def _wait(self, digest: str) -> Optional[CandidateVerdict]:
-        poll = getattr(self.config, "poll_interval", 0.05) or 0.05
+        from repro.supervise import POLL_INTERVAL
+
         while True:
             if digest in self._results:
                 return self._results.pop(digest)
             slot = self._slots.get(digest)
             if slot is None or slot.state in ("cancelled", "failed"):
                 return None
-            if self.remote is not None:
-                time.sleep(poll)
+            if self._pool is None:
+                time.sleep(POLL_INTERVAL)
                 continue
-            self._drain(timeout=poll)
-            self._supervise()
+            self._drain(timeout=POLL_INTERVAL)
 
     # -- remote mode -------------------------------------------------------
-
-    def _build_remote_task_doc(self) -> Dict[str, Any]:
-        from repro.hdl.serialize import circuit_to_dict
-
-        task = self.task
-        return {
-            "name": task.name,
-            "circuit": circuit_to_dict(task.circuit),
-            "sources": {"registers": dict(task.sources.registers),
-                        "inputs": dict(task.sources.inputs)},
-            "sinks": list(task.sinks),
-            "clean_assumptions": list(task.clean_assumptions),
-            "gated_clean_assumptions": [list(p) for p in
-                                        task.gated_clean_assumptions],
-            "assumption_outputs": list(task.assumption_outputs),
-            "init_assumption_outputs": list(task.init_assumption_outputs),
-            "symbolic_registers": sorted(task.symbolic_registers),
-            "blackbox_modules": (list(task.blackbox_modules)
-                                 if task.blackbox_modules is not None
-                                 else None),
-            "precise_modules": list(task.precise_modules),
-        }
 
     def _launch_remote(self, slot: _Slot) -> None:
         import threading
 
-        config = self.config
-        slot.job = {
+        from repro.serve.jobs import CANDIDATE_FIELDS
+
+        config = {name: getattr(self.config, name)
+                  for name in CANDIDATE_FIELDS if name != "mc_time_limit"}
+        config["mc_time_limit"] = slot.time_limit
+        job = {
             "kind": "candidate",
             "task": self._remote_task_doc,
             "scheme": scheme_to_dict(slot.scheme),
-            "config": {
-                "engine": config.engine,
-                "mc_enabled": config.mc_enabled,
-                "use_induction": config.use_induction,
-                "max_bound": config.max_bound,
-                "induction_max_k": config.induction_max_k,
-                "unique_states": config.unique_states,
-                "static_prescreen": config.static_prescreen,
-                "static_max_frames": config.static_max_frames,
-                "jobs": config.jobs,
-                "portfolio_engines": list(config.portfolio_engines),
-                "pdr_max_frames": config.pdr_max_frames,
-                "max_conflicts": config.max_conflicts,
-                "certify": config.certify,
-                "mc_time_limit": slot.time_limit,
-                "max_worker_retries": config.max_worker_retries,
-                "retry_backoff": config.retry_backoff,
-            },
+            "config": config,
         }
-        slot.started = time.monotonic()
-        slot.state = "running"
-        thread = threading.Thread(target=self._remote_worker, args=(slot,),
-                                  daemon=True)
-        slot.thread = thread
-        thread.start()
+        threading.Thread(target=self._remote_worker, args=(slot, job),
+                         daemon=True).start()
 
-    def _remote_worker(self, slot: _Slot) -> None:
+    def _remote_worker(self, slot: _Slot, job: Dict[str, Any]) -> None:
         try:
             from repro.serve.client import connect
 
             client = connect(self.remote, timeout=slot.time_limit)
             with client:
-                reply = client.submit(slot.job, deadline=slot.time_limit)
-            verdict = verdict_from_doc(reply.get("result") or {})
+                reply = client.submit(job, deadline=slot.time_limit)
+            # Strict: a result that does not decode, or that answers a
+            # different scheme, is a miss, never a default verdict.
+            verdict = from_doc(CandidateVerdict, reply["result"]["verdict"])
+            if verdict.digest != slot.digest:
+                raise CodecError("remote verdict is for another scheme")
             verdict.source = "remote"
         except Exception:
             with self._lock:
@@ -824,108 +624,3 @@ class SpeculativeScheduler:
             if slot.state == "running":
                 slot.state = "done"
                 self._results[slot.digest] = verdict
-
-
-# ---------------------------------------------------------------------------
-# JSON round trip (the `candidate` job kind's result document)
-# ---------------------------------------------------------------------------
-
-def verdict_to_doc(verdict: CandidateVerdict) -> Dict[str, Any]:
-    """JSON-able form of a verdict (the daemon's result document)."""
-    doc: Dict[str, Any] = {
-        "digest": verdict.digest,
-        "status": verdict.status,
-        "bound": verdict.bound,
-        "static_bound": verdict.static_bound,
-        "proved_by": verdict.proved_by,
-        "engine_status": verdict.engine_status,
-        "winner": verdict.winner,
-        "static_prescreens": verdict.static_prescreens,
-        "static_proofs": verdict.static_proofs,
-        "static_cex": verdict.static_cex,
-        "static_skipped_bounds": verdict.static_skipped_bounds,
-        "suspects": list(verdict.suspects),
-        "elapsed": round(verdict.elapsed, 3),
-        "counterexample": None,
-        "portfolio": None,
-    }
-    cex = verdict.counterexample
-    if cex is not None:
-        doc["counterexample"] = {
-            "length": cex.length,
-            "inputs": [dict(frame) for frame in cex.inputs],
-            "initial_state": dict(cex.initial_state),
-            "bad_signal": cex.bad_signal,
-        }
-    pres = verdict.portfolio
-    if pres is not None:
-        doc["portfolio"] = {
-            "status": pres.status.value,
-            "winner": pres.winner,
-            "bound": pres.bound,
-            "mode": pres.mode,
-            "cache_hit": pres.cache_hit,
-            "certificate_ok": pres.certificate_ok,
-            "reports": [
-                {"engine": r.engine, "status": r.status, "bound": r.bound,
-                 "elapsed": round(r.elapsed, 3), "retries": r.retries,
-                 "winner": r.winner}
-                for r in pres.reports
-            ],
-        }
-    return doc
-
-
-def verdict_from_doc(doc: Dict[str, Any]) -> CandidateVerdict:
-    """Rebuild a :class:`CandidateVerdict` from the daemon's document.
-
-    The portfolio block becomes a summary :class:`PortfolioResult`
-    (reports and winner only — certificates stay server-side) so
-    ``RefinementStats.record_portfolio`` folds remote candidates the
-    same way as local ones.
-    """
-    verdict = CandidateVerdict(
-        digest=str(doc.get("digest", "")),
-        status=str(doc.get("status", "bound_reached")),
-        bound=int(doc.get("bound", -1)),
-        static_bound=int(doc.get("static_bound", -1)),
-        proved_by=str(doc.get("proved_by", "")),
-        engine_status=str(doc.get("engine_status", "")),
-        winner=doc.get("winner"),
-        static_prescreens=int(doc.get("static_prescreens", 0)),
-        static_proofs=int(doc.get("static_proofs", 0)),
-        static_cex=int(doc.get("static_cex", 0)),
-        static_skipped_bounds=int(doc.get("static_skipped_bounds", 0)),
-        suspects=tuple(doc.get("suspects", ()) or ()),
-        elapsed=float(doc.get("elapsed", 0.0)),
-    )
-    cdoc = doc.get("counterexample")
-    if cdoc is not None:
-        verdict.counterexample = Counterexample(
-            length=int(cdoc["length"]),
-            inputs=[dict(frame) for frame in cdoc.get("inputs", ())],
-            initial_state=dict(cdoc.get("initial_state", {})),
-            bad_signal=str(cdoc.get("bad_signal", "")),
-        )
-    pdoc = doc.get("portfolio")
-    if pdoc is not None:
-        verdict.portfolio = PortfolioResult(
-            status=PortfolioStatus(pdoc["status"]),
-            winner=pdoc.get("winner"),
-            bound=int(pdoc.get("bound", -1)),
-            mode=str(pdoc.get("mode", "remote")),
-            cache_hit=bool(pdoc.get("cache_hit", False)),
-            certificate_ok=pdoc.get("certificate_ok"),
-            reports=[
-                EngineReport(
-                    engine=str(r.get("engine", "?")),
-                    status=str(r.get("status", "not_run")),
-                    bound=int(r.get("bound", -1)),
-                    elapsed=float(r.get("elapsed", 0.0)),
-                    retries=int(r.get("retries", 0)),
-                    winner=bool(r.get("winner", False)),
-                )
-                for r in pdoc.get("reports", ())
-            ],
-        )
-    return verdict

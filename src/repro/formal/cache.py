@@ -17,8 +17,8 @@ to the instrumented taint logic — a refined mux, an opened blackbox —
 changes the key and invalidates prior answers for that cone.
 
 The cache stores plain-data verdict records (strings, ints, dicts), so
-entries pickle cleanly across :mod:`multiprocessing` workers and could
-be persisted between runs.
+entries pickle cleanly to :mod:`multiprocessing` workers and persist
+between runs as :mod:`repro.codec` JSON (:mod:`repro.store`).
 """
 
 from __future__ import annotations

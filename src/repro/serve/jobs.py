@@ -26,7 +26,6 @@ the same canonical job document attach to one running computation.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import time
 from typing import Any, Callable, Dict, Optional
@@ -124,17 +123,6 @@ def _config_kwargs(doc: Dict[str, Any], allowed: Dict[str, Callable],
     return kwargs
 
 
-def _cex_doc(cex) -> Optional[Dict[str, Any]]:
-    if cex is None:
-        return None
-    return {
-        "length": cex.length,
-        "inputs": [dict(frame) for frame in cex.inputs],
-        "initial_state": dict(cex.initial_state),
-        "bad_signal": cex.bad_signal,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Handlers
 # ---------------------------------------------------------------------------
@@ -158,6 +146,7 @@ _SOLVE_FIELDS = {
 
 
 def _run_solve(job, cache, tracer, deadline):
+    from repro.codec import to_doc
     from repro.formal.portfolio import PortfolioConfig, verify_portfolio
     from repro.formal.properties import SafetyProperty
     from repro.hdl.serialize import circuit_from_dict
@@ -186,23 +175,7 @@ def _run_solve(job, cache, tracer, deadline):
     config = PortfolioConfig(faults=_faults_from_doc(job), **kwargs)
     result = verify_portfolio(circuit, prop, config, cache=cache,
                               tracer=tracer)
-    return {
-        "kind": "solve",
-        "status": result.status.value,
-        "winner": result.winner,
-        "bound": result.bound,
-        "elapsed": round(result.elapsed, 3),
-        "mode": result.mode,
-        "cache_hit": result.cache_hit,
-        "certificate_ok": result.certificate_ok,
-        "counterexample": _cex_doc(result.counterexample),
-        "reports": [
-            {"engine": r.engine, "status": r.status, "bound": r.bound,
-             "elapsed": round(r.elapsed, 3), "retries": r.retries,
-             "winner": r.winner}
-            for r in result.reports
-        ],
-    }
+    return {"kind": "solve", **to_doc(result)}
 
 
 _VERIFY_FIELDS = {
@@ -234,8 +207,8 @@ _VERIFY_FIELDS = {
 
 def _run_verify(job, cache, tracer, deadline):
     from repro.cegar import CegarConfig, run_compass
+    from repro.codec import to_doc
     from repro.contracts import make_contract_task
-    from repro.taint.scheme_io import save_scheme
 
     core = _core_from_doc(job.get("core", {}) or {})
     task = make_contract_task(core)
@@ -253,8 +226,6 @@ def _run_verify(job, cache, tracer, deadline):
     rows += stats.portfolio_rows()
     rows += stats.analyze_rows()
     rows += stats.robustness_rows()
-    buf = io.StringIO()
-    save_scheme(result.scheme, buf)
     return {
         "kind": "verify",
         "core": core.name,
@@ -264,12 +235,14 @@ def _run_verify(job, cache, tracer, deadline):
         "refinements": stats.refinements,
         "counterexamples_eliminated": stats.counterexamples_eliminated,
         "rows": rows,
-        "scheme": json.loads(buf.getvalue()),
-        "leak": _cex_doc(result.leak),
+        "scheme": to_doc(result.scheme),
+        "leak": to_doc(result.leak),
     }
 
 
-_CANDIDATE_FIELDS = {
+#: The ``candidate`` job's config whitelist; the speculative scheduler
+#: builds its submissions from the same list.
+CANDIDATE_FIELDS = {
     "engine": str,
     "mc_enabled": bool,
     "use_induction": bool,
@@ -295,56 +268,28 @@ def _run_candidate(job, cache, tracer, deadline):
     The remote unit behind ``repro verify --speculate N --remote``:
     the speculative scheduler ships ``{"task": ..., "scheme": ...,
     "config": ...}`` and gets back a :class:`~repro.cegar.speculate.
-    CandidateVerdict` document.  The task travels as a serialized
-    circuit (not a registered-core name) so speculation works on any
-    design, and the daemon's store-backed cache absorbs every solve —
-    an abandoned (advisorily-cancelled) candidate still warms the
-    store for the next submission.
+    CandidateVerdict` under ``"verdict"``, both as :mod:`repro.codec`
+    documents.  The task carries its serialized circuit (not a
+    registered-core name) so speculation works on any design, and the
+    daemon's store-backed cache absorbs every solve — an abandoned
+    (advisorily-cancelled) candidate still warms the store for the
+    next submission.
     """
     from repro.cegar.loop import TaintVerificationTask
-    from repro.cegar.speculate import verdict_to_doc, verify_candidate
+    from repro.cegar.speculate import verify_candidate
+    from repro.codec import CodecError, from_doc, to_doc
     from repro.cegar import CegarConfig
-    from repro.hdl.serialize import circuit_from_dict
-    from repro.taint.instrument import TaintSources
     from repro.taint.scheme_io import scheme_from_dict
 
-    tdoc = _require_dict(job, "task")
     try:
-        circuit = circuit_from_dict(_require_dict(tdoc, "circuit"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise JobError(f"bad circuit document: {exc}") from exc
-    sdoc = tdoc.get("sources") or {}
-    try:
-        task = TaintVerificationTask(
-            name=str(tdoc.get("name", "candidate")),
-            circuit=circuit,
-            sources=TaintSources(
-                registers={str(k): int(v) for k, v in
-                           (sdoc.get("registers") or {}).items()},
-                inputs={str(k): int(v) for k, v in
-                        (sdoc.get("inputs") or {}).items()},
-            ),
-            sinks=tuple(tdoc.get("sinks", ())),
-            clean_assumptions=tuple(tdoc.get("clean_assumptions", ())),
-            gated_clean_assumptions=tuple(
-                (str(a), str(b))
-                for a, b in tdoc.get("gated_clean_assumptions", ())),
-            assumption_outputs=tuple(tdoc.get("assumption_outputs", ())),
-            init_assumption_outputs=tuple(
-                tdoc.get("init_assumption_outputs", ())),
-            symbolic_registers=frozenset(tdoc.get("symbolic_registers", ())),
-            blackbox_modules=(tuple(tdoc["blackbox_modules"])
-                              if tdoc.get("blackbox_modules") is not None
-                              else None),
-            precise_modules=tuple(tdoc.get("precise_modules", ())),
-        )
-    except (TypeError, ValueError) as exc:
+        task = from_doc(TaintVerificationTask, _require_dict(job, "task"))
+    except CodecError as exc:
         raise JobError(f"bad task document: {exc}") from exc
     try:
         scheme = scheme_from_dict(_require_dict(job, "scheme"))
     except (KeyError, TypeError, ValueError) as exc:
         raise JobError(f"bad scheme document: {exc}") from exc
-    kwargs = _config_kwargs(job.get("config", {}) or {}, _CANDIDATE_FIELDS,
+    kwargs = _config_kwargs(job.get("config", {}) or {}, CANDIDATE_FIELDS,
                             "candidate")
     time_limit = kwargs.pop("mc_time_limit", None)
     if deadline is not None:
@@ -353,9 +298,7 @@ def _run_candidate(job, cache, tracer, deadline):
     config = CegarConfig(faults=_faults_from_doc(job), **kwargs)
     verdict = verify_candidate(task, scheme, config, cache=cache,
                                tracer=tracer, time_limit=time_limit)
-    doc = verdict_to_doc(verdict)
-    doc["kind"] = "candidate"
-    return doc
+    return {"kind": "candidate", "verdict": to_doc(verdict)}
 
 
 def _run_lint(job, cache, tracer, deadline):

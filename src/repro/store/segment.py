@@ -1,4 +1,4 @@
-"""Append-only checksummed segment files for the solve store.
+"""Append-only checksummed segment files (solve store, checkpoints).
 
 A segment is one atomically-written file holding a batch of records::
 
@@ -12,7 +12,8 @@ blocks hit the platter, an injected :func:`repro.faults.torn_segment`)
 or bit rot inside the file — is *detected* at the first damaged record
 and the intact prefix is still usable.  Once a record fails, framing is
 lost and the remainder of the file is untrusted: newest-intact-prefix
-wins, exactly like the checkpoint journal's newest-intact-entry rule.
+wins.  The checkpoint journal writes each entry as a one-record
+segment, so one torn-tail and checksum implementation serves both.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def read_segment(path: str) -> Tuple[List[bytes], bool]:
     except OSError as exc:
         raise SegmentError(f"unreadable segment {path!r}: {exc}") from exc
     if not blob.startswith(MAGIC):
-        raise SegmentError(f"bad magic in {path!r} (not a store segment)")
+        raise SegmentError(f"bad magic in {path!r} (not a segment file)")
     records: List[bytes] = []
     offset = len(MAGIC)
     total = len(blob)

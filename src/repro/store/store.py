@@ -17,12 +17,10 @@ Recovery invariants (each has a deterministic fault in
 - a failed segment write (``ENOSPC``) keeps the entries pending in
   memory and retries on the next flush — a full disk degrades
   durability, never correctness;
-- records are stored as schema-checked JSON, never pickled: the bytes
-  come back from a directory another process (or an attacker) may have
-  touched, and unpickling untrusted data executes code, while JSON
-  decodes to plain data or not at all.  Every decoded entry is then
-  revalidated (:func:`repro.formal.cache.valid_entry`); malformed or
-  hostile records are counted and dropped.
+- records are :mod:`repro.codec` JSON, never pickled: the bytes come
+  back from a directory another process (or an attacker) may have
+  touched, and the strict codec decodes them to a valid entry or not
+  at all; malformed or hostile records are counted and dropped.
 
 :class:`SolveStore` is additionally thread-safe: the job daemon's
 worker threads write through a shared :class:`StoreBackedCache` while
@@ -40,12 +38,12 @@ import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.codec import CodecError, dumps, entry_from_doc, entry_to_doc, loads
 from repro.formal.cache import (
     CachedVerdict,
     ThreadSafeSolveCache,
     valid_entry,
 )
-from repro.formal.counterexample import Counterexample
 from repro.ioutil import atomic_write, sweep_orphans
 from repro.store.lock import StoreLock, StoreLockedError
 from repro.store.segment import (
@@ -101,79 +99,19 @@ class StoreStats:
 
 
 def _encode_entry(key: str, verdict: CachedVerdict) -> Optional[bytes]:
-    """One record as canonical JSON bytes; None when unencodable.
-
-    Deliberately not pickle: segment payloads are read back from a
-    directory whose bytes this process does not control, and
-    unpickling untrusted input executes arbitrary code.
-    """
-    doc: Dict[str, Any] = {
-        "key": key,
-        "status": verdict.status,
-        "bound": verdict.bound,
-        "detail": verdict.detail,
-    }
-    cex = verdict.counterexample
-    if cex is not None:
-        doc["cex"] = {
-            "length": cex.length,
-            "inputs": cex.inputs,
-            "initial_state": cex.initial_state,
-            "bad_signal": cex.bad_signal,
-        }
+    """One record as canonical codec JSON; None when unencodable."""
     try:
-        line = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    except (TypeError, ValueError):
-        return None
-    return line.encode("utf-8")
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_signal_map(doc: Any) -> bool:
-    return (isinstance(doc, dict)
-            and all(isinstance(k, str) and _is_int(v)
-                    for k, v in doc.items()))
-
-
-def _decode_cex(doc: Any) -> Optional[Counterexample]:
-    if not isinstance(doc, dict):
-        return None
-    length = doc.get("length")
-    inputs = doc.get("inputs")
-    initial = doc.get("initial_state")
-    bad = doc.get("bad_signal", "")
-    if (not _is_int(length) or not isinstance(inputs, list)
-            or not all(_is_signal_map(frame) for frame in inputs)
-            or not _is_signal_map(initial) or not isinstance(bad, str)):
-        return None
-    try:
-        return Counterexample(length, inputs, initial, bad)
-    except ValueError:  # frame count does not match the stated length
+        return dumps(entry_to_doc(key, verdict), canonical=True)
+    except CodecError:
         return None
 
 
 def _decode_entry(payload: bytes) -> Optional[Tuple[str, CachedVerdict]]:
     """(key, verdict) or None when the record is malformed or hostile."""
     try:
-        doc = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
+        return entry_from_doc(loads(payload))
+    except CodecError:
         return None
-    if not isinstance(doc, dict):
-        return None
-    cex = None
-    if doc.get("cex") is not None:
-        cex = _decode_cex(doc["cex"])
-        if cex is None:
-            return None
-    key = doc.get("key")
-    verdict = CachedVerdict(status=doc.get("status"), bound=doc.get("bound"),
-                            counterexample=cex, detail=doc.get("detail"))
-    if not valid_entry(key, verdict):
-        return None
-    return key, verdict
 
 
 class SolveStore:

@@ -288,15 +288,18 @@ class TestCheckpointing:
         assert scheme_to_dict(resumed.scheme) == scheme_to_dict(base.scheme)
         assert resumed.stats.refinement_log == base.stats.refinement_log
 
-    def test_old_checkpoints_load_without_speculation_field(self):
+    def test_sequential_checkpoint_round_trips(self):
         from repro.cegar.checkpoint import CegarCheckpoint, FORMAT_VERSION
+        from repro.cegar.loop import RefinementStats
+        from repro.codec import dumps, from_doc, loads, to_doc
 
-        # Constructible without the new field (old journals pickle-load
-        # into the new dataclass with the default).
         ckpt = CegarCheckpoint(version=FORMAT_VERSION, task_name="t",
                                config_digest="d", iteration=0,
-                               scheme=None, stats=None)
-        assert ckpt.speculation is None
+                               scheme=fig2_task().initial_scheme(),
+                               stats=RefinementStats())
+        back = from_doc(CegarCheckpoint, loads(dumps(to_doc(ckpt))))
+        assert back.speculation is None
+        assert back == ckpt
 
 
 class TestStoreIntegration:

@@ -19,7 +19,7 @@ from repro.cegar import (
     TaintVerificationTask,
     run_compass,
 )
-from repro.cegar.checkpoint import FORMAT_VERSION, _decode, _encode
+from repro.cegar.checkpoint import FORMAT_VERSION, _read
 from repro.taint import TaintScheme, TaintSources
 from conftest import build_mux_chain  # noqa: E402
 
@@ -53,10 +53,14 @@ def _fig2_task(sel2_free=False, name="fig2"):
 _KNOBS = dict(max_bound=6, induction_max_k=6, seed=0)
 
 
+def _written(tmp_path, checkpoint=None):
+    return CheckpointJournal(str(tmp_path)).append(checkpoint or _checkpoint())
+
+
 class TestEncoding:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         ckpt = _checkpoint()
-        back = _decode(_encode(ckpt))
+        back = _read(_written(tmp_path, ckpt))
         assert back.iteration == ckpt.iteration
         assert back.task_name == ckpt.task_name
         assert back.config_digest == ckpt.config_digest
@@ -64,26 +68,87 @@ class TestEncoding:
         assert back.stats.refinements == 2
         assert back.pruned_candidates == {"cell:m._mux1"}
 
-    def test_rejects_truncation(self):
-        blob = _encode(_checkpoint())
+    def test_rejects_truncation(self, tmp_path):
+        path = _written(tmp_path)
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) // 2)
         with pytest.raises(CheckpointError, match="checksum|malformed"):
-            _decode(blob[: len(blob) // 2])
+            _read(path)
 
-    def test_rejects_bit_flip(self):
-        blob = bytearray(_encode(_checkpoint()))
-        blob[-1] ^= 0xFF
+    def test_rejects_bit_flip(self, tmp_path):
+        path = _written(tmp_path)
+        with open(path, "r+b") as handle:
+            blob = bytearray(handle.read())
+            blob[-1] ^= 0xFF
+            handle.seek(0)
+            handle.write(bytes(blob))
         with pytest.raises(CheckpointError, match="checksum mismatch"):
-            _decode(bytes(blob))
+            _read(path)
 
-    def test_rejects_wrong_magic(self):
+    def test_rejects_wrong_magic(self, tmp_path):
+        path = tmp_path / "journal-000000.ckpt"
+        path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(CheckpointError, match="bad magic"):
-            _decode(b"not a checkpoint at all")
+            _read(str(path))
 
-    def test_rejects_foreign_version(self):
+    def test_rejects_foreign_version(self, tmp_path):
         ckpt = _checkpoint()
         ckpt.version = FORMAT_VERSION + 1
         with pytest.raises(CheckpointError, match="format version"):
-            _decode(_encode(ckpt))
+            _read(_written(tmp_path, ckpt))
+
+    def test_pickled_payload_is_skipped_not_executed(self, tmp_path):
+        """A journal entry is attacker-reachable bytes: a pickle inside
+        an intact segment is corrupt, and unpickling never happens."""
+        import pickle
+
+        from repro.store.segment import write_segment
+
+        marker = tmp_path / "owned"
+
+        class Exploit:
+            def __reduce__(self):
+                return (open, (str(marker), "w"))
+
+        journal_dir = tmp_path / "journal"
+        journal = CheckpointJournal(str(journal_dir))
+        journal.append(_checkpoint(iteration=1))
+        write_segment(str(journal_dir / "journal-000001.ckpt"),
+                      [pickle.dumps(Exploit())])
+        latest, skipped = journal.latest_with_diagnostics()
+        assert latest.iteration == 1
+        assert len(skipped) == 1 and "undecodable" in skipped[0]
+        assert not marker.exists()
+
+    def test_pickle_journal_is_refused_on_resume(self, tmp_path):
+        """A journal from the pickle format cannot be resumed, and the
+        error says what to do about it."""
+        import hashlib
+        import pickle
+
+        payload = pickle.dumps({"iteration": 1})
+        entry = tmp_path / "journal-000000.ckpt"
+        entry.write_bytes(b"COMPASS-CKPT v1\n"
+                          + hashlib.sha256(payload).hexdigest().encode()
+                          + b"\n" + payload)
+        with pytest.raises(CheckpointError,
+                           match="predates the JSON checkpoint format.*delete"):
+            run_compass(_fig2_task(), CegarConfig(**_KNOBS),
+                        checkpoint_dir=str(tmp_path), resume=True)
+
+    def test_rng_state_round_trips_exactly(self, tmp_path):
+        import random
+
+        rng = random.Random(1234)
+        rng.gauss(0.0, 1.0)  # leaves a cached gauss_next in the state
+        ckpt = _checkpoint()
+        ckpt.rng_state = rng.getstate()
+        back = _read(_written(tmp_path, ckpt))
+        assert back.rng_state == ckpt.rng_state
+        resumed = random.Random()
+        resumed.setstate(back.rng_state)
+        assert [resumed.random() for _ in range(8)] == \
+            [rng.random() for _ in range(8)]
 
 
 class TestJournal:

@@ -1,5 +1,6 @@
 """Unit tests for repro.cegar.speculate: the candidate-verification
-unit, scheme digests, wave prediction, and the verdict JSON round trip."""
+unit, scheme digests, wave prediction, the verdict JSON round trip, and
+strict decoding of remote verdicts."""
 
 import pytest
 
@@ -15,12 +16,12 @@ from repro.cegar import (
     verify_candidate,
 )
 from repro.cegar.loop import instrument_task
-from repro.cegar.speculate import (
-    ladder_siblings,
-    predict_candidates,
-    verdict_from_doc,
-    verdict_to_doc,
-)
+from repro.cegar.speculate import ladder_siblings, predict_candidates
+from repro.codec import from_doc, to_doc
+
+
+def verdict_from_doc(doc):
+    return from_doc(CandidateVerdict, doc)
 
 
 def _leaky_task():
@@ -169,7 +170,7 @@ class TestVerdictDoc:
         verdict = CandidateVerdict(digest="d" * 64, status="bound_reached",
                                    bound=7, static_bound=2,
                                    suspects=("a", "b"))
-        back = verdict_from_doc(verdict_to_doc(verdict))
+        back = verdict_from_doc(to_doc(verdict))
         assert back.digest == verdict.digest
         assert back.status == verdict.status
         assert back.bound == 7
@@ -183,7 +184,7 @@ class TestVerdictDoc:
                              initial_state={"secret": 3}, bad_signal="bad")
         verdict = CandidateVerdict(digest="d" * 64, status="counterexample",
                                    counterexample=cex, bound=2)
-        back = verdict_from_doc(verdict_to_doc(verdict))
+        back = verdict_from_doc(to_doc(verdict))
         assert back.counterexample is not None
         assert back.counterexample.length == 2
         assert back.counterexample.inputs == cex.inputs
@@ -193,11 +194,10 @@ class TestVerdictDoc:
         import json
 
         verdict = CandidateVerdict(digest="d" * 64)
-        json.dumps(verdict_to_doc(verdict))  # must not raise
+        json.dumps(to_doc(verdict))  # must not raise
 
     def test_candidate_job_kind(self):
         """The daemon's candidate handler equals the local unit."""
-        from repro.hdl.serialize import circuit_to_dict
         from repro.serve.jobs import run_job
         from repro.taint.scheme_io import scheme_to_dict
 
@@ -205,19 +205,12 @@ class TestVerdictDoc:
         scheme = task.initial_scheme()
         job = {
             "kind": "candidate",
-            "task": {
-                "name": task.name,
-                "circuit": circuit_to_dict(task.circuit),
-                "sources": {"registers": dict(task.sources.registers),
-                            "inputs": dict(task.sources.inputs)},
-                "sinks": list(task.sinks),
-                "symbolic_registers": sorted(task.symbolic_registers),
-            },
+            "task": to_doc(task),
             "scheme": scheme_to_dict(scheme),
             "config": {"engine": "sequential", "max_bound": 5,
                        "induction_max_k": 5},
         }
-        remote = verdict_from_doc(run_job(job))
+        remote = verdict_from_doc(run_job(job)["verdict"])
         local = verify_candidate(task, scheme,
                                  CegarConfig(max_bound=5, induction_max_k=5))
         assert remote.digest == local.digest
@@ -225,21 +218,75 @@ class TestVerdictDoc:
         assert remote.bound == local.bound
 
     def test_candidate_job_rejects_unknown_config(self):
-        from repro.hdl.serialize import circuit_to_dict
         from repro.serve.jobs import JobError, run_job
         from repro.taint.scheme_io import scheme_to_dict
 
         task = _safe_task()
         job = {
             "kind": "candidate",
-            "task": {"name": task.name,
-                     "circuit": circuit_to_dict(task.circuit),
-                     "sinks": list(task.sinks)},
+            "task": to_doc(task),
             "scheme": scheme_to_dict(task.initial_scheme()),
             "config": {"solve_cache": "hostile"},
         }
-        with pytest.raises(JobError):
+        with pytest.raises(JobError, match="unknown candidate config"):
             run_job(job)
+
+    def test_candidate_job_rejects_partial_task(self):
+        from repro.serve.jobs import JobError, run_job
+        from repro.taint.scheme_io import scheme_to_dict
+
+        task = _safe_task()
+        doc = to_doc(task)
+        del doc["sinks"]
+        job = {"kind": "candidate", "task": doc,
+               "scheme": scheme_to_dict(task.initial_scheme())}
+        with pytest.raises(JobError, match="bad task document"):
+            run_job(job)
+
+
+class TestRemoteVerdicts:
+    """A daemon reply is a miss unless it decodes strictly and answers
+    the very scheme the slot speculated on."""
+
+    @staticmethod
+    def _without_status(digest):
+        doc = to_doc(CandidateVerdict(digest=digest, status="proved"))
+        del doc["status"]
+        return doc
+
+    @staticmethod
+    def _other_scheme(digest):
+        return to_doc(CandidateVerdict(digest="0" * 64, status="proved"))
+
+    @pytest.mark.parametrize("make_verdict", ["_without_status",
+                                              "_other_scheme"])
+    def test_bad_reply_is_a_miss(self, monkeypatch, make_verdict):
+        import repro.serve.client as client
+        from repro.taint.scheme_io import scheme_from_dict
+
+        make = getattr(self, make_verdict)
+
+        class StubDaemon:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, job, deadline=None):
+                digest = scheme_digest(scheme_from_dict(job["scheme"]))
+                return {"result": {"kind": "candidate",
+                                   "verdict": make(digest)}}
+
+        monkeypatch.setattr(client, "connect", lambda *a, **kw: StubDaemon())
+        knobs = dict(max_bound=5, induction_max_k=5)
+        base = run_compass(_safe_task(), CegarConfig(**knobs))
+        spec = run_compass(_safe_task(), CegarConfig(
+            **knobs, speculate=1, speculate_remote="/no/such/daemon.sock"))
+        assert spec.status is base.status
+        assert spec.stats.refinement_log == base.stats.refinement_log
+        assert spec.stats.spec_hits == 0
+        assert spec.stats.spec_misses >= 1
 
 
 class TestSeedlessDeterminism:
