@@ -35,8 +35,6 @@ from repro.cegar.checkpoint import (
 )
 from repro.cegar.speculate import (
     CandidateVerdict,
-    SpeculativeScheduler,
-    predict_candidates,
     scheme_digest,
     verify_candidate,
 )
@@ -62,8 +60,6 @@ __all__ = [
     "CheckpointError",
     "CheckpointJournal",
     "CandidateVerdict",
-    "SpeculativeScheduler",
-    "predict_candidates",
     "scheme_digest",
     "verify_candidate",
     "PruneReport",

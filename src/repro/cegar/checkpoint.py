@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cegar.loop import RefinementStats
 from repro.codec import CodecError, dumps, from_doc, loads, to_doc
@@ -34,8 +34,9 @@ from repro.taint.space import TaintScheme
 LEGACY_MAGIC = b"COMPASS-CKPT v1\n"
 _ENTRY_RE = re.compile(r"^journal-(\d{6})\.ckpt$")
 
-#: Bump when the checkpoint payload schema changes incompatibly.
-FORMAT_VERSION = 2
+#: Bump when the checkpoint payload schema changes incompatibly
+#: (3: the in-flight candidate record was dropped).
+FORMAT_VERSION = 3
 
 
 class CheckpointError(Exception):
@@ -66,10 +67,6 @@ class CegarCheckpoint:
     #: (the loop's pruned-candidate set, restored for observability and
     #: so resumed runs keep identical retry trajectories).
     pruned_candidates: Set[str] = field(default_factory=set)
-    #: In-flight speculation at checkpoint time (``{"n": fan-out,
-    #: "schemes": [TaintScheme, ...]}``) so a resumed run re-primes the
-    #: same wave.  ``None`` for sequential runs.
-    speculation: Optional[Dict[str, Any]] = None
 
 
 def _encode(checkpoint: CegarCheckpoint) -> bytes:

@@ -95,7 +95,7 @@ class TaintVerificationTask:
     blackbox_modules: Optional[Tuple[str, ...]] = None
     precise_modules: Tuple[str, ...] = ()
     stimulus_sampler: Optional[object] = field(
-        default=None, compare=False, metadata={"codec": False})  # code
+        default=None, compare=False)  # code
 
     def initial_scheme(self) -> TaintScheme:
         from repro.taint.space import Complexity, Granularity, TaintOption
@@ -210,23 +210,6 @@ class CegarConfig:
     #: None (the default) injects nothing; tests use this to prove the
     #: recovery paths.
     faults: Optional[FaultPlan] = None
-    #: Speculative CEGAR (:mod:`repro.cegar.speculate`): after each
-    #: refinement settles, fan the next N candidate schemes (the
-    #: settled lookahead plus its ladder siblings at the refinement
-    #: location) out to supervised worker processes; the loop consumes
-    #: a worker's verdict only for the exact scheme the sequential
-    #: walk reaches, so the result is bit-identical for any N.  Losers
-    #: are cancelled on the first refinement signal and their solve
-    #: traffic still warms the shared (store-backed) cache.  0 (the
-    #: default) disables speculation.  Deliberately absent from the
-    #: checkpoint config digest: speculation never shapes the
-    #: trajectory, only the wall-clock.
-    speculate: int = 0
-    #: Dispatch speculative candidates to the job daemon at this unix
-    #: socket (``repro verify --speculate N --remote SOCKET``) instead
-    #: of local worker processes.  Unreachable daemons degrade to
-    #: inline verification, never fail the run.
-    speculate_remote: Optional[str] = None
 
 
 @dataclass
@@ -274,19 +257,6 @@ class RefinementStats:
     #: ``store_dir`` (entries loaded/persisted, recovery events, hits
     #: served from disk).  None when no store was attached.
     store: Optional[StoreStats] = None
-    #: Speculation observability (``speculate > 0``): candidate waves
-    #: launched, workers submitted, model-checking calls answered by a
-    #: speculative verdict (hits) vs verified inline (misses), losers
-    #: cancelled, slots promoted into the next wave, and supervised
-    #: worker crashes/retries at the speculation level.
-    spec_waves: int = 0
-    spec_submitted: int = 0
-    spec_hits: int = 0
-    spec_misses: int = 0
-    spec_cancelled: int = 0
-    spec_promoted: int = 0
-    spec_crashes: int = 0
-    spec_retries: int = 0
 
     @property
     def total(self) -> float:
@@ -348,22 +318,6 @@ class RefinementStats:
             f"{self.static_proofs} proofs, {self.static_cex} definite "
             f"violations, {self.static_skipped_bounds} SAT bounds skipped"
         ]
-
-    def speculation_rows(self) -> List[str]:
-        """Speculative-CEGAR summary lines (empty when unused)."""
-        if not self.spec_submitted:
-            return []
-        rows = [
-            f"speculation: {self.spec_waves} waves, "
-            f"{self.spec_submitted} candidates submitted, "
-            f"{self.spec_hits} hits / {self.spec_misses} misses, "
-            f"{self.spec_cancelled} cancelled, "
-            f"{self.spec_promoted} promoted"
-        ]
-        if self.spec_crashes or self.spec_retries:
-            rows.append(f"speculation supervision: {self.spec_retries} "
-                        f"worker retries, {self.spec_crashes} crashes")
-        return rows
 
     def robustness_rows(self) -> List[str]:
         """Checkpoint/resume summary lines (empty when unused)."""
@@ -627,11 +581,10 @@ def _run_compass_inner(
     if config.seed is not None:
         rng = random.Random(config.seed)
     else:
-        # seed=None must still be reproducible — a speculative worker
-        # and the sequential walk have to draw the same trajectory, and
-        # a resumed run replays the journaled rng state.  Derive the
-        # seed from the config digest instead of the old unseeded
-        # ``random.Random()`` fallback.
+        # seed=None must still be reproducible: a resumed run replays
+        # the journaled rng state, and the config digest refuses a
+        # resume under other knobs.  Derive the seed from that digest
+        # instead of the old unseeded ``random.Random()`` fallback.
         rng = random.Random(int(digest[:16], 16))
     tracer = config.trace or NULL_TRACER
 
@@ -690,15 +643,6 @@ def _run_compass_inner(
         tracer.count("cegar.resumes")
     started = time.monotonic()
 
-    speculator = None
-    if config.speculate > 0 and config.mc_enabled and config.engine != "static":
-        from repro.cegar.speculate import SpeculativeScheduler
-
-        speculator = SpeculativeScheduler(
-            task, config, solve_cache, stats, tracer=config.trace,
-            remote=config.speculate_remote,
-        )
-
     def write_checkpoint(next_iteration: int) -> None:
         if journal is None:
             return
@@ -716,8 +660,6 @@ def _run_compass_inner(
             cache_entries=(solve_cache.snapshot_entries()
                            if solve_cache is not None else {}),
             pruned_candidates=pruned_candidates,
-            speculation=(speculator.snapshot()
-                         if speculator is not None else None),
         ))
         stats.checkpoints_written += 1
         tracer.count("cegar.checkpoints")
@@ -731,8 +673,8 @@ def _run_compass_inner(
     def mc_limit() -> Optional[float]:
         """``mc_time_limit`` clamped to the remaining overall budget.
 
-        A per-candidate verify (speculative or inline) must never
-        outlive the loop's own deadline.
+        A candidate's verify must never outlive the loop's own
+        deadline.
         """
         limit = config.mc_time_limit
         if config.total_time_limit is not None:
@@ -752,232 +694,193 @@ def _run_compass_inner(
         if not report.ok:
             raise LintError(report)
 
-    from repro.cegar.speculate import predict_candidates, verify_candidate
+    from repro.cegar.speculate import verify_candidate
 
-    try:
-        with tracer.span("cegar.instrument", cat="gen") as sp:
-            design, prop = instrument_task(task, scheme)
-        stats.t_gen += sp.elapsed
+    with tracer.span("cegar.instrument", cat="gen") as sp:
+        design, prop = instrument_task(task, scheme)
+    stats.t_gen += sp.elapsed
 
-        validator: Optional[ExactValidator] = None
-        if config.exact_validation:
-            with tracer.span("cegar.validator-init", cat="mc") as sp:
-                validator = ExactValidator(
-                    task.circuit, task.secret_registers(), task.sinks,
-                    init_assumption_outputs=task.init_assumption_outputs,
+    validator: Optional[ExactValidator] = None
+    if config.exact_validation:
+        with tracer.span("cegar.validator-init", cat="mc") as sp:
+            validator = ExactValidator(
+                task.circuit, task.secret_registers(), task.sinks,
+                init_assumption_outputs=task.init_assumption_outputs,
+            )
+        stats.t_mc += sp.elapsed
+
+    if journal is not None and restored is None:
+        # Entry 0: even a run killed inside its first iteration can be
+        # resumed (from the initial scheme, with an empty cache).
+        write_checkpoint(start_iteration)
+
+    verify_time = 0.0
+    for iteration in range(start_iteration, config.max_counterexamples + 1):
+        # ---- Step 2: model checking -------------------------------
+        cex: Optional[Counterexample] = None
+        if config.sim_prefilter:
+            with tracer.span("cegar.sim-prefilter", cat="simu",
+                             iteration=iteration) as sp:
+                cex = simulate_for_counterexample(
+                    task, design, prop, config.sim_trials,
+                    config.sim_depth, rng,
                 )
-            stats.t_mc += sp.elapsed
-
-        if journal is not None and restored is None:
-            # Entry 0: even a run killed inside its first iteration can be
-            # resumed (from the initial scheme, with an empty cache).
-            write_checkpoint(start_iteration)
-
-        if speculator is not None and restored and restored.speculation:
-            # Re-prime the wave the interrupted run had in flight so a
-            # resume replays the same speculative overlap.
-            speculator.advance(restored.speculation["schemes"], mc_limit())
-
-        verify_time = 0.0
-        for iteration in range(start_iteration, config.max_counterexamples + 1):
-            # ---- Step 2: model checking -------------------------------
-            if speculator is not None:
-                # The current scheme is the one candidate certain to be
-                # verified: make sure its worker runs while the sim
-                # prefilter searches (the prefilter never solves, so
-                # the worker sees the same cache the inline call would).
-                speculator.ensure(scheme, mc_limit())
-            cex: Optional[Counterexample] = None
-            if config.sim_prefilter:
-                with tracer.span("cegar.sim-prefilter", cat="simu",
-                                 iteration=iteration) as sp:
-                    cex = simulate_for_counterexample(
-                        task, design, prop, config.sim_trials,
-                        config.sim_depth, rng,
-                    )
-                    sp.set(hit=cex is not None)
-                stats.t_simu += sp.elapsed
-            static_suspects: Tuple[str, ...] = ()
-            with tracer.span("cegar.model-check", cat="mc",
-                             iteration=iteration,
-                             engine=config.engine) as mc_span:
-                verdict = None
-                if cex is not None:
-                    # First refinement signal wins: the prefilter beat
-                    # this scheme's speculative verify; drop the loser
-                    # (its streamed solves stay in the cache).
-                    if speculator is not None:
-                        speculator.discard(scheme)
-                else:
-                    if speculator is not None:
-                        verdict = speculator.collect(scheme)
-                    if verdict is None:
-                        verdict = verify_candidate(
-                            task, scheme, config, cache=solve_cache,
-                            tracer=tracer, design=design, prop=prop,
-                            time_limit=mc_limit(), iteration=iteration,
-                        )
-                if verdict is not None:
-                    stats.static_prescreens += verdict.static_prescreens
-                    stats.static_proofs += verdict.static_proofs
-                    stats.static_cex += verdict.static_cex
-                    stats.static_skipped_bounds += verdict.static_skipped_bounds
-                    static_suspects = verdict.suspects
-                    last_bound = max(last_bound, verdict.static_bound)
-                    if verdict.portfolio is not None:
-                        stats.record_portfolio(verdict.portfolio)
-                    if verdict.engine_status:
-                        if verdict.portfolio is not None:
-                            mc_span.set(status=verdict.engine_status,
-                                        winner=verdict.winner)
-                        else:
-                            mc_span.set(status=verdict.engine_status)
-                    if verdict.source != "inline":
-                        mc_span.set(speculative=verdict.source)
-                    if verdict.status == "proved":
-                        verify_time = mc_span.elapsed
-                        stats.t_mc += verify_time
-                        # Terminal checkpoint: a resume re-runs this
-                        # iteration and the restored cache answers the
-                        # proof instantly.
-                        write_checkpoint(iteration)
-                        return CegarResult(CegarStatus.PROVED, task, scheme,
-                                           design, prop, stats, bound=-1,
-                                           verify_time=verify_time)
-                    last_bound = max(last_bound, verdict.bound)
-                    if verdict.status == "counterexample":
-                        cex = verdict.counterexample
-            verify_time = mc_span.elapsed
-            stats.t_mc += verify_time
-
+                sp.set(hit=cex is not None)
+            stats.t_simu += sp.elapsed
+        static_suspects: Tuple[str, ...] = ()
+        with tracer.span("cegar.model-check", cat="mc",
+                         iteration=iteration,
+                         engine=config.engine) as mc_span:
             if cex is None:
-                write_checkpoint(iteration)
-                return CegarResult(CegarStatus.BOUND_REACHED, task, scheme,
-                                   design, prop, stats, bound=last_bound,
-                                   verify_time=verify_time)
+                verdict = verify_candidate(
+                    task, scheme, config, cache=solve_cache,
+                    tracer=tracer, design=design, prop=prop,
+                    time_limit=mc_limit(), iteration=iteration,
+                )
+                stats.static_prescreens += verdict.static_prescreens
+                stats.static_proofs += verdict.static_proofs
+                stats.static_cex += verdict.static_cex
+                stats.static_skipped_bounds += verdict.static_skipped_bounds
+                static_suspects = verdict.suspects
+                last_bound = max(last_bound, verdict.static_bound)
+                if verdict.portfolio is not None:
+                    stats.record_portfolio(verdict.portfolio)
+                if verdict.engine_status:
+                    if verdict.portfolio is not None:
+                        mc_span.set(status=verdict.engine_status,
+                                    winner=verdict.winner)
+                    else:
+                        mc_span.set(status=verdict.engine_status)
+                if verdict.status == "proved":
+                    verify_time = mc_span.elapsed
+                    stats.t_mc += verify_time
+                    # Terminal checkpoint: a resume re-runs this
+                    # iteration and the restored cache answers the
+                    # proof instantly.
+                    write_checkpoint(iteration)
+                    return CegarResult(CegarStatus.PROVED, task, scheme,
+                                       design, prop, stats, bound=-1,
+                                       verify_time=verify_time)
+                last_bound = max(last_bound, verdict.bound)
+                if verdict.status == "counterexample":
+                    cex = verdict.counterexample
+        verify_time = mc_span.elapsed
+        stats.t_mc += verify_time
 
-            # ---- Counterexample validation ----------------------------
+        if cex is None:
+            write_checkpoint(iteration)
+            return CegarResult(CegarStatus.BOUND_REACHED, task, scheme,
+                               design, prop, stats, bound=last_bound,
+                               verify_time=verify_time)
+
+        # ---- Counterexample validation ----------------------------
+        with tracer.span("cegar.replay", cat="simu",
+                         iteration=iteration) as sp:
+            taint_wf = cex.replay(design.circuit)
+        stats.t_simu += sp.elapsed
+        final_cycle = taint_wf.length - 1
+        sink = _tainted_sink(design, taint_wf, task.sinks, final_cycle)
+        if sink is None:
+            raise RuntimeError(
+                "model checker produced a trace with no tainted sink")
+
+        if config.exact_validation:
+            with tracer.span("cegar.validate", cat="mc",
+                             iteration=iteration, sink=sink) as sp:
+                spurious = validator.is_falsely_tainted(
+                    cex, sink, time_limit=mc_limit(),
+                )
+                sp.set(spurious=spurious)
+            stats.t_mc += sp.elapsed
+        else:
+            with tracer.span("cegar.validate-fast", cat="simu",
+                             iteration=iteration, sink=sink) as sp:
+                quick = FastFalseTaintOracle(
+                    task.circuit, cex, SecretSpec.from_sources(task.sources)
+                )
+                spurious = quick.is_falsely_tainted(sink, final_cycle)
+                sp.set(spurious=spurious)
+            stats.t_simu += sp.elapsed
+        if not spurious:
+            write_checkpoint(iteration)
+            return CegarResult(CegarStatus.REAL_LEAK, task, scheme, design,
+                               prop, stats, bound=last_bound, leak=cex,
+                               verify_time=verify_time)
+
+        # ---- Step 3: iterative refinement (Figure 3) ---------------
+        with tracer.span("cegar.oracle-build", cat="simu",
+                         iteration=iteration) as sp:
+            oracle = FastFalseTaintOracle(
+                task.circuit, cex, SecretSpec.from_sources(task.sources)
+            )
+        stats.t_simu += sp.elapsed
+        failed_locations: set = set()
+        while _tainted_sink(design, taint_wf, task.sinks,
+                            final_cycle) is not None:
+            if stats.refinements >= config.max_refinements or out_of_time():
+                return CegarResult(CegarStatus.BUDGET_EXHAUSTED, task,
+                                   scheme, design, prop, stats,
+                                   bound=last_bound)
+            sink = _tainted_sink(design, taint_wf, task.sinks, final_cycle)
+            outcome = None
+            alert = None
+            for _attempt in range(config.max_location_retries):
+                with tracer.span("cegar.backtrace", cat="bt",
+                                 iteration=iteration, sink=sink) as sp:
+                    location = find_refinement_location(
+                        design, taint_wf, oracle, sink, cycle=final_cycle,
+                        rng=rng, excluded=failed_locations,
+                        hints=static_suspects,
+                    )
+                    sp.set(location=location.name)
+                stats.t_bt += sp.elapsed
+                try:
+                    outcome = apply_refinement(
+                        task.circuit, task.sources, scheme, design,
+                        location, cex,
+                    )
+                    break
+                except CorrelationImprecisionAlert as caught:
+                    # The ladder is exhausted here; the fast test may
+                    # have misjudged an upstream signal, so retry the
+                    # trace with this location excluded before giving up.
+                    alert = caught
+                    failed_locations.add(location.name)
+            if outcome is None:
+                return CegarResult(CegarStatus.CORRELATION_ALERT, task,
+                                   scheme, design, prop, stats,
+                                   bound=last_bound, alert=alert)
+            stats.t_gen += outcome.gen_time
+            stats.t_simu += outcome.sim_time
+            if tracer.enabled:
+                # The refinement machinery measures its own generate /
+                # simulate split; fold it into the trace as backdated
+                # spans so category totals keep matching the stats.
+                tracer.add_span("cegar.refine-gen", "gen",
+                                outcome.gen_time, iteration=iteration,
+                                location=location.name)
+                tracer.add_span("cegar.refine-sim", "simu",
+                                outcome.sim_time, iteration=iteration,
+                                location=location.name)
+                tracer.count("cegar.refinements")
+            stats.refinements += 1
+            stats.refinement_log.append(f"{location}: {outcome.description}")
+            scheme = outcome.scheme
+            design, prop = instrument_task(task, scheme)
             with tracer.span("cegar.replay", cat="simu",
                              iteration=iteration) as sp:
                 taint_wf = cex.replay(design.circuit)
             stats.t_simu += sp.elapsed
-            final_cycle = taint_wf.length - 1
-            sink = _tainted_sink(design, taint_wf, task.sinks, final_cycle)
-            if sink is None:
-                raise RuntimeError(
-                    "model checker produced a trace with no tainted sink")
-
-            if config.exact_validation:
-                with tracer.span("cegar.validate", cat="mc",
-                                 iteration=iteration, sink=sink) as sp:
-                    spurious = validator.is_falsely_tainted(
-                        cex, sink, time_limit=mc_limit(),
-                    )
-                    sp.set(spurious=spurious)
-                stats.t_mc += sp.elapsed
-            else:
-                with tracer.span("cegar.validate-fast", cat="simu",
-                                 iteration=iteration, sink=sink) as sp:
-                    quick = FastFalseTaintOracle(
-                        task.circuit, cex, SecretSpec.from_sources(task.sources)
-                    )
-                    spurious = quick.is_falsely_tainted(sink, final_cycle)
-                    sp.set(spurious=spurious)
-                stats.t_simu += sp.elapsed
-            if not spurious:
-                write_checkpoint(iteration)
-                return CegarResult(CegarStatus.REAL_LEAK, task, scheme, design,
-                                   prop, stats, bound=last_bound, leak=cex,
-                                   verify_time=verify_time)
-
-            # ---- Step 3: iterative refinement (Figure 3) ---------------
-            with tracer.span("cegar.oracle-build", cat="simu",
-                             iteration=iteration) as sp:
-                oracle = FastFalseTaintOracle(
-                    task.circuit, cex, SecretSpec.from_sources(task.sources)
-                )
-            stats.t_simu += sp.elapsed
-            failed_locations: set = set()
-            while _tainted_sink(design, taint_wf, task.sinks,
-                                final_cycle) is not None:
-                if stats.refinements >= config.max_refinements or out_of_time():
-                    return CegarResult(CegarStatus.BUDGET_EXHAUSTED, task,
-                                       scheme, design, prop, stats,
-                                       bound=last_bound)
-                sink = _tainted_sink(design, taint_wf, task.sinks, final_cycle)
-                outcome = None
-                alert = None
-                for _attempt in range(config.max_location_retries):
-                    with tracer.span("cegar.backtrace", cat="bt",
-                                     iteration=iteration, sink=sink) as sp:
-                        location = find_refinement_location(
-                            design, taint_wf, oracle, sink, cycle=final_cycle,
-                            rng=rng, excluded=failed_locations,
-                            hints=static_suspects,
-                        )
-                        sp.set(location=location.name)
-                    stats.t_bt += sp.elapsed
-                    try:
-                        outcome = apply_refinement(
-                            task.circuit, task.sources, scheme, design,
-                            location, cex,
-                        )
-                        break
-                    except CorrelationImprecisionAlert as caught:
-                        # The ladder is exhausted here; the fast test may
-                        # have misjudged an upstream signal, so retry the
-                        # trace with this location excluded before giving up.
-                        alert = caught
-                        failed_locations.add(location.name)
-                if outcome is None:
-                    return CegarResult(CegarStatus.CORRELATION_ALERT, task,
-                                       scheme, design, prop, stats,
-                                       bound=last_bound, alert=alert)
-                stats.t_gen += outcome.gen_time
-                stats.t_simu += outcome.sim_time
-                if tracer.enabled:
-                    # The refinement machinery measures its own generate /
-                    # simulate split; fold it into the trace as backdated
-                    # spans so category totals keep matching the stats.
-                    tracer.add_span("cegar.refine-gen", "gen",
-                                    outcome.gen_time, iteration=iteration,
-                                    location=location.name)
-                    tracer.add_span("cegar.refine-sim", "simu",
-                                    outcome.sim_time, iteration=iteration,
-                                    location=location.name)
-                    tracer.count("cegar.refinements")
-                stats.refinements += 1
-                stats.refinement_log.append(f"{location}: {outcome.description}")
-                scheme = outcome.scheme
-                design, prop = instrument_task(task, scheme)
-                with tracer.span("cegar.replay", cat="simu",
-                                 iteration=iteration) as sp:
-                    taint_wf = cex.replay(design.circuit)
-                stats.t_simu += sp.elapsed
-            stats.counterexamples_eliminated += 1
-            stats.eliminated.append(cex)
-            tracer.count("cegar.counterexamples_eliminated")
-            pruned_candidates |= failed_locations
-            if speculator is not None:
-                # Refinement settled: fan out the next wave — the settled
-                # scheme (the lookahead the next model-checking call is
-                # certain to need) plus its ladder siblings at the last
-                # refinement location.  Slots already computing a wave
-                # candidate are promoted; the rest are cancelled.
-                speculator.advance(
-                    predict_candidates(task, scheme, design, location,
-                                       config.speculate),
-                    mc_limit(),
-                )
-            # Iteration complete (counterexample eliminated, scheme
-            # stable): journal the state — including the in-flight
-            # speculation — so a crash from here on resumes at k + 1.
-            write_checkpoint(iteration + 1)
-            if out_of_time():
-                return CegarResult(CegarStatus.BUDGET_EXHAUSTED, task, scheme,
-                                   design, prop, stats, bound=last_bound)
-        return CegarResult(CegarStatus.BUDGET_EXHAUSTED, task, scheme, design,
-                           prop, stats, bound=last_bound)
-    finally:
-        if speculator is not None:
-            speculator.close()
+        stats.counterexamples_eliminated += 1
+        stats.eliminated.append(cex)
+        tracer.count("cegar.counterexamples_eliminated")
+        pruned_candidates |= failed_locations
+        # Iteration complete (counterexample eliminated, scheme
+        # stable): journal the state so a crash from here on resumes
+        # at k + 1.
+        write_checkpoint(iteration + 1)
+        if out_of_time():
+            return CegarResult(CegarStatus.BUDGET_EXHAUSTED, task, scheme,
+                               design, prop, stats, bound=last_bound)
+    return CegarResult(CegarStatus.BUDGET_EXHAUSTED, task, scheme, design,
+                       prop, stats, bound=last_bound)

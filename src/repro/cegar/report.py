@@ -148,25 +148,6 @@ def render_report(result, task=None, tracer=None) -> str:
             )
             lines.append("")
 
-    if stats.spec_submitted:
-        lines.append("## Speculative CEGAR")
-        lines.append("")
-        lines.append(
-            f"{stats.spec_waves} candidate wave(s), {stats.spec_submitted} "
-            f"speculative verifies submitted; {stats.spec_hits} "
-            f"model-checking call(s) answered by a speculative verdict, "
-            f"{stats.spec_misses} verified inline, {stats.spec_cancelled} "
-            f"loser(s) cancelled, {stats.spec_promoted} slot(s) promoted "
-            f"into the next wave."
-        )
-        if stats.spec_crashes or stats.spec_retries:
-            lines.append(
-                f"Supervision: {stats.spec_retries} crashed candidate "
-                f"worker(s) relaunched, {stats.spec_crashes} crash(es) "
-                f"observed."
-            )
-        lines.append("")
-
     if (stats.worker_crashes or stats.worker_retries
             or stats.checkpoints_written or stats.resumed_from is not None):
         lines.append("## Robustness")

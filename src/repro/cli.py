@@ -91,6 +91,26 @@ def _remote_submit(socket_path: str, job: dict,
         client.close()
 
 
+#: Options the daemon's reply cannot honour: ``(dest, flag)``.  The
+#: remote verify returns rows and the refined scheme only, and the
+#: remote simulate runs untainted and untraced.
+_VERIFY_LOCAL_ONLY = (
+    ("prune", "--prune"), ("trace", "--trace"), ("report", "--report"),
+    ("checkpoint", "--checkpoint"), ("resume", "--resume"),
+    ("store", "--store"), ("cache_stats", "--cache-stats"),
+)
+_SIMULATE_LOCAL_ONLY = (("taint", "--taint"), ("trace", "--trace"))
+
+
+def _remote_allowed(args, local_only) -> bool:
+    """False, with a one-line notice, when a set option needs a local run."""
+    used = [flag for dest, flag in local_only if getattr(args, dest)]
+    if used:
+        print(f"note: {', '.join(used)} needs a local run; ignoring --remote",
+              file=sys.stderr)
+    return not used
+
+
 def _remote_analyze(args) -> Optional[dict]:
     job = {"kind": "analyze", "core": _core_doc(args),
            "max_frames": args.max_frames}
@@ -110,9 +130,7 @@ def cmd_verify(args) -> int:
         run_compass,
     )
 
-    if args.remote and not args.speculate:
-        # --speculate keeps the loop local and dispatches *candidates*
-        # to the daemon instead of shipping the whole verify.
+    if args.remote and _remote_allowed(args, _VERIFY_LOCAL_ONLY):
         outcome = _remote_verify(args)
         if outcome is not None:
             return outcome
@@ -139,8 +157,6 @@ def cmd_verify(args) -> int:
         certify=args.certify,
         store_dir=args.store,
         trace=tracer,
-        speculate=args.speculate,
-        speculate_remote=args.remote if args.speculate else None,
     )
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint DIR", file=sys.stderr)
@@ -161,8 +177,6 @@ def cmd_verify(args) -> int:
         # resume) brings one into the run.
         print(result.stats.cache.row())
     for line in result.stats.analyze_rows():
-        print(line)
-    for line in result.stats.speculation_rows():
         print(line)
     for line in result.stats.robustness_rows():
         print(line)
@@ -450,7 +464,7 @@ def cmd_simulate(args) -> int:
     from repro.taint import TaintSources, cellift_scheme, instrument
     from repro.sim import make_simulator
 
-    if args.remote and not args.taint and not args.trace:
+    if args.remote and _remote_allowed(args, _SIMULATE_LOCAL_ONLY):
         job = {"kind": "simulate", "core": args.core,
                "workload": args.workload, "seed": args.seed,
                "lanes": args.lanes}
@@ -831,14 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "from DIR and persist every new verdict there "
                         "(crash-safe; a locked or corrupt store degrades "
                         "to an in-memory cache with a warning)")
-    p.add_argument("--speculate", type=int, default=0, metavar="N",
-                   help="speculative CEGAR: verify up to N candidate "
-                        "schemes concurrently in supervised worker "
-                        "processes, cancelling losers on the first "
-                        "refinement signal; the result is bit-identical "
-                        "to the sequential walk (0 disables).  With "
-                        "--remote, candidates are dispatched to the "
-                        "daemon instead of local workers")
     _add_remote_option(p)
     p.set_defaults(func=cmd_verify)
 

@@ -15,7 +15,7 @@ import dataclasses
 import enum
 import json
 import typing
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.formal.cache import CachedVerdict
 from repro.formal.counterexample import Counterexample
@@ -57,7 +57,7 @@ def to_doc(value: Any) -> Any:
     """Encode ``value`` as a JSON-ready document."""
     if value is None or isinstance(value, (str, int, float)):
         return value
-    encode = _encoders().get(type(value))
+    encode = _ENCODERS.get(type(value))
     if encode is not None:
         return encode(value)
     if isinstance(value, enum.Enum):
@@ -94,7 +94,7 @@ def _decoder(tp: Any) -> Decoder:
 
 
 def _build_decoder(tp: Any) -> Decoder:
-    special = _decoders().get(tp)
+    special = _DECODERS.get(tp)
     if special is not None:
         return special
     if tp is Any:
@@ -233,15 +233,6 @@ def entry_from_doc(doc: Any) -> Tuple[str, CachedVerdict]:
     return key, _verdict_from_doc(rest)
 
 
-def _circuit_from_doc(doc: Any):
-    from repro.hdl.serialize import circuit_from_dict
-
-    try:
-        return circuit_from_dict(doc)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise CodecError(f"circuit: {exc}") from exc
-
-
 def _scheme_from_doc(doc: Any) -> TaintScheme:
     try:
         return scheme_from_dict(doc)
@@ -249,66 +240,12 @@ def _scheme_from_doc(doc: Any) -> TaintScheme:
         raise CodecError(f"scheme: {exc}") from exc
 
 
-_CANDIDATE_STATUSES = ("proved", "counterexample", "bound_reached")
-
-
-def _candidate_from_doc(doc: Any):
-    from repro.cegar.speculate import CandidateVerdict
-
-    schema = {name: _decoder(hint)
-              for name, hint in _hints(CandidateVerdict).items()}
-    verdict = CandidateVerdict(**_fields(doc, schema))
-    if not verdict.digest:
-        _fail("a scheme digest", verdict.digest)
-    if verdict.status not in _CANDIDATE_STATUSES:
-        _fail(f"a status in {_CANDIDATE_STATUSES}", verdict.status)
-    if verdict.status == "counterexample" and verdict.counterexample is None:
-        _fail("a trace for a counterexample verdict", None)
-    return verdict
-
-
-def _checkpoint_from_doc(doc: Any):
-    from repro.cegar.checkpoint import CegarCheckpoint
-
-    schema = {name: _decoder(hint)
-              for name, hint in _hints(CegarCheckpoint).items()}
-    checkpoint = CegarCheckpoint(**_fields(doc, schema))
-    if checkpoint.speculation is not None:
-        # Typed Dict[str, Any] on the dataclass: shape it here.
-        checkpoint.speculation = _fields(checkpoint.speculation, {
-            "n": _decoder(int), "schemes": _decoder(List[TaintScheme])})
-    return checkpoint
-
-
-_ENCODERS: Dict[type, Callable[[Any], Any]] = {}
-_DECODERS: Dict[Any, Decoder] = {}
-
-
-def _encoders() -> Dict[type, Callable[[Any], Any]]:
-    if not _ENCODERS:
-        from repro.hdl.circuit import Circuit
-        from repro.hdl.serialize import circuit_to_dict
-
-        _ENCODERS.update({
-            Circuit: circuit_to_dict,
-            Counterexample: _cex_to_doc,
-            CachedVerdict: _verdict_to_doc,
-            TaintScheme: scheme_to_dict,
-        })
-    return _ENCODERS
-
-
-def _decoders() -> Dict[Any, Decoder]:
-    if not _DECODERS:
-        from repro.cegar.checkpoint import CegarCheckpoint
-        from repro.cegar.speculate import CandidateVerdict
-        from repro.hdl.circuit import Circuit
-
-        _DECODERS.update({
-            Circuit: _circuit_from_doc,
-            CachedVerdict: _verdict_from_doc,
-            TaintScheme: _scheme_from_doc,
-            CandidateVerdict: _candidate_from_doc,
-            CegarCheckpoint: _checkpoint_from_doc,
-        })
-    return _DECODERS
+_ENCODERS: Dict[type, Callable[[Any], Any]] = {
+    Counterexample: _cex_to_doc,
+    CachedVerdict: _verdict_to_doc,
+    TaintScheme: scheme_to_dict,
+}
+_DECODERS: Dict[Any, Decoder] = {
+    CachedVerdict: _verdict_from_doc,
+    TaintScheme: _scheme_from_doc,
+}

@@ -13,8 +13,6 @@ Job kinds::
 
     solve      one portfolio model-checking call on a serialized circuit
     verify     the full Compass CEGAR loop on a registered core
-    candidate  one CEGAR candidate-scheme verification on a serialized
-               circuit (the speculative scheduler's remote unit)
     lint       the static linter over a registered core
     analyze    the SAT-free dataflow summary (repro-analyze/v1)
     simulate   a benchmark workload on a core (optionally bit-parallel)
@@ -30,7 +28,7 @@ import json
 import time
 from typing import Any, Callable, Dict, Optional
 
-JOB_KINDS = ("solve", "verify", "candidate", "lint", "analyze", "simulate")
+JOB_KINDS = ("solve", "verify", "lint", "analyze", "simulate")
 
 
 class JobError(Exception):
@@ -201,7 +199,6 @@ _VERIFY_FIELDS = {
     "certify": bool,
     "max_worker_retries": int,
     "retry_backoff": float,
-    "speculate": int,
 }
 
 
@@ -238,67 +235,6 @@ def _run_verify(job, cache, tracer, deadline):
         "scheme": to_doc(result.scheme),
         "leak": to_doc(result.leak),
     }
-
-
-#: The ``candidate`` job's config whitelist; the speculative scheduler
-#: builds its submissions from the same list.
-CANDIDATE_FIELDS = {
-    "engine": str,
-    "mc_enabled": bool,
-    "use_induction": bool,
-    "max_bound": int,
-    "induction_max_k": int,
-    "unique_states": bool,
-    "static_prescreen": bool,
-    "static_max_frames": int,
-    "jobs": int,
-    "portfolio_engines": lambda v: tuple(v),
-    "pdr_max_frames": int,
-    "max_conflicts": int,
-    "certify": bool,
-    "mc_time_limit": float,
-    "max_worker_retries": int,
-    "retry_backoff": float,
-}
-
-
-def _run_candidate(job, cache, tracer, deadline):
-    """Verify one candidate taint scheme on a serialized task.
-
-    The remote unit behind ``repro verify --speculate N --remote``:
-    the speculative scheduler ships ``{"task": ..., "scheme": ...,
-    "config": ...}`` and gets back a :class:`~repro.cegar.speculate.
-    CandidateVerdict` under ``"verdict"``, both as :mod:`repro.codec`
-    documents.  The task carries its serialized circuit (not a
-    registered-core name) so speculation works on any design, and the
-    daemon's store-backed cache absorbs every solve — an abandoned
-    (advisorily-cancelled) candidate still warms the store for the
-    next submission.
-    """
-    from repro.cegar.loop import TaintVerificationTask
-    from repro.cegar.speculate import verify_candidate
-    from repro.codec import CodecError, from_doc, to_doc
-    from repro.cegar import CegarConfig
-    from repro.taint.scheme_io import scheme_from_dict
-
-    try:
-        task = from_doc(TaintVerificationTask, _require_dict(job, "task"))
-    except CodecError as exc:
-        raise JobError(f"bad task document: {exc}") from exc
-    try:
-        scheme = scheme_from_dict(_require_dict(job, "scheme"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise JobError(f"bad scheme document: {exc}") from exc
-    kwargs = _config_kwargs(job.get("config", {}) or {}, CANDIDATE_FIELDS,
-                            "candidate")
-    time_limit = kwargs.pop("mc_time_limit", None)
-    if deadline is not None:
-        time_limit = deadline if time_limit is None else min(time_limit,
-                                                             deadline)
-    config = CegarConfig(faults=_faults_from_doc(job), **kwargs)
-    verdict = verify_candidate(task, scheme, config, cache=cache,
-                               tracer=tracer, time_limit=time_limit)
-    return {"kind": "candidate", "verdict": to_doc(verdict)}
 
 
 def _run_lint(job, cache, tracer, deadline):
@@ -368,7 +304,6 @@ def _run_simulate(job, cache, tracer, deadline):
 _HANDLERS: Dict[str, Callable] = {
     "solve": _run_solve,
     "verify": _run_verify,
-    "candidate": _run_candidate,
     "lint": _run_lint,
     "analyze": _run_analyze,
     "simulate": _run_simulate,

@@ -1,13 +1,12 @@
-"""One supervised process pool for every parallel worker in the repo.
+"""The supervised process pool the verification portfolio runs on.
 
-The verification portfolio's engine workers and speculative CEGAR's
-candidate workers both run on :class:`WorkerPool`.  The pool owns the
-mechanics: launching workers seeded from the parent cache, streaming
-their solve results back, the kill backstop, reaping, crash relaunch
-with backoff, and merging results, cache counters and trace events.
-Its callers keep only their policies (what to run, which result wins,
-what to cancel).  ``docs/robustness.md`` ("Worker supervision") states
-the semantics.
+The portfolio's engine workers run on :class:`WorkerPool`.  The pool
+owns the mechanics: launching workers seeded from the parent cache,
+streaming their solve results back, the kill backstop, reaping, crash
+relaunch with backoff, and merging results, cache counters and trace
+events.  The portfolio keeps only its policy (which engines to run,
+which verdict wins, what to cancel).  ``docs/robustness.md``
+("Worker supervision") states the semantics.
 
 The queue between the parent and its own workers carries pickles: both
 ends are this process tree.
@@ -64,20 +63,19 @@ class _StreamingCache(SolveCache):
             self._faults.on_worker_solve(self._label, self._attempt)
 
 
-def _run_worker(queue, key, label, attempt, fn, args, budget, seed_entries,
+def _run_worker(queue, key, attempt, fn, args, budget, seed_entries,
                 traced, faults):
     """Entry point of every pool worker process.
 
     With ``traced`` the worker records into its own local tracer (the
     worker's pid as track id) and ships the events with its result.
     """
-    cache = _StreamingCache(queue, label, faults=faults, attempt=attempt)
+    cache = _StreamingCache(queue, key, faults=faults, attempt=attempt)
     if seed_entries:
         cache.merge_entries(seed_entries)
     baseline = replace(cache.stats)
     tracer = Tracer() if traced else None
-    msg: Dict[str, Any] = {"type": "result", "key": key, "label": label,
-                           "attempt": attempt}
+    msg: Dict[str, Any] = {"type": "result", "key": key, "attempt": attempt}
     try:
         msg["result"] = fn(*args, cache=cache, tracer=tracer,
                            time_limit=budget)
@@ -96,7 +94,7 @@ def _run_worker(queue, key, label, attempt, fn, args, budget, seed_entries,
         msg["trace_events"] = tracer.snapshot_events()
         msg["trace_pid"] = os.getpid()
     if faults is not None:
-        delay = faults.verdict_delay(label, attempt)
+        delay = faults.verdict_delay(key, attempt)
         if delay > 0:
             time.sleep(delay)
     queue.put(msg)
@@ -120,7 +118,6 @@ class Outcome:
 @dataclass
 class _Worker:
     key: str
-    label: str
     fn: Callable
     args: Tuple
     deadline: Optional[float]          # absolute; None = unbudgeted
@@ -161,15 +158,13 @@ class WorkerPool:
         return len(self._workers)
 
     def submit(self, key: str, fn: Callable, args: Tuple = (),
-               budget: Optional[float] = None, label: Optional[str] = None,
-               ) -> None:
+               budget: Optional[float] = None) -> None:
         """Start ``fn(*args, cache=, tracer=, time_limit=budget)`` in a
-        worker; ``label`` (default ``key``) names it for fault plans
-        and trace tracks."""
+        worker; ``key`` names it for fault plans and trace tracks."""
         if key in self._workers:
             raise ValueError(f"worker {key!r} is already running")
         deadline = None if budget is None else time.monotonic() + budget
-        worker = _Worker(key, label or key, fn, tuple(args), deadline)
+        worker = _Worker(key, fn, tuple(args), deadline)
         self._workers[key] = worker
         self._launch(worker, budget)
 
@@ -177,9 +172,8 @@ class WorkerPool:
         seed = self.cache.snapshot_entries() if self.cache is not None else None
         proc = self._ctx.Process(
             target=_run_worker,
-            args=(self._queue, worker.key, worker.label, worker.attempts,
-                  worker.fn, worker.args, budget, seed, self.tracer.enabled,
-                  self.faults),
+            args=(self._queue, worker.key, worker.attempts, worker.fn,
+                  worker.args, budget, seed, self.tracer.enabled, self.faults),
             daemon=True,
         )
         proc.start()
@@ -251,7 +245,7 @@ class WorkerPool:
             cache.stats.rejected += stats.rejected
         if self.tracer.enabled and msg.get("trace_events"):
             self.tracer.adopt(msg["trace_events"])
-            self.tracer.label_track(msg["trace_pid"], f"{msg['label']} worker")
+            self.tracer.label_track(msg["trace_pid"], f"{msg['key']} worker")
         key = msg["key"]
         worker = self._workers.get(key)
         if worker is None or msg["attempt"] != worker.attempts - 1:

@@ -97,6 +97,27 @@ class TestEncoding:
         with pytest.raises(CheckpointError, match="format version"):
             _read(_written(tmp_path, ckpt))
 
+    def test_v2_entry_is_refused(self, tmp_path):
+        from repro.codec import dumps, to_doc
+        from repro.store.segment import write_segment
+
+        doc = to_doc(_checkpoint())
+        doc.update(version=2, speculation=None)
+        path = str(tmp_path / "journal-000000.ckpt")
+        write_segment(path, [dumps(doc)])
+        with pytest.raises(CheckpointError, match="format version 2 != 3"):
+            _read(path)
+
+    def test_sequential_checkpoint_round_trips(self):
+        from repro.codec import dumps, from_doc, loads, to_doc
+
+        ckpt = CegarCheckpoint(version=FORMAT_VERSION, task_name="t",
+                               config_digest="d", iteration=0,
+                               scheme=_fig2_task().initial_scheme(),
+                               stats=RefinementStats())
+        back = from_doc(CegarCheckpoint, loads(dumps(to_doc(ckpt))))
+        assert back == ckpt
+
     def test_pickled_payload_is_skipped_not_executed(self, tmp_path):
         """A journal entry is attacker-reachable bytes: a pickle inside
         an intact segment is corrupt, and unpickling never happens."""

@@ -121,3 +121,44 @@ class TestExport:
             circuit = load(handle)
         assert circuit.registers
         json.loads(out_file.read_text())  # valid JSON document
+
+
+class TestRemoteVerify:
+    TINY = ["verify", "--core", "Sodor", "--xlen", "4", "--imem", "4",
+            "--dmem", "4", "--secret-words", "1", "--remote", "/no/such.sock"]
+
+    @pytest.fixture
+    def submitted(self, monkeypatch):
+        import repro.cli as cli
+
+        calls = []
+
+        def submit(socket_path, job, deadline=None):
+            calls.append(job)
+            return {"elapsed": 0.1, "result": {
+                "status": "proved", "bound": -1, "rows": ["remote row"],
+                "secure": True, "scheme": {}}}
+
+        monkeypatch.setattr(cli, "_remote_submit", submit)
+        return calls
+
+    def test_local_only_option_runs_locally(self, submitted, monkeypatch,
+                                            capsys):
+        import repro.cegar
+
+        class RanLocally(Exception):
+            pass
+
+        def run_compass(*args, **kwargs):
+            raise RanLocally
+
+        monkeypatch.setattr(repro.cegar, "run_compass", run_compass)
+        with pytest.raises(RanLocally):
+            main(self.TINY + ["--prune"])
+        assert submitted == []
+        assert "--prune needs a local run" in capsys.readouterr().err
+
+    def test_plain_verify_is_served_remotely(self, submitted, capsys):
+        assert main(self.TINY) == 0
+        assert [job["kind"] for job in submitted] == ["verify"]
+        assert "remote row" in capsys.readouterr().out

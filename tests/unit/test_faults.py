@@ -55,13 +55,6 @@ class TestFaultSpecs:
         assert faults.corrupt_checkpoint(3).after == 3
         assert faults.truncate_checkpoint().kind == "truncate_checkpoint"
         assert faults.kill_after_checkpoint(1).kind == "kill_after_checkpoint"
-        assert faults.delay_solve(0.25).kind == "delay_solve"
-
-    def test_solve_delay_sums_matching_specs(self):
-        plan = faults.FaultPlan(specs=(faults.delay_solve(0.2),
-                                       faults.delay_solve(0.3)))
-        assert plan.solve_delay() == pytest.approx(0.5)
-        assert faults.FaultPlan().solve_delay() == 0.0
 
     def test_plan_counters_are_per_process(self):
         import pickle

@@ -170,6 +170,16 @@ class TestRunJobErrors:
             run_job({"kind": "solve", "circuit": "nope",
                      "prop": {"bad": "bad"}})
 
+    def test_candidate_kind_and_speculate_config_rejected(self):
+        with pytest.raises(JobError, match="unknown job kind 'candidate'"):
+            run_job({"kind": "candidate", "task": {}, "scheme": {},
+                     "config": {}})
+        with pytest.raises(JobError,
+                           match="unknown verify config field 'speculate'"):
+            run_job({"kind": "verify", "config": {"speculate": 2},
+                     "core": {"name": "Sodor", "xlen": 4, "imem": 4,
+                              "dmem": 4, "secret_words": 1}})
+
     def test_prop_needs_bad_signal(self):
         job = _solve_job()
         job["prop"] = {"name": "p"}
