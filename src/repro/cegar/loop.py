@@ -23,6 +23,7 @@ import json
 import random
 import time
 import warnings
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -411,18 +412,25 @@ def simulate_for_counterexample(
     task's ``stimulus_sampler`` when provided (which guarantees the
     init assumptions hold); otherwise symbolic registers and inputs are
     sampled uniformly and trials violating init assumptions are skipped.
-    """
-    from repro.sim.simulator import Simulator
 
+    Trials are judged in order: a strictly shorter violation replaces
+    the best so far, and the search stops drawing once the best is at
+    most 3 cycles long.  All trials are drawn up front and simulated as
+    the lanes of one :class:`~repro.sim.batch.BatchSimulator`; the RNG
+    is then rewound to just after the last trial that one-at-a-time
+    search would have drawn, so the result and the RNG state equal it.
+    """
     circuit = design.circuit
     input_names = [sig.name for sig in circuit.inputs]
     reg_widths = {reg.q.name: reg.q.width for reg in circuit.registers}
     symbolic = [name for name in sorted(task.symbolic_registers) if name in reg_widths]
 
-    best: Optional[Counterexample] = None
+    draws: List[Tuple[Dict[str, int], List[Dict[str, int]]]] = []
+    # The RNG state after each trial's draw, packed: a ``getstate()``
+    # tuple boxes 625 ints (~24 KB); 48 of them would outweigh the
+    # whole prefilter's other allocations.
+    state_after: List[Tuple[array, object]] = []
     for _ in range(trials):
-        if best is not None and best.length <= 3:
-            break  # shallow enough; deeper search will not beat it much
         if task.stimulus_sampler is not None:
             init, frames = task.stimulus_sampler(rng, depth)
             frames = [
@@ -437,23 +445,87 @@ def simulate_for_counterexample(
                  for name in input_names}
                 for _ in range(depth)
             ]
-        sim = Simulator(circuit, initial_state=init)
-        horizon = len(frames) if best is None else min(len(frames), best.length - 1)
-        for t, frame in enumerate(frames[:horizon]):
-            sim.step(frame)
-            if t == 0 and any(sim.peek(n) == 0 for n in prop.init_assumptions):
-                break
-            if any(sim.peek(name) == 0 for name in prop.assumptions):
-                break
-            if sim.peek(prop.bad):
-                best = Counterexample(
-                    length=t + 1,
-                    inputs=[dict(f) for f in frames[:t + 1]],
-                    initial_state=dict(init),
-                    bad_signal=prop.bad,
-                )
-                break
-    return best
+        draws.append((init, frames))
+        version, internal, gauss_next = rng.getstate()
+        state_after.append((array("I", internal), gauss_next))
+    if not draws:
+        return None
+
+    lengths = _violation_lengths(circuit, prop, draws)
+    best: Optional[int] = None
+    used = 0
+    for trial, length in enumerate(lengths):
+        if best is not None and lengths[best] <= 3:
+            break  # shallow enough; deeper search will not beat it much
+        used += 1
+        if length is not None and (best is None or length < lengths[best]):
+            best = trial
+    internal, gauss_next = state_after[used - 1]
+    rng.setstate((version, tuple(internal), gauss_next))
+    if best is None:
+        return None
+    init, frames = draws[best]
+    return Counterexample(
+        length=lengths[best],
+        inputs=[dict(f) for f in frames[:lengths[best]]],
+        initial_state=dict(init),
+        bad_signal=prop.bad,
+    )
+
+
+def _violation_lengths(
+    circuit: Circuit,
+    prop: SafetyProperty,
+    draws: Sequence[Tuple[Dict[str, int], List[Dict[str, int]]]],
+) -> List[Optional[int]]:
+    """Per trial, the first cycle count at which ``bad`` fires, or None.
+
+    A trial stops at its first cycle violating an assumption (the init
+    assumptions count in cycle 0 only) and at the end of its stimulus.
+    Each trial is one lane; a lane that has stopped gets all-zero
+    frames.  Once some trial fires, later trials are dropped: whatever
+    they would still fire is longer, so in-order selection never picks
+    them.
+    """
+    from repro.sim.batch import BatchSimulator
+
+    lengths: List[Optional[int]] = [None] * len(draws)
+    live = sum(1 << lane for lane, (_init, frames) in enumerate(draws) if frames)
+    if not live:
+        return lengths
+    sim = BatchSimulator(circuit, lanes=len(draws),
+                         initial_states=[init for init, _ in draws])
+    idle = {sig.name: 0 for sig in circuit.inputs}
+    t = 0
+    while live:
+        sim.advance([frames[t] if (live >> lane) & 1 else idle
+                     for lane, (_init, frames) in enumerate(draws)])
+        ok = live
+        if t == 0:
+            for name in prop.init_assumptions:
+                ok &= _nonzero_lanes(sim, name)
+        for name in prop.assumptions:
+            ok &= _nonzero_lanes(sim, name)
+        hit = ok & _nonzero_lanes(sim, prop.bad)
+        live = ok & ~hit
+        if hit:
+            for lane in range(len(draws)):
+                if (hit >> lane) & 1:
+                    lengths[lane] = t + 1
+            live &= (hit & -hit) - 1
+        t += 1
+        for lane, (_init, frames) in enumerate(draws):
+            if len(frames) == t:
+                live &= ~(1 << lane)
+    return lengths
+
+
+def _nonzero_lanes(sim, name: str) -> int:
+    """Mask of the lanes in which signal ``name`` is non-zero."""
+    acc = 0
+    for plane in sim.peek_planes(name):
+        acc |= plane
+    return acc
 
 
 def _config_digest(task: TaintVerificationTask, config: CegarConfig) -> str:

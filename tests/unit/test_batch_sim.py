@@ -8,10 +8,12 @@ the obs counters surface lane throughput.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
 from repro.bench.fuzz import random_machine
+from repro.hdl import ModuleBuilder
 from repro.obs import Tracer
 from repro.obs.summarize import render_summary, summary_from_events
 from repro.sim import (
@@ -20,6 +22,7 @@ from repro.sim import (
     Simulator,
     batch_program_for,
 )
+from repro.sim.batch import CHUNK_STATEMENTS, BatchProgram
 from repro.sim.coverage import CoverageCollector
 from repro.sim.simulator import SimulationError
 from repro.taint import TaintSources, glift_scheme, instrument
@@ -147,6 +150,99 @@ class TestMetamorphic:
             assert bsim.peek("m.secret", k) == k
             assert bsim.peek("m.pub1", k) == 15 - k
         assert bsim.state(3) == Simulator(circuit, initial_state=inits[3]).state()
+
+
+    def test_peek_after_step_reads_wires_pre_edge(self):
+        """A wire aliasing a register's planes keeps its in-cycle value.
+
+        Outputs ``o1``/``o2`` compile to the registers' own slots; after
+        the clock edge the scalar ``peek`` still reads them as they were
+        in the cycle, and so must the batch engine.
+        """
+        b = ModuleBuilder("pipe")
+        x = b.input("x", 3)
+        r1 = b.reg("r1", 3, reset=5)
+        r1.drive(x)
+        r2 = b.reg("r2", 3)
+        r2.drive(r1)
+        b.output("o1", r1)
+        b.output("o2", r2)
+        circuit = b.build()
+        rng = random.Random(3)
+        stimuli = [[{"x": rng.getrandbits(3)} for _ in range(5)] for _ in range(4)]
+        bsim = BatchSimulator(circuit, lanes=4)
+        scalars = [Simulator(circuit) for _ in range(4)]
+        for t in range(5):
+            bsim.advance([stimuli[k][t] for k in range(4)])
+            for k, scalar in enumerate(scalars):
+                scalar.step(stimuli[k][t])
+                assert bsim.snapshot(k) == scalar.snapshot(), (t, k)
+
+
+class TestCompiledProgram:
+    @pytest.mark.parametrize("shape", ["const", "one_bit", "no_regs"])
+    def test_clock_edge_cases_match_scalar(self, shape):
+        """Constant d-planes, a lone register bit, and no registers."""
+        b = ModuleBuilder("clk")
+        x = b.input("x", 3)
+        if shape == "const":
+            r = b.reg("r", 4, reset=9)
+            r.drive(b.cat(b.const(1, 1), x))   # top bit constant 1
+            z = b.reg("z", 2, reset=3)
+            z.drive(b.const(0, 2))
+            b.output("o", r ^ z.zext(4))
+        elif shape == "one_bit":
+            r = b.reg("r", 1, reset=1)
+            r.drive(x.redxor())
+            b.output("o", r.zext(3) + x)
+        else:
+            b.output("o", x + 1)
+        circuit = b.build()
+        rng = random.Random(5)
+        stimuli = _lane_stimuli(circuit, rng, lanes=6, cycles=5)
+        names = list(circuit.signals)
+        batch = BatchSimulator(circuit, lanes=6).run(stimuli, record=names)
+        for lane in range(6):
+            scalar = Simulator(circuit).run(stimuli[lane], record=names)
+            for name in names:
+                assert batch.lane_trace(name, lane) == scalar.trace(name), name
+
+    def test_multi_chunk_step_body_matches_scalar(self):
+        """A step body of several compiled chunks runs lane for lane
+        like the scalar interpreter."""
+        circuit = random_machine(5, width=12, max_regs=3, max_ops=30)
+        program = batch_program_for(circuit)
+        inputs = sum(sig.width for sig in circuit.inputs)
+        statements = program.n_slots - program.n_reg_slots - inputs
+        assert statements > 2 * CHUNK_STATEMENTS
+        rng = random.Random(11)
+        stimuli = _lane_stimuli(circuit, rng, lanes=24, cycles=6)
+        names = list(circuit.signals)
+        batch = BatchSimulator(circuit, lanes=24).run(stimuli, record=names)
+        for lane in range(24):
+            scalar = Simulator(circuit).run(stimuli[lane], record=names)
+            for name in names:
+                assert batch.lane_trace(name, lane) == scalar.trace(name), name
+
+    def test_compile_peak_memory_on_instrumented_rocket(self):
+        """Compiling instrumented tiny Rocket (a ~5100-statement step
+        body) stays under 8 MB of peak allocation; one unchunked
+        ``compile()`` of that body alone peaks near 28 MB."""
+        from repro.cegar.loop import instrument_task
+        from repro.contracts import make_contract_task
+        from repro.cores import CoreConfig, build_rocket
+
+        task = make_contract_task(build_rocket(CoreConfig(
+            xlen=4, imem_depth=4, dmem_depth=4, secret_words=1)))
+        design, _prop = instrument_task(task, task.initial_scheme())
+        tracemalloc.start()
+        try:
+            program = BatchProgram(design.circuit)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert program.n_slots > 5000
+        assert peak < 8 * 2**20
 
 
 class TestTaintLanes:
