@@ -2,7 +2,8 @@
 
 Features: two-watched-literal propagation with *blocker* literals, 1UIP
 conflict analysis with clause learning, VSIDS variable activities with
-phase saving, Luby restarts, LBD-aware learned-clause deletion,
+phase saving (decision order from a heap holding one live entry per
+variable), Luby restarts, LBD-aware learned-clause deletion,
 assumption literals, and conflict/time budgets (returning UNKNOWN
 instead of blowing the model-checking time limit — this is how the
 paper's timeouts are realised).
@@ -36,9 +37,9 @@ literals without re-normalising them.
 from __future__ import annotations
 
 import enum
-import heapq
 import time
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Sequence
 
 
@@ -91,6 +92,9 @@ def _luby(i: int) -> int:
 
 _NO_REASON = -1
 _BINARY = -2  # reason encoding base: reason == -2 - other_lit for binaries
+#: The order heap is rebuilt from its live entries once it holds more
+#: than this many entries per variable (superseded ones included).
+_HEAP_SLACK = 4
 
 
 class Solver:
@@ -121,7 +125,12 @@ class Solver:
         self._qhead = 0
         self._var_inc = 1.0
         self._cla_inc = 1.0
-        self._order_heap: List[tuple] = []  # lazy max-heap via (-activity, var)
+        # VSIDS order: a min-heap of (-activity, var) with at most one
+        # *live* entry per variable.  _heap_key[v] is the activity its
+        # live entry carries, or -1.0 when it has none; an entry whose
+        # key differs is superseded and dropped when popped.
+        self._order_heap: List[tuple] = []
+        self._heap_key: List[float] = [-1.0]
         self._ok = True
         # Cumulative counters across every solve() on this instance
         # (per-call figures are returned on each SolveResult).
@@ -145,6 +154,10 @@ class Solver:
         self._watches.append([])
         self._bin_watches.append([])
         self._bin_watches.append([])
+        # Activity 0 and the largest index: the entry sorts after every
+        # other, so appending keeps the heap ordered.
+        self._heap_key.append(0.0)
+        self._order_heap.append((-0.0, self.num_vars))
         return self.num_vars
 
     def new_vars(self, count: int) -> int:
@@ -165,6 +178,8 @@ class Solver:
         self._phase.extend([0] * count)
         self._watches.extend([] for _ in range(2 * count))
         self._bin_watches.extend([] for _ in range(2 * count))
+        self._heap_key.extend([0.0] * count)
+        self._order_heap.extend((-0.0, v) for v in range(first, self.num_vars + 1))
         return first
 
     def ensure_vars(self, n: int) -> None:
@@ -354,12 +369,15 @@ class Solver:
         watches = self._watches
         bin_watches = self._bin_watches
         ca = self._ca
-        trail_lim = self._trail_lim
+        # The decision level is fixed while propagating, and the queue
+        # head is written back once, at the end.
+        current_level = len(self._trail_lim)
+        qhead = self._qhead
         visited = 0
         conflict = _NO_REASON
-        while self._qhead < len(trail):
-            ilit = trail[self._qhead]
-            self._qhead += 1
+        while qhead < len(trail):
+            ilit = trail[qhead]
+            qhead += 1
             false_lit = ilit ^ 1  # this literal just became false
             bwl = bin_watches[false_lit]
             if bwl:
@@ -371,7 +389,7 @@ class Solver:
                         # Other literal unassigned: implied.
                         var = other >> 1
                         assign[var] = 1 - (other & 1)
-                        level[var] = len(trail_lim)
+                        level[var] = current_level
                         reason[var] = breason
                         phase[var] = 1 - (other & 1)
                         trail.append(other)
@@ -379,7 +397,6 @@ class Solver:
                         # Both literals of (false_lit, other) false.
                         ca[2] = false_lit
                         ca[3] = other
-                        self._qhead = len(trail)
                         conflict = 0
                         break
                 if conflict >= 0:
@@ -433,7 +450,7 @@ class Solver:
                 if fv < 0:
                     var = first >> 1
                     assign[var] = 1 - (first & 1)
-                    level[var] = len(trail_lim)
+                    level[var] = current_level
                     reason[var] = ref
                     phase[var] = 1 - (first & 1)
                     trail.append(first)
@@ -442,24 +459,27 @@ class Solver:
                     if i < n:
                         wl[j: j + (n - i)] = wl[i:n]
                         j += n - i
-                    self._qhead = len(trail)
                     conflict = ref
                     break
             del wl[j:]
             if conflict >= 0:
                 break
+        # A conflict abandons the rest of the queue.
+        self._qhead = len(trail)
         self.propagations += visited
         return conflict
 
     # ------------------------------------------------------------------
     # conflict analysis
     # ------------------------------------------------------------------
-    def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for v in range(1, self.num_vars + 1):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
+    def _rescale_activities(self) -> None:
+        """Scale every activity (and the increment) down by 1e-100."""
+        activity = self._activity
+        for v in range(1, self.num_vars + 1):
+            activity[v] *= 1e-100
+        self._var_inc *= 1e-100
+        # Every key in the heap is now stale: re-key it.
+        self._rebuild_heap()
 
     def _bump_clause(self, ref: int) -> None:
         act = self._cla_act.get(ref, 0.0) + self._cla_inc
@@ -482,6 +502,8 @@ class Solver:
         index = len(trail) - 1
         ref = conflict
         current_level = len(self._trail_lim)
+        activity = self._activity
+        var_inc = self._var_inc
 
         while True:
             if ref <= _BINARY:
@@ -497,7 +519,10 @@ class Solver:
                 var = lit >> 1
                 if not seen[var] and level[var] > 0:
                     seen[var] = 1
-                    self._bump_var(var)
+                    act = activity[var] = activity[var] + var_inc
+                    if act > 1e100:
+                        self._rescale_activities()
+                        var_inc = self._var_inc
                     if level[var] >= current_level:
                         path_count += 1
                     else:
@@ -583,39 +608,59 @@ class Solver:
         assign = self._assign
         reason = self._reason
         activity = self._activity
+        heap_key = self._heap_key
         heap = self._order_heap
         for ilit in reversed(self._trail[limit:]):
             var = ilit >> 1
             assign[var] = -1
             reason[var] = _NO_REASON
-            heapq.heappush(heap, (-activity[var], var))
+            # Activities only grow while a variable is assigned, so its
+            # live entry (if any) is still right unless it was bumped.
+            act = activity[var]
+            if heap_key[var] != act:
+                heap_key[var] = act
+                heappush(heap, (-act, var))
         del self._trail[limit:]
         del self._trail_lim[level:]
         self._qhead = len(self._trail)
+        if len(heap) > _HEAP_SLACK * self.num_vars:
+            self._rebuild_heap()
 
     # ------------------------------------------------------------------
     # decisions
     # ------------------------------------------------------------------
     def _pick_branch_var(self) -> int:
-        while self._order_heap:
-            neg_act, var = heapq.heappop(self._order_heap)
-            if self._assign[var] < 0 and -neg_act == self._activity[var]:
-                return var
-            if self._assign[var] < 0:
-                heapq.heappush(self._order_heap, (-self._activity[var], var))
-                neg_act2, var2 = heapq.heappop(self._order_heap)
-                if self._assign[var2] < 0 and -neg_act2 == self._activity[var2]:
-                    return var2
-        for var in range(1, self.num_vars + 1):
-            if self._assign[var] < 0:
+        """The unassigned variable of highest activity, ties going to the
+        lowest index; 0 when every variable is assigned.
+
+        Every unassigned variable has a live heap entry keyed by its
+        current activity, so the first live entry of an unassigned
+        variable to come off the heap is the answer.
+        """
+        heap = self._order_heap
+        heap_key = self._heap_key
+        assign = self._assign
+        while heap:
+            neg_act, var = heappop(heap)
+            if heap_key[var] != -neg_act:
+                continue  # superseded by a later push
+            heap_key[var] = -1.0
+            if assign[var] < 0:
                 return var
         return 0
 
     def _rebuild_heap(self) -> None:
-        self._order_heap = [
-            (-self._activity[v], v) for v in range(1, self.num_vars + 1) if self._assign[v] < 0
-        ]
-        heapq.heapify(self._order_heap)
+        """Re-key every live entry at its variable's current activity and
+        drop the superseded ones; the set of live entries is unchanged."""
+        activity = self._activity
+        heap_key = self._heap_key
+        heap = []
+        for v in range(1, self.num_vars + 1):
+            if heap_key[v] >= 0.0:
+                act = heap_key[v] = activity[v]
+                heap.append((-act, v))
+        heapify(heap)
+        self._order_heap = heap
 
     # ------------------------------------------------------------------
     # learned clause DB reduction
@@ -772,7 +817,6 @@ class Solver:
         if conflict >= 0:
             self._ok = False
             return _result(SolveStatus.UNSAT, core=[])
-        self._rebuild_heap()
 
         for lit in assumptions:
             self.ensure_vars(abs(lit))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import time
@@ -6,8 +7,11 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.bench.fuzz import random_machine
 from repro.formal.sat.cnf import CNF
 from repro.formal.sat.solver import Solver, SolveStatus, _luby
+from repro.formal.unroll import Unroller
+from repro.hdl.lowering import lower_to_gates
 
 
 def brute_force(num_vars, clauses, assumptions=()):
@@ -527,3 +531,186 @@ class TestPerCallCounters:
         assert r.conflicts == 0
         assert r.learned == 0
         assert r.restarts == 0
+
+
+class TestRescale:
+    def test_rescale_keeps_every_variable_in_decision_order(self):
+        """Regression: an activity rescale left the heap keyed on the old
+        values, and a pick then dropped a second stale entry without
+        re-inserting it; these picks came out [1, 3, 2, 4]."""
+        s = Solver()
+        s.new_vars(4)
+        s._activity[1:5] = [10.0, 9.0, 8.0, 7.0]
+        s._rebuild_heap()
+        s._rescale_activities()
+        assert s._activity[1:5] == [10.0 * 1e-100, 9.0 * 1e-100, 8.0 * 1e-100, 7.0 * 1e-100]
+        picks = []
+        for _ in range(4):
+            var = s._pick_branch_var()
+            picks.append(var)
+            s._trail_lim.append(len(s._trail))
+            s._enqueue(var << 1, -1)
+        assert picks == [1, 2, 3, 4]
+        assert s._pick_branch_var() == 0
+
+    def test_rescale_rekeys_the_heap(self):
+        """A variable bumped after a rescale must outrank entries that
+        still carry pre-rescale keys: picks are [4, 1, 2, 3]."""
+        s = Solver()
+        s.new_vars(4)
+        s._activity[1:5] = [10.0, 9.0, 8.0, 7.0]
+        s._rebuild_heap()
+        s._trail_lim.append(0)
+        s._enqueue(4 << 1, -1)  # decide var 4
+        s._var_inc = 5.0
+        s._rescale_activities()
+        s._activity[4] += s._var_inc  # 12e-100, now the highest
+        s._backtrack(0)
+        picks = []
+        for _ in range(4):
+            var = s._pick_branch_var()
+            picks.append(var)
+            s._trail_lim.append(len(s._trail))
+            s._enqueue(var << 1, -1)
+        assert picks == [4, 1, 2, 3]
+
+
+def _random_3sat(rng, num_vars, num_clauses):
+    return [[rng.choice((v, -v)) for v in rng.sample(range(1, num_vars + 1), 3)]
+            for _ in range(num_clauses)]
+
+
+def _search_corpus():
+    """Yield ``(case, solver, result)`` for every solve() of a fixed,
+    seeded corpus covering the ways the engines drive the solver."""
+    # Random 3-SAT near the 4.26 threshold, one fresh solver each.
+    for seed, num_vars in enumerate((60, 75, 90, 105, 120)):
+        s = Solver()
+        for cl in _random_3sat(random.Random(seed), num_vars, round(4.26 * num_vars)):
+            s.add_clause(cl)
+        yield f"3sat-{num_vars}", s, s.solve()
+    s = php(6, 5)
+    yield "php-6-5", s, s.solve()
+    # BMC: one solver, depth by depth, each clean depth blocked.
+    for seed, symbolic in ((0, True), (6, False), (23, False)):
+        machine = random_machine(seed, width=8, max_regs=4, max_ops=10)
+        unroller = Unroller(lower_to_gates(machine), symbolic_all=symbolic)
+        for depth in range(8):
+            unroller.add_frame()
+            bad = unroller.lit_of_bit(depth, "bad")
+            result = unroller.solver.solve(assumptions=[bad])
+            yield f"bmc-{seed}", unroller.solver, result
+            if result.status is SolveStatus.UNSAT:
+                unroller.solver.add_clause([-bad])
+    # PDR-style: assumption solves on one solver, with an activation
+    # variable and a clause added before each and cores blocked after.
+    rng = random.Random(5)
+    s = Solver()
+    for cl in _random_3sat(rng, 40, 150):
+        s.add_clause(cl)
+    for _ in range(30):
+        act = s.new_var()
+        s.add_clause([-act] + [rng.choice((v, -v)) for v in rng.sample(range(1, act), 3)])
+        assumptions = [act] + [rng.choice((v, -v)) for v in rng.sample(range(1, 41), 5)]
+        result = s.solve(assumptions=assumptions)
+        yield "pdr", s, result
+        if result.status is SolveStatus.UNSAT and result.core:
+            s.add_clause([-lit for lit in result.core])
+    # A conflict-budget stop, then the same solver run to the end.
+    s = php(7, 6)
+    yield "budget", s, s.solve(max_conflicts=200)
+    yield "budget", s, s.solve()
+
+
+def _search_record(result):
+    payload = result.model if result.status is SolveStatus.SAT else result.core
+    return (result.status.value, result.conflicts, result.decisions,
+            result.propagations, result.learned, result.restarts,
+            hashlib.sha256(repr(payload).encode()).hexdigest()[:16])
+
+
+def _rescaled(solver):
+    """Has an activity rescale happened on ``solver``?  The increment
+    grows by 1/0.95 per learned clause and drops by 1e-100 on a rescale."""
+    return solver._var_inc < 1e-50 * 0.95 ** -solver.learned
+
+
+#: ``_search_record`` of every solve in ``_search_corpus``.  Decision-order
+#: bookkeeping must leave these unchanged; only a change meant to alter
+#: the search may regenerate them.
+SEARCH_GOLDEN = {'3sat-60': [('sat', 50, 67, 3915, 50, 0, 'e52c9ac2c11db422')],
+                 '3sat-75': [('sat', 53, 86, 4098, 53, 0, 'd7f119122a45166f')],
+                 '3sat-90': [('sat', 255, 321, 26719, 255, 2, 'f3a5569f2bb822c7')],
+                 '3sat-105': [('unsat', 412, 507, 51892, 411, 5, 'dc937b59892604f5')],
+                 '3sat-120': [('sat', 526, 652, 72802, 526, 6, 'f3ffaec2c60cc51d')],
+                 'php-6-5': [('unsat', 146, 189, 7796, 145, 2, 'dc937b59892604f5')],
+                 'bmc-0': [('sat', 0, 33, 504, 0, 0, 'ffdb9d0d0c67c9fd'),
+                           ('sat', 0, 40, 949, 0, 0, '57006d8cee84151d'),
+                           ('sat', 3, 52, 2322, 3, 0, 'c9ad357b912b6f58'),
+                           ('sat', 1, 66, 1866, 1, 0, '38524d8b51b7ad2e'),
+                           ('sat', 22, 177, 8166, 22, 0, 'ad559a5a5dbcf59b'),
+                           ('sat', 38, 210, 18258, 38, 0, '1b7c5c493baceccd'),
+                           ('sat', 103, 292, 32707, 103, 1, '1d41cfcf281924c9'),
+                           ('sat', 53, 244, 19921, 53, 0, '5c3b4b023fb82cb1')],
+                 'bmc-6': [('unsat', 2, 2, 119, 1, 0, 'c527d1a60907bd8b'),
+                           ('unsat', 2, 10, 523, 1, 0, 'f6bf29e45ddf4f45'),
+                           ('unsat', 2, 18, 851, 1, 0, '3af6c5fe1c562779'),
+                           ('unsat', 2, 26, 1179, 1, 0, '9f3d0b7026e1a87f'),
+                           ('unsat', 2, 34, 1507, 1, 0, '8e692115e4cd83ae'),
+                           ('unsat', 2, 42, 1835, 1, 0, '7647dfa2d6df921b'),
+                           ('unsat', 2, 50, 2163, 1, 0, 'c7239030ea1024f0'),
+                           ('unsat', 2, 58, 2491, 1, 0, 'ca453a7665c8efe3')],
+                 'bmc-23': [('unsat', 0, 0, 0, 0, 0, 'd124b23c696a8517'),
+                            ('unsat', 0, 0, 0, 0, 0, 'd124b23c696a8517'),
+                            ('unsat', 3, 11, 451, 2, 0, '489df53deac34416'),
+                            ('sat', 5, 24, 1882, 5, 0, '2d226ea453c159c0'),
+                            ('sat', 31, 116, 7555, 31, 0, '40e101c31cb71fe6'),
+                            ('sat', 10, 151, 6631, 10, 0, '003d0b15c6552e5c'),
+                            ('sat', 21, 168, 9879, 21, 0, 'f0163379cf9035cc'),
+                            ('sat', 23, 217, 12827, 23, 0, 'fa6d4d1e2e646501')],
+                 'pdr': [('unsat', 1, 6, 100, 0, 0, '67d1b8081905fab3'),
+                         ('sat', 0, 10, 149, 0, 0, '8b81e369cbf94690'),
+                         ('unsat', 5, 11, 251, 4, 0, '6c507c3009532f32'),
+                         ('unsat', 6, 13, 294, 5, 0, '100870e6099b5531'),
+                         ('unsat', 1, 5, 25, 0, 0, '797f297a130f1d24'),
+                         ('unsat', 3, 8, 202, 2, 0, '05ac46767550147e'),
+                         ('unsat', 1, 4, 78, 0, 0, 'd08ed6e377d8edbe'),
+                         ('sat', 2, 19, 235, 2, 0, '682d1cc5740110fa'),
+                         ('unsat', 2, 7, 70, 1, 0, '5af98cfe4526ee00'),
+                         ('unsat', 5, 12, 268, 4, 0, 'c140d3528c24f16f'),
+                         ('unsat', 1, 6, 108, 0, 0, '84050ca8467a1973'),
+                         ('unsat', 5, 10, 396, 4, 0, '4e6ec4f273da6b64'),
+                         ('unsat', 2, 7, 67, 1, 0, 'fc32e53410a1d3c2'),
+                         ('unsat', 6, 11, 245, 5, 0, 'cdf4b13244c38409'),
+                         ('unsat', 1, 5, 120, 0, 0, 'fe44f354263758bf'),
+                         ('unsat', 3, 9, 204, 2, 0, 'ff019cc0ef1067f9'),
+                         ('unsat', 2, 7, 200, 1, 0, '0034eb4f29b60ab1'),
+                         ('unsat', 1, 5, 89, 0, 0, '091397921c1e8fa1'),
+                         ('unsat', 1, 6, 91, 0, 0, 'a3b01d85006cfb03'),
+                         ('unsat', 1, 5, 61, 0, 0, '916a1511a69ca00b'),
+                         ('unsat', 2, 7, 101, 1, 0, '5ee26b1c3684ebe5'),
+                         ('sat', 1, 33, 296, 1, 0, '9eebb23dced2b006'),
+                         ('unsat', 0, 4, 48, 0, 0, '62bea6c7c2eed2c0'),
+                         ('unsat', 2, 7, 134, 1, 0, '93516494140786dd'),
+                         ('unsat', 1, 6, 30, 0, 0, 'c63d5ed187ac1983'),
+                         ('unsat', 2, 7, 215, 1, 0, '5a340d4344b96a9e'),
+                         ('unsat', 2, 7, 140, 1, 0, 'c77471e6c87c1418'),
+                         ('unsat', 2, 7, 83, 1, 0, '5f6e0868f186e082'),
+                         ('unsat', 1, 5, 127, 0, 0, '1ad3a4fbc9151ce8'),
+                         ('unsat', 4, 10, 225, 3, 0, '122241ae8f61b3a2')],
+                 'budget': [('unknown', 200, 269, 13605, 200, 2, 'dc937b59892604f5'),
+                            ('unsat', 442, 524, 110949, 441, 5, 'dc937b59892604f5')]}
+
+
+class TestSearchUnchanged:
+    """Decision-order bookkeeping must not move the search: every solve
+    of the corpus keeps its status, counters and model or core."""
+
+    def test_corpus_matches_golden(self):
+        got = {}
+        for case, solver, result in _search_corpus():
+            # A rescale used to mis-order picks, so solves that cross
+            # one are meant to differ; the corpus has none.
+            assert not _rescaled(solver), case
+            got.setdefault(case, []).append(_search_record(result))
+        assert got == SEARCH_GOLDEN
