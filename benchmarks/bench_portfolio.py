@@ -1,17 +1,16 @@
 """Portfolio vs sequential model checking on the CEGAR loop.
 
-Compares three engine configurations of ``run_compass`` on a small
+Compares two engine configurations of ``run_compass`` on a small
 Sodor core under equal budgets:
 
 - ``sequential``  — the classic k-induction-then-BMC cascade;
-- ``portfolio/2`` — BMC, PDR and k-induction racing in two worker
-  processes with the shared cross-iteration solve cache;
-- ``portfolio/1`` — the same portfolio degraded to in-process mode.
+- ``portfolio/1`` — BMC, then PDR, then k-induction in-process, with
+  the shared cross-iteration solve cache.
 
 Reported per configuration: verdict, proven bound, wall-clock, and for
-the portfolio runs the per-engine time split plus the solve-cache
+the portfolio run the per-engine time split plus the solve-cache
 hit/miss counters (nonzero hits = the k-induction base case was
-answered from the BMC worker's streamed frames).
+answered from the frames BMC solved).
 
 Budget: COMPASS_BENCH_BUDGET seconds of model checking per call
 (default 25).
@@ -54,8 +53,7 @@ def _run(label, budget, **extra):
 
 @pytest.mark.parametrize("label,extra", [
     ("sequential", {}),
-    ("portfolio/2", {"engine": "portfolio", "jobs": 2}),
-    ("portfolio/1", {"engine": "portfolio", "jobs": 1}),
+    ("portfolio/1", {"engine": "portfolio"}),
 ])
 def test_portfolio_configurations(benchmark, label, extra):
     budget = bench_budget()
@@ -86,11 +84,11 @@ def test_portfolio_render(benchmark):
             f"{row['wall']:>7.1f}s  {detail}"
         )
     seq = _RESULTS.get("sequential")
-    por = _RESULTS.get("portfolio/2")
+    por = _RESULTS.get("portfolio/1")
     if seq and por:
         lines.append("")
         lines.append(
-            f"portfolio/2 vs sequential: {por['wall']:.1f}s vs "
+            f"portfolio/1 vs sequential: {por['wall']:.1f}s vs "
             f"{seq['wall']:.1f}s "
             f"({por['wall'] / seq['wall'] * 100:.0f}% of cascade wall-clock)"
         )

@@ -13,7 +13,7 @@ three monotone domains on top:
   pruned by constant facts.
 
 :func:`static_verify` combines them into a solver-free verification
-engine: it races in the portfolio as engine ``static``, pre-screens
+engine: it runs in the portfolio as engine ``static``, pre-screens
 candidate schemes in the CEGAR loop, accelerates refinement pruning,
 and backs the ``dataflow`` lint rules.
 """

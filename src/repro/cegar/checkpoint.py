@@ -35,8 +35,9 @@ LEGACY_MAGIC = b"COMPASS-CKPT v1\n"
 _ENTRY_RE = re.compile(r"^journal-(\d{6})\.ckpt$")
 
 #: Bump when the checkpoint payload schema changes incompatibly
-#: (3: the in-flight candidate record was dropped).
-FORMAT_VERSION = 3
+#: (3: the in-flight candidate record was dropped; 4: the stats lost
+#: their worker crash and retry counters).
+FORMAT_VERSION = 4
 
 
 class CheckpointError(Exception):

@@ -150,9 +150,9 @@ class CegarConfig:
     #: model-checking budget on an ill-formed task.
     lint_on_entry: bool = True
     #: Model-checking engine: "sequential" is the classic k-induction /
-    #: BMC cascade above; "portfolio" races BMC, PDR and k-induction
-    #: concurrently (:mod:`repro.formal.portfolio`) with a shared solve
-    #: cache, taking the first definitive verdict; "static" answers
+    #: BMC cascade above; "portfolio" runs BMC, PDR and k-induction in
+    #: turn (:mod:`repro.formal.portfolio`) with a shared solve cache,
+    #: stopping at the first definitive verdict; "static" answers
     #: from the SAT-free abstract interpreter only
     #: (:func:`repro.analyze.static_verify`) — inconclusive iterations
     #: end the loop at the ternary bound, like ``mc_enabled=False``.
@@ -165,8 +165,7 @@ class CegarConfig:
     static_prescreen: bool = False
     #: Frame budget for the static engine's bounded ternary pass.
     static_max_frames: int = 64
-    #: Portfolio only: concurrently running engine processes (0 = one
-    #: per engine, 1 = in-process sequential portfolio).
+    #: Unused; kept because perfbench/workloads.py still sets it.
     jobs: int = 0
     #: Portfolio only: which engines participate, in launch order.
     portfolio_engines: Tuple[str, ...] = ENGINE_NAMES
@@ -198,16 +197,12 @@ class CegarConfig:
     #: frames and SAT counters for this run.  None disables tracing;
     #: the Table-3 statistics are collected either way.
     trace: Optional[Tracer] = None
-    #: Supervision (portfolio process mode): how many times a crashed
-    #: engine worker is relaunched, and the exponential backoff base.
-    max_worker_retries: int = 2
-    retry_backoff: float = 0.1
     #: Checkpointing: how many journal entries ``run_compass`` keeps
     #: when a ``checkpoint_dir`` is given (>= 2 so corruption of the
     #: newest entry can fall back to its predecessor).
     checkpoint_keep: int = 4
     #: Deterministic fault-injection plan (:mod:`repro.faults`),
-    #: threaded into the portfolio workers and the checkpoint journal.
+    #: threaded into the checkpoint journal and the solve store.
     #: None (the default) injects nothing; tests use this to prove the
     #: recovery paths.
     faults: Optional[FaultPlan] = None
@@ -234,11 +229,8 @@ class RefinementStats:
     engine_wins: Dict[str, int] = field(default_factory=dict)
     portfolio_calls: int = 0
     cache: Optional[CacheStats] = None
-    #: Robustness observability: supervised worker relaunches and
-    #: crashes seen by the portfolio scheduler, checkpoints written,
-    #: and — on a resumed run — the iteration the journal restored.
-    worker_crashes: int = 0
-    worker_retries: int = 0
+    #: Robustness observability: checkpoints written, and — on a
+    #: resumed run — the iteration the journal restored.
     checkpoints_written: int = 0
     resumed_from: Optional[int] = None
     #: Static pre-screen observability: analyzer invocations, how many
@@ -278,9 +270,6 @@ class RefinementStats:
             self.engine_times[report.engine] = (
                 self.engine_times.get(report.engine, 0.0) + report.elapsed
             )
-            self.worker_retries += report.retries
-            if report.status == "crashed":
-                self.worker_crashes += 1
         if result.winner is not None:
             self.engine_wins[result.winner] = (
                 self.engine_wins.get(result.winner, 0) + 1
@@ -303,9 +292,6 @@ class RefinementStats:
         if self.certificates_checked:
             rows.append(f"certificates: {self.certificates_checked} checked, "
                         f"{self.certificates_failed} rejected")
-        if self.worker_retries or self.worker_crashes:
-            rows.append(f"supervision: {self.worker_retries} worker "
-                        f"retries, {self.worker_crashes} unrecovered crashes")
         if self.cache is not None:
             rows.append(self.cache.row())
         return rows

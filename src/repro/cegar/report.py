@@ -118,7 +118,7 @@ def render_report(result, task=None, tracer=None) -> str:
         lines.append("## Verification portfolio")
         lines.append("")
         lines.append(f"{stats.portfolio_calls} model-checking call(s) dispatched "
-                     "to the parallel engine portfolio.")
+                     "to the engine portfolio.")
         lines.append("")
         lines.append("| engine | total time | winning verdicts |")
         lines.append("|---|---|---|")
@@ -148,8 +148,7 @@ def render_report(result, task=None, tracer=None) -> str:
             )
             lines.append("")
 
-    if (stats.worker_crashes or stats.worker_retries
-            or stats.checkpoints_written or stats.resumed_from is not None):
+    if stats.checkpoints_written or stats.resumed_from is not None:
         lines.append("## Robustness")
         lines.append("")
         if stats.resumed_from is not None:
@@ -158,12 +157,6 @@ def render_report(result, task=None, tracer=None) -> str:
         if stats.checkpoints_written:
             lines.append(f"- checkpoints written this run: "
                          f"{stats.checkpoints_written}")
-        if stats.worker_retries:
-            lines.append(f"- crashed engine workers relaunched: "
-                         f"{stats.worker_retries}")
-        if stats.worker_crashes:
-            lines.append(f"- worker crashes left unrecovered: "
-                         f"{stats.worker_crashes}")
         lines.append("")
 
     if tracer is not None and len(tracer):

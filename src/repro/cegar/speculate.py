@@ -137,7 +137,6 @@ def verify_candidate(
             design.circuit, prop,
             PortfolioConfig(
                 engines=config.portfolio_engines,
-                jobs=config.jobs,
                 max_bound=config.max_bound,
                 induction_max_k=config.induction_max_k,
                 unique_states=config.unique_states,
@@ -147,9 +146,6 @@ def verify_candidate(
                 start_bound=start_bound,
                 static_max_frames=config.static_max_frames,
                 certify=config.certify,
-                max_worker_retries=config.max_worker_retries,
-                retry_backoff=config.retry_backoff,
-                faults=config.faults,
             ),
             cache=cache,
             tracer=tracer if tracer is not NULL_TRACER else None,

@@ -152,7 +152,6 @@ def cmd_verify(args) -> int:
         max_refinements=args.max_refinements,
         seed=args.seed,
         engine=args.engine,
-        jobs=args.jobs,
         static_prescreen=args.static_prescreen,
         certify=args.certify,
         store_dir=args.store,
@@ -228,7 +227,6 @@ def _remote_verify(args) -> Optional[int]:
             "max_refinements": args.max_refinements,
             "seed": args.seed,
             "engine": args.engine,
-            "jobs": args.jobs,
             "static_prescreen": args.static_prescreen,
             "certify": args.certify,
         },
@@ -799,15 +797,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("sequential", "portfolio", "static"),
                    default="sequential",
                    help="model-checking engine: the classic k-induction/BMC "
-                        "cascade, the parallel BMC+PDR+k-induction "
-                        "portfolio with a cross-iteration solve cache, or "
+                        "cascade, the BMC->PDR->k-induction portfolio "
+                        "with a cross-iteration solve cache, or "
                         "the SAT-free ternary static engine")
     p.add_argument("--static-prescreen", action="store_true",
                    help="run the SAT-free ternary pre-screen before each "
                         "model-check call (implied by --engine static)")
-    p.add_argument("--jobs", type=int, default=0,
-                   help="portfolio: concurrent engine processes "
-                        "(0 = one per engine, 1 = in-process sequential)")
     p.add_argument("--cache-stats", action="store_true",
                    help="portfolio: print solve-cache hit/miss/eviction "
                         "counters and per-engine timings after the run")

@@ -1,21 +1,12 @@
 """Deterministic fault injection for robustness testing.
 
-Long-running CEGAR verifies must survive crashed engine workers,
-dropped queue messages and torn files.  Proving that the recovery
-paths actually work requires *reproducing* those failures on demand,
-so this module provides a seeded, deterministic :class:`FaultPlan`
-that the portfolio scheduler, the engine workers and the checkpoint
-journal consult at well-defined injection points:
+Long-running CEGAR verifies must survive a killed process and torn
+files.  Proving that the recovery paths actually work requires
+*reproducing* those failures on demand, so this module provides a
+seeded, deterministic :class:`FaultPlan` that the checkpoint journal
+and the persistent solve store consult at well-defined injection
+points:
 
-- :func:`kill_worker` — ``os._exit`` a specific engine worker after it
-  finished its M-th solve (simulates an OOM kill / segfault mid-run);
-- :func:`drop_entry` — silently drop the N-th cache entry a worker
-  streams to the scheduler (simulates a lost queue message);
-- :func:`corrupt_entry` — replace the N-th streamed cache entry with
-  garbage (simulates queue/disk corruption; the parent-side merge must
-  reject it);
-- :func:`delay_verdict` — sleep before shipping the final verdict
-  (simulates a slow worker racing the scheduler's deadline backstop);
 - :func:`corrupt_checkpoint` / :func:`truncate_checkpoint` — damage a
   checkpoint journal entry on disk right after it was written (the
   reader must detect the bad checksum and fall back);
@@ -33,12 +24,6 @@ journal consult at well-defined injection points:
 - :func:`enospc` — fail the N-th store segment write with ``ENOSPC``
   (the store must keep the entries pending and retry on the next
   flush instead of crashing the verify).
-
-Faults are scoped to a worker *attempt* (default: the first), so a
-killed worker's supervised retry runs clean — which is exactly the
-recovery the tests want to observe.  A :class:`FaultPlan` is plain
-picklable data plus per-process counters; shipping it into a worker
-process gives that worker its own independent counter state.
 """
 
 from __future__ import annotations
@@ -46,24 +31,13 @@ from __future__ import annotations
 import os
 import random
 import signal
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
-#: Exit code used by injected worker kills; distinctive so tests (and
-#: humans reading scheduler logs) can tell an injected crash from a
-#: genuine one.
-KILLED_EXIT_CODE = 66
-
-_WORKER_KINDS = ("kill_worker", "drop_entry", "corrupt_entry", "delay_verdict")
 _JOURNAL_KINDS = ("corrupt_checkpoint", "truncate_checkpoint",
                   "kill_after_checkpoint")
 _STORE_KINDS = ("torn_segment", "corrupt_manifest", "stale_lock", "enospc")
-KINDS = _WORKER_KINDS + _JOURNAL_KINDS + _STORE_KINDS
-
-#: What a corrupted streamed cache entry is replaced with: not a
-#: :class:`~repro.formal.cache.CachedVerdict`, so a validating merge
-#: must drop it instead of storing it.
-CORRUPT_ENTRY_PAYLOAD = "\x00corrupt-cache-entry\x00"
+KINDS = _JOURNAL_KINDS + _STORE_KINDS
 
 
 @dataclass(frozen=True)
@@ -71,41 +45,13 @@ class FaultSpec:
     """One planned fault (plain data; see the module constructors)."""
 
     kind: str
-    engine: Optional[str] = None   # worker faults: which engine to hit
-    after: int = 0                 # solve count / entry index / journal index
-    attempt: int = 0               # which worker attempt the fault arms on
-    delay: float = 0.0             # delay_verdict only
+    after: int = 0                 # journal entry / segment / manifest index
     pid: Optional[int] = None      # stale_lock only: the planted dead owner
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r} "
                              f"(expected one of {KINDS})")
-        if self.kind in _WORKER_KINDS and not self.engine:
-            raise ValueError(f"fault {self.kind!r} needs an engine name")
-
-
-def kill_worker(engine: str, after_solves: int = 1, attempt: int = 0) -> FaultSpec:
-    """Hard-kill the ``engine`` worker once it completed N solves."""
-    return FaultSpec("kill_worker", engine=engine, after=after_solves,
-                     attempt=attempt)
-
-
-def drop_entry(engine: str, index: int = 0, attempt: int = 0) -> FaultSpec:
-    """Drop the index-th cache entry the ``engine`` worker streams."""
-    return FaultSpec("drop_entry", engine=engine, after=index, attempt=attempt)
-
-
-def corrupt_entry(engine: str, index: int = 0, attempt: int = 0) -> FaultSpec:
-    """Replace the index-th streamed cache entry with garbage."""
-    return FaultSpec("corrupt_entry", engine=engine, after=index,
-                     attempt=attempt)
-
-
-def delay_verdict(engine: str, delay: float, attempt: int = 0) -> FaultSpec:
-    """Sleep ``delay`` seconds before shipping the final verdict."""
-    return FaultSpec("delay_verdict", engine=engine, delay=delay,
-                     attempt=attempt)
 
 
 def corrupt_checkpoint(index: int = 0) -> FaultSpec:
@@ -151,76 +97,19 @@ def enospc(index: int = 0) -> FaultSpec:
 class FaultPlan:
     """A seeded, deterministic set of faults to inject during a run.
 
-    The plan is consulted at each injection point; counters (solves per
-    worker, streamed entries per worker, journal entries written) are
-    kept per process, so the same plan pickled into a fresh worker
-    starts counting from zero — deterministic regardless of scheduling.
+    The plan is consulted at each injection point; the callers pass
+    the index of the write they just made, so the plan keeps no
+    counters of its own.
     """
 
     specs: Tuple[FaultSpec, ...] = ()
     seed: int = 0
-    #: Per-process counters; never pickle-shared state of record.
-    _solves: Dict[Tuple[str, int], int] = field(default_factory=dict, repr=False)
-    _streamed: Dict[Tuple[str, int], int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.specs = tuple(self.specs)
 
-    def __getstate__(self) -> Dict[str, Any]:
-        # Counters are per-process scratch state: a plan pickled into a
-        # fresh worker must start counting that worker's events from
-        # zero, regardless of what the sending process observed.
-        return {"specs": self.specs, "seed": self.seed,
-                "_solves": {}, "_streamed": {}}
-
-    def _matching(self, kind: str, engine: Optional[str] = None,
-                  attempt: Optional[int] = None):
-        for spec in self.specs:
-            if spec.kind != kind:
-                continue
-            if engine is not None and spec.engine != engine:
-                continue
-            if attempt is not None and spec.attempt != attempt:
-                continue
-            yield spec
-
-    # -- worker-side hooks -------------------------------------------------
-
-    def on_worker_solve(self, engine: str, attempt: int) -> None:
-        """Called by the worker after each completed solve (cache store)."""
-        key = (engine, attempt)
-        count = self._solves.get(key, 0) + 1
-        self._solves[key] = count
-        for spec in self._matching("kill_worker", engine, attempt):
-            if count >= spec.after:
-                # Let the queue's feeder thread drain the entries this
-                # worker already streamed — the point of the fault is a
-                # crash *after* M solves reached the scheduler, so the
-                # supervised retry observably resumes from that work.
-                import time
-                time.sleep(0.2)
-                # Then die hard: bypass atexit/finally and leave the
-                # result queue exactly as a SIGKILL would.
-                os._exit(KILLED_EXIT_CODE)
-
-    def filter_entry(self, engine: str, attempt: int,
-                     entry: Any) -> Optional[Any]:
-        """Drop or corrupt one streamed cache entry; None means drop."""
-        key = (engine, attempt)
-        index = self._streamed.get(key, 0)
-        self._streamed[key] = index + 1
-        for spec in self._matching("drop_entry", engine, attempt):
-            if index == spec.after:
-                return None
-        for spec in self._matching("corrupt_entry", engine, attempt):
-            if index == spec.after:
-                return CORRUPT_ENTRY_PAYLOAD
-        return entry
-
-    def verdict_delay(self, engine: str, attempt: int) -> float:
-        """Seconds to sleep before shipping the final verdict."""
-        return sum(spec.delay
-                   for spec in self._matching("delay_verdict", engine, attempt))
+    def _matching(self, kind: str):
+        return (spec for spec in self.specs if spec.kind == kind)
 
     # -- journal-side hooks ------------------------------------------------
 

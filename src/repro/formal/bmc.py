@@ -100,7 +100,7 @@ def _as_lowered(
     duplicated shadow logic collapses.
 
     Results are memoized in a digest-keyed LRU shared across engines:
-    the portfolio's BMC and induction workers, the induction base case,
+    the portfolio's BMC and induction engines, the induction base case,
     and successive CEGAR verify calls all re-lower the same content
     otherwise.  An explicit ``LoweredCircuit`` argument bypasses both
     the cache and the reduction (the caller controls the netlist).

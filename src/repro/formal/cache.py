@@ -17,8 +17,8 @@ to the instrumented taint logic — a refined mux, an opened blackbox —
 changes the key and invalidates prior answers for that cone.
 
 The cache stores plain-data verdict records (strings, ints, dicts), so
-entries pickle cleanly to :mod:`multiprocessing` workers and persist
-between runs as :mod:`repro.codec` JSON (:mod:`repro.store`).
+entries persist between runs as :mod:`repro.codec` JSON
+(:mod:`repro.store`) and in checkpoint journals.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class CacheStats:
     stores: int = 0
     evictions: int = 0
     #: Malformed entries dropped by a validating merge (wrong types,
-    #: corrupted payloads from a worker or a damaged checkpoint).
+    #: corrupted payloads from a damaged checkpoint).
     rejected: int = 0
 
     @property
@@ -145,7 +145,7 @@ def valid_entry(key: Any, verdict: Any) -> bool:
     """Is ``(key, verdict)`` a well-formed cache entry?
 
     The shape contract of :class:`CachedVerdict`, checked explicitly
-    because entries arrive from worker queues and checkpoint files
+    because entries arrive from checkpoint files and store segments
     where corruption and truncation are real possibilities.
     """
     if not isinstance(key, str) or not key:
@@ -219,11 +219,11 @@ class SolveCache:
             self.stats.evictions += 1
 
     def merge_entries(self, entries: Dict[str, CachedVerdict]) -> None:
-        """Adopt entries computed elsewhere (e.g. a worker process).
+        """Adopt entries computed elsewhere (e.g. an earlier run).
 
-        Entries cross process and disk boundaries (streamed over a
-        ``multiprocessing`` queue, restored from a checkpoint journal),
-        so they are *validated* before adoption: anything malformed —
+        Entries cross a disk boundary (restored from a checkpoint
+        journal), so they are *validated* before adoption: anything
+        malformed —
         wrong container type, a payload that is not a
         :class:`CachedVerdict`, fields of the wrong type — is counted
         in ``stats.rejected`` and dropped rather than stored where it
@@ -266,15 +266,15 @@ class SolveCache:
         self._entries.clear()
 
     def snapshot_entries(self) -> Dict[str, CachedVerdict]:
-        """A shallow copy of the entries (for shipping to workers)."""
+        """A shallow copy of the entries (for a checkpoint)."""
         return dict(self._entries)
 
 
 class ThreadSafeSolveCache(SolveCache):
     """A :class:`SolveCache` safe to share across threads.
 
-    The base class is deliberately lock-free — the CLI and the
-    per-process portfolio workers are single-threaded — but the job
+    The base class is deliberately lock-free — the CLI is
+    single-threaded — but the job
     daemon hands one cache to a pool of worker threads, where the
     ``OrderedDict`` LRU bookkeeping (``move_to_end``, eviction) breaks
     under concurrent mutation.  Every public operation here runs under

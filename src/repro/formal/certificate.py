@@ -60,8 +60,7 @@ class Certificate:
     clauses: Tuple[Clause, ...] = ()
 
     def as_dict(self) -> dict:
-        """A JSON-ready representation (also what pickles across the
-        portfolio's worker boundary)."""
+        """A JSON-ready representation."""
         return {
             "prop": self.prop_name,
             "bad": self.bad,

@@ -421,8 +421,8 @@ def frame_program_for(lowered: LoweredCircuit) -> FrameProgram:
     netlists are never mutated after construction (the same invariant
     the content-fingerprint cache relies on), so the template stays
     valid for the object's lifetime and is shared by every engine that
-    unrolls the same lowering (BMC, the induction step, portfolio
-    workers in-process).
+    unrolls the same lowering (BMC, the induction step, the portfolio
+    engines).
     """
     program = getattr(lowered, "_frame_program", None)
     if program is None:

@@ -1,4 +1,4 @@
-"""Parallel verification portfolio over the formal engines.
+"""Verification portfolio over the formal engines.
 
 The paper's Section 4 flow hands each model-checking obligation to
 JasperGold, which races several proof engines (``Mp``/``AM``/``I``
@@ -9,21 +9,15 @@ module reproduces that scheduling layer over our own engines:
 - **pdr** — IC3-family unbounded proof, definitive on both outcomes;
 - **kind** — k-induction, definitive on proofs and base-case violations.
 
-:func:`verify_portfolio` runs the engines concurrently in
-``multiprocessing`` worker processes (at most ``jobs`` at a time), each
-under its own wall-clock deadline.  The first *definitive* verdict wins:
-the remaining workers are terminated and their partial results (depths
-proven clean so far) are folded into the final bound.  Engines beyond
-the ``jobs`` limit are queued; when a running engine retires without a
-definitive verdict, the next queued engine starts — seeded with every
-solve result the finished engines cached, so e.g. a k-induction worker
-launched after BMC answers its base case from the cache instead of
-re-solving the frames.
-
-When process spawning is unavailable (restricted environments,
-pickling failures) or ``jobs == 1``, the portfolio degrades gracefully
-to in-process sequential execution with identical verdict semantics —
-engines then share the live cache directly.
+:func:`verify_portfolio` runs the engines in-process as a cascade, in
+launch order, each under its own wall-clock deadline.  The first
+*definitive* verdict wins and the engines behind it never start; the
+partial results of the engines that ran (depths proven clean so far)
+are folded into the final bound.  The engines share one live solve
+cache, so e.g. k-induction answers its base case from the frames BMC
+already solved instead of re-solving them.  ``docs/portfolio.md``
+records why there is no worker-process race: it never beat this
+cascade on any measured workload.
 
 Verdicts are memoized in a :class:`~repro.formal.cache.SolveCache`
 keyed on the lowered netlist's content hash, the property, and the
@@ -39,7 +33,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.faults import FaultPlan
 from repro.hdl.circuit import Circuit
 from repro.hdl.lowering import LoweredCircuit
 from repro.formal.bmc import BmcStatus, _as_lowered, bounded_model_check
@@ -57,7 +50,7 @@ from repro.obs import NULL_TRACER
 #: from running after BMC).
 ENGINE_NAMES: Tuple[str, ...] = ("bmc", "pdr", "kind")
 
-#: Engines accepted in ``PortfolioConfig.engines``: the SAT racers
+#: Engines accepted in ``PortfolioConfig.engines``: the SAT engines
 #: above plus the opt-in SAT-free abstract-interpretation engine
 #: (:func:`repro.analyze.static_verify`).  ``static`` is deliberately
 #: not in the default lineup — it answers a strictly weaker class of
@@ -75,12 +68,9 @@ class PortfolioStatus(enum.Enum):
 
 @dataclass
 class PortfolioConfig:
-    """Engine selection, budgets and scheduling knobs."""
+    """Engine selection and budgets."""
 
     engines: Tuple[str, ...] = ENGINE_NAMES
-    #: Maximum concurrently running engine processes; 0 means one per
-    #: engine, 1 selects the in-process sequential mode.
-    jobs: int = 0
     max_bound: int = 20                # BMC depth
     induction_max_k: int = 12
     unique_states: bool = True
@@ -90,7 +80,7 @@ class PortfolioConfig:
     #: Per-engine wall-clock deadlines (seconds); engines not listed
     #: inherit the overall ``time_limit``.  When empty, the scheduler
     #: fair-shares the remaining window over the unfinished engines so
-    #: the ones queued behind the ``jobs`` limit always get a slot.
+    #: the ones late in the cascade always get a slot.
     engine_deadlines: Dict[str, float] = field(default_factory=dict)
     #: Deterministic per-SAT-call conflict budget (see Solver.solve).
     max_conflicts: Optional[int] = None
@@ -99,21 +89,6 @@ class PortfolioConfig:
     start_bound: int = 0
     #: Frame budget of the ``static`` engine's bounded ternary pass.
     static_max_frames: int = 64
-    #: Skip process workers entirely (forced degraded mode).
-    force_sequential: bool = False
-    #: Supervision: how many times a *crashed* worker (process dead
-    #: without shipping a verdict — OOM kill, segfault, injected fault)
-    #: is relaunched before its engine is written off.  Deadline and
-    #: in-worker Python errors are not retried: the former already
-    #: spent its budget, the latter is deterministic.
-    max_worker_retries: int = 2
-    #: Exponential retry backoff base (seconds): the n-th relaunch of a
-    #: crashed worker waits ``retry_backoff * 2**(n-1)`` first.
-    retry_backoff: float = 0.1
-    #: Deterministic fault-injection plan (:mod:`repro.faults`) shipped
-    #: into every worker; None injects nothing.  Tests use this to
-    #: prove the supervision/recovery paths actually work.
-    faults: Optional[FaultPlan] = None
     #: Validate PDR proof certificates with the independent checker
     #: (:func:`repro.formal.certificate.check_certificate`) before
     #: reporting PROVED; a certificate that fails to check downgrades
@@ -131,24 +106,19 @@ class EngineReport:
     """What one engine contributed to a portfolio call."""
 
     engine: str
-    #: Engine status string, or one of the scheduler's own outcomes:
-    #: not_run / cancelled / deadline (budget spent) / error (in-worker
-    #: exception) / crashed (process dead without a verdict, retries
-    #: exhausted) / retrying (crashed, relaunch scheduled).
+    #: Engine status string, ``not_run`` (the cascade stopped before
+    #: this engine) or ``cached`` (whole verdict memoized).
     status: str = "not_run"
     bound: int = -1             # deepest cycle this engine proved clean
     elapsed: float = 0.0
     winner: bool = False
     detail: str = ""
-    attempts: int = 0           # worker launches (> 1 after a retry)
-    retries: int = 0            # supervised relaunches after a crash
 
     def row(self) -> str:
         mark = " <- winner" if self.winner else ""
         bound = f" bound={self.bound}" if self.bound >= 0 else ""
-        retries = f" retries={self.retries}" if self.retries else ""
         return (f"{self.engine:<5} {self.status:<15} "
-                f"{self.elapsed:6.2f}s{bound}{retries}{mark}")
+                f"{self.elapsed:6.2f}s{bound}{mark}")
 
 
 @dataclass
@@ -159,7 +129,7 @@ class PortfolioResult:
     counterexample: Optional[Counterexample] = None
     elapsed: float = 0.0
     reports: List[EngineReport] = field(default_factory=list)
-    mode: str = "process"        # "process" | "sequential"
+    mode: str = "sequential"     # "sequential" | "cache"
     cache_hit: bool = False      # whole verdict answered from the cache
     #: PDR's inductive-invariant certificate when it won with a proof.
     #: It stays in the process that checked it: codec documents (the
@@ -193,7 +163,7 @@ def _run_engine(
     cache: Optional[SolveCache],
     tracer=None,
 ) -> Dict[str, object]:
-    """Execute one engine; returns a picklable verdict record.
+    """Execute one engine; returns a plain verdict record.
 
     ``definitive`` marks outcomes that settle the property (violation
     or unbounded proof); everything else is partial information.
@@ -246,7 +216,6 @@ def _run_engine(
             "bound": -1,  # PDR frames are not cycle bounds
             "counterexample": res.counterexample,
             "elapsed": time.monotonic() - started,
-            # Plain tuples/strings: pickles across the worker boundary.
             "certificate": res.certificate,
         }
     if engine == "static":
@@ -294,7 +263,6 @@ def _finalize(
     order: Tuple[str, ...],
     winner: Optional[Dict[str, object]],
     elapsed: float,
-    mode: str,
 ) -> PortfolioResult:
     bound = max((r.bound for r in reports.values()), default=-1)
     ordered = [reports[name] for name in order]
@@ -308,12 +276,12 @@ def _finalize(
         return PortfolioResult(
             status, winner=name, bound=bound,
             counterexample=winner["counterexample"],
-            elapsed=elapsed, reports=ordered, mode=mode,
+            elapsed=elapsed, reports=ordered,
             certificate=winner.get("certificate"),
         )
     status = PortfolioStatus.BOUND_REACHED if bound >= 0 else PortfolioStatus.UNKNOWN
     return PortfolioResult(status, bound=bound, elapsed=elapsed,
-                           reports=ordered, mode=mode)
+                           reports=ordered)
 
 
 def _memoize(cache: Optional[SolveCache], key: Optional[str],
@@ -341,7 +309,7 @@ def _from_memo(entry: CachedVerdict, order: Tuple[str, ...]) -> PortfolioResult:
 
 
 # ---------------------------------------------------------------------------
-# Schedulers
+# Scheduler
 # ---------------------------------------------------------------------------
 
 def _run_sequential(
@@ -352,7 +320,8 @@ def _run_sequential(
     started: float,
     tracer=None,
 ) -> PortfolioResult:
-    """Degraded mode: engines run in-process, in order, sharing the cache."""
+    """The cascade: engines run in-process, in order, sharing the cache,
+    until one returns a definitive verdict."""
     tracer = tracer or NULL_TRACER
     reports = {name: EngineReport(name) for name in config.engines}
     winner: Optional[Dict[str, object]] = None
@@ -364,9 +333,9 @@ def _run_sequential(
                 break
         deadline = config.deadline_for(engine)
         if not config.engine_deadlines and remaining is not None:
-            # Same fair-share policy as process mode: split what is
-            # left of the window over the engines still to run, so one
-            # engine cannot starve the ones behind it.
+            # Fair share: split what is left of the window over the
+            # engines still to run, so one engine cannot starve the
+            # ones behind it.
             deadline = remaining / (len(config.engines) - position)
         if deadline is None:
             deadline = remaining
@@ -381,103 +350,12 @@ def _run_sequential(
         report.status = str(verdict["status"])
         report.bound = int(verdict["bound"])
         report.elapsed = float(verdict["elapsed"])
+        report.detail = str(verdict.get("detail", ""))
         if verdict["definitive"]:
             winner = verdict
             break
     return _finalize(reports, config.engines, winner,
-                     time.monotonic() - started, mode="sequential")
-
-
-def _run_processes(
-    lowered: LoweredCircuit,
-    prop: SafetyProperty,
-    config: PortfolioConfig,
-    cache: Optional[SolveCache],
-    started: float,
-    jobs: int,
-    tracer=None,
-) -> PortfolioResult:
-    """Process mode: up to ``jobs`` engine workers on a supervised
-    :class:`~repro.supervise.WorkerPool`; first definitive verdict wins."""
-    from repro.supervise import POLL_INTERVAL, WorkerPool
-
-    tracer = tracer or NULL_TRACER
-    pool = WorkerPool(cache, tracer, max_retries=config.max_worker_retries,
-                      retry_backoff=config.retry_backoff, faults=config.faults)
-    reports = {name: EngineReport(name) for name in config.engines}
-    pending = list(config.engines)
-    winner: Optional[Dict[str, object]] = None
-
-    def launch(engine: str) -> bool:
-        """Start one engine worker; False when its budget is spent.
-
-        The engine's wall-clock budget (its own deadline capped by the
-        remaining overall time) is enforced *inside* the worker as the
-        engine ``time_limit``, so the worker retires on its own with a
-        partial verdict and its cache entries intact.
-        """
-        budget = config.deadline_for(engine)
-        if config.time_limit is not None:
-            remaining = config.time_limit - (time.monotonic() - started)
-            if remaining <= 0:
-                return False
-            if not config.engine_deadlines:
-                # No explicit per-engine budgets: fair-share the
-                # remaining window over the unfinished engines so the
-                # ones queued behind the ``jobs`` limit are guaranteed
-                # a slot before the overall deadline.
-                share = remaining * jobs / (1 + len(pending) + len(pool))
-                budget = share if budget is None else min(budget, share)
-            budget = remaining if budget is None else min(budget, remaining)
-        pool.submit(engine, _run_engine, (engine, lowered, prop, config),
-                    budget=budget)
-        return True
-
-    try:
-        while pending or len(pool):
-            while len(pool) < jobs and pending:
-                if not launch(pending.pop(0)):
-                    # Overall budget exhausted before this engine got a
-                    # slot; its report stays "not_run".
-                    pending.clear()
-            if (config.time_limit is not None
-                    and time.monotonic() - started > config.time_limit + 5.0):
-                # Backstop only: workers receive the remaining overall
-                # budget as their own time_limit, so they normally ship
-                # a (partial) verdict before this fires.
-                break
-            for outcome in pool.poll(POLL_INTERVAL):
-                report = reports[outcome.key]
-                report.attempts = outcome.attempts
-                report.retries = outcome.retries
-                report.status = outcome.status
-                report.detail = outcome.detail
-                report.elapsed = outcome.elapsed
-                if outcome.status in ("retrying", "crashed"):
-                    tracer.count("portfolio.worker_crashes")
-                if outcome.status == "retrying":
-                    tracer.count("portfolio.worker_retries")
-                verdict = outcome.result
-                if verdict is None:
-                    continue  # no engine verdict: crash, error, deadline
-                report.status = str(verdict["status"])
-                report.bound = int(verdict["bound"])
-                report.elapsed = float(verdict["elapsed"])
-                report.detail = str(verdict.get("detail", ""))
-                if verdict["definitive"]:
-                    winner = verdict
-            if winner is not None:
-                break
-    finally:
-        for engine in config.engines:
-            elapsed = pool.cancel(engine)
-            if elapsed is not None:
-                reports[engine].status = "cancelled"
-                reports[engine].elapsed = elapsed
-        pool.close()
-
-    return _finalize(reports, config.engines, winner,
-                     time.monotonic() - started, mode="process")
+                     time.monotonic() - started)
 
 
 def verify_portfolio(
@@ -487,19 +365,19 @@ def verify_portfolio(
     cache: Optional[SolveCache] = None,
     tracer=None,
 ) -> PortfolioResult:
-    """Race the verification engines on ``prop``; first definitive wins.
+    """Run the verification engines on ``prop``; first definitive wins.
 
     Args:
         circuit: design under verification (cell- or gate-level).
         prop: the safety property.
-        config: engine selection, budgets and scheduling knobs.
+        config: engine selection and budgets.
         cache: optional cross-call :class:`SolveCache`; consulted for a
-            memoized verdict first, seeded into workers, and updated
+            memoized verdict first, shared by the engines, and updated
             with everything they solve.
-        tracer: optional :class:`~repro.obs.Tracer`; engine frames and
-            SAT counters are recorded (worker events merged back with
-            per-process track ids) along with solve-cache hit/miss
-            counters for this call.
+        tracer: optional :class:`~repro.obs.Tracer`; one
+            ``portfolio.engine`` span per engine that ran, engine frames
+            and SAT counters are recorded along with solve-cache
+            hit/miss counters for this call.
 
     Returns a :class:`PortfolioResult`; ``reports`` lists what every
     engine did (status, time, partial bound) for observability.
@@ -524,23 +402,8 @@ def verify_portfolio(
             return _from_memo(entry, config.engines)
 
     stats_before = replace(cache.stats) if cache is not None else None
-    jobs = config.jobs if config.jobs > 0 else len(config.engines)
-    result: Optional[PortfolioResult] = None
-    # Process mode whenever more than one concurrent job is allowed —
-    # even for a single engine, since a worker process buys crash
-    # isolation and supervised retry; jobs == 1 or a single engine with
-    # default jobs stays in-process.
-    if not config.force_sequential and jobs > 1:
-        try:
-            result = _run_processes(lowered, prop, config, cache, started, jobs,
-                                    tracer=tracer)
-        except (ImportError, OSError, PermissionError):
-            # Restricted environments (no /dev/shm, no fork) land here:
-            # degrade to in-process sequential execution.
-            result = None
-    if result is None:
-        result = _run_sequential(lowered, prop, config, cache, started,
-                                 tracer=tracer)
+    result = _run_sequential(lowered, prop, config, cache, started,
+                             tracer=tracer)
     if (config.certify and result.status is PortfolioStatus.PROVED
             and result.certificate is not None):
         # Re-check PDR's invariant on a fresh encoding before the

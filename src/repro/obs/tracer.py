@@ -8,9 +8,9 @@ conflicts a frame cost.  This module provides the primitives:
 
 - :class:`Tracer` — records hierarchical *spans* (named wall-clock
   intervals, nestable via context manager, thread-safe) plus *counter*
-  and *gauge* metrics.  Events are plain dicts so they pickle across
-  :mod:`multiprocessing` workers; a worker's events are merged onto the
-  parent timeline with the worker's pid as the track id.
+  and *gauge* metrics.  Events are plain dicts; another tracer's
+  events can be merged onto this timeline (:meth:`Tracer.adopt`), with
+  their pid as the track id.
 - :data:`NULL_TRACER` — the disabled singleton.  Its spans still
   measure wall clock (the CEGAR loop feeds span elapsed times into the
   Table-3 statistics either way) but record nothing, so tracing

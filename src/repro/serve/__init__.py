@@ -6,9 +6,8 @@ a local unix socket (versioned JSON-lines protocol,
 :mod:`repro.serve.protocol`), dedups in-flight requests by
 circuit+property digest (a second submitter attaches to the first
 job's future instead of re-running it), shards jobs onto a bounded
-worker pool — each verification reuses the portfolio scheduler's
-supervised crash-detection/backoff-retry machinery — streams progress
-events sampled from the :mod:`repro.obs` tracer to subscribed clients,
+thread pool, streams progress events sampled from the :mod:`repro.obs`
+tracer to subscribed clients,
 and backs every verdict with the persistent solve store
 (:mod:`repro.store`) so answers survive daemon restarts.
 

@@ -40,8 +40,7 @@ def job_digest(job: Dict[str, Any]) -> str:
 
     Canonical-JSON based, so two submitters that serialize the same
     circuit/config produce the same digest and share one computation.
-    A fault-injection plan is part of the identity: a faulted job never
-    dedups against its clean twin.
+    Every field is part of the identity, even one no handler reads.
     """
     try:
         canon = json.dumps(job, sort_keys=True, separators=(",", ":"))
@@ -80,36 +79,6 @@ def _core_from_doc(doc: Dict[str, Any]):
     return registry[name](cfg, bool(doc.get("with_shadow", True)))
 
 
-def _faults_from_doc(job: Dict[str, Any]):
-    """Reconstruct a :class:`repro.faults.FaultPlan` from job JSON.
-
-    ``{"faults": {"seed": 0, "specs": [{"kind": ..., ...}, ...]}}``.
-    Only the documented :data:`repro.faults.KINDS` pass; anything else
-    is a :class:`JobError` (fault plans are test machinery, and a typo
-    silently injecting nothing would defeat the chaos tests).
-    """
-    doc = job.get("faults")
-    if doc is None:
-        return None
-    from repro.faults import FaultPlan, FaultSpec
-
-    if not isinstance(doc, dict):
-        raise JobError("job field 'faults' must be an object")
-    specs = []
-    allowed = {"kind", "engine", "after", "attempt", "delay", "pid"}
-    for spec in doc.get("specs", ()):
-        if not isinstance(spec, dict):
-            raise JobError("each fault spec must be an object")
-        unknown = set(spec) - allowed
-        if unknown:
-            raise JobError(f"unknown fault spec fields {sorted(unknown)}")
-        try:
-            specs.append(FaultSpec(**spec))
-        except (TypeError, ValueError) as exc:
-            raise JobError(f"bad fault spec: {exc}") from exc
-    return FaultPlan(tuple(specs), seed=int(doc.get("seed", 0)))
-
-
 def _config_kwargs(doc: Dict[str, Any], allowed: Dict[str, Callable],
                    what: str) -> Dict[str, Any]:
     """Whitelist + coerce a job's config object into constructor kwargs."""
@@ -127,7 +96,6 @@ def _config_kwargs(doc: Dict[str, Any], allowed: Dict[str, Callable],
 
 _SOLVE_FIELDS = {
     "engines": lambda v: tuple(v),
-    "jobs": int,
     "max_bound": int,
     "induction_max_k": int,
     "unique_states": bool,
@@ -136,10 +104,7 @@ _SOLVE_FIELDS = {
     "max_conflicts": int,
     "start_bound": int,
     "static_max_frames": int,
-    "force_sequential": bool,
     "certify": bool,
-    "max_worker_retries": int,
-    "retry_backoff": float,
 }
 
 
@@ -170,7 +135,7 @@ def _run_solve(job, cache, tracer, deadline):
         limit = kwargs.get("time_limit")
         kwargs["time_limit"] = (deadline if limit is None
                                 else min(limit, deadline))
-    config = PortfolioConfig(faults=_faults_from_doc(job), **kwargs)
+    config = PortfolioConfig(**kwargs)
     result = verify_portfolio(circuit, prop, config, cache=cache,
                               tracer=tracer)
     return {"kind": "solve", **to_doc(result)}
@@ -193,12 +158,9 @@ _VERIFY_FIELDS = {
     "engine": str,
     "static_prescreen": bool,
     "static_max_frames": int,
-    "jobs": int,
     "pdr_max_frames": int,
     "max_conflicts": int,
     "certify": bool,
-    "max_worker_retries": int,
-    "retry_backoff": float,
 }
 
 
@@ -215,8 +177,7 @@ def _run_verify(job, cache, tracer, deadline):
         limit = kwargs.get("total_time_limit")
         kwargs["total_time_limit"] = (deadline if limit is None
                                       else min(limit, deadline))
-    config = CegarConfig(solve_cache=cache, trace=tracer,
-                         faults=_faults_from_doc(job), **kwargs)
+    config = CegarConfig(solve_cache=cache, trace=tracer, **kwargs)
     result = run_compass(task, config)
     stats = result.stats
     rows = [stats.row(core.name)]

@@ -2,11 +2,7 @@
 
 One :class:`JobServer` owns a unix socket, a bounded thread pool of
 job workers and (optionally) a persistent solve store.  The event loop
-only shuffles messages; every job body runs on a worker thread, and
-heavyweight verifications inside a job reuse the portfolio scheduler's
-supervised *process* workers — a SIGKILLed engine worker is relaunched
-with backoff by the machinery that already existed, not re-implemented
-here.
+only shuffles messages; every job body runs on a worker thread.
 
 Robustness posture:
 

@@ -458,9 +458,9 @@ class StoreBackedCache(ThreadSafeSolveCache):
     """A thread-safe :class:`SolveCache` persisted by a :class:`SolveStore`.
 
     Entries present in the store are preloaded (without inflating the
-    ``stores`` counter); every new ``put`` — including entries streamed
-    back from portfolio workers via ``merge_entries`` — is written
-    through to the store's pending buffer.  Hits answered by an entry
+    ``stores`` counter); every new ``put`` — including entries restored
+    from a checkpoint via ``merge_entries`` — is written through to the
+    store's pending buffer.  Hits answered by an entry
     that came from disk additionally count in ``store.stats.hits``,
     which is what the serve-smoke "served from the persistent store"
     assertion reads.

@@ -1,4 +1,4 @@
-"""The job daemon end to end: dedup, progress, faults, persistence.
+"""The job daemon end to end: dedup, progress, persistence.
 
 Each test starts a real :class:`repro.serve.JobServer` on a unix
 socket (in a background thread) and talks to it through the real
@@ -10,6 +10,7 @@ import contextlib
 import json
 import socket as socket_module
 import threading
+import time
 
 import pytest
 
@@ -39,16 +40,13 @@ def _unsafe_counter():
     return b.build()
 
 
-def _solve_job(circuit=None, config=None, faults=None):
-    job = {
+def _solve_job(circuit=None, config=None):
+    return {
         "kind": "solve",
         "circuit": circuit_to_dict(circuit or _safe_machine()),
         "prop": {"bad": "bad"},
-        "config": config or {"jobs": 1, "max_bound": 6},
+        "config": config or {"max_bound": 6},
     }
-    if faults is not None:
-        job["faults"] = faults
-    return job
 
 
 @contextlib.contextmanager
@@ -137,20 +135,28 @@ class TestDaemonBasics:
 
 
 class TestDedup:
-    def test_identical_jobs_share_one_computation(self, tmp_path):
+    def test_identical_jobs_share_one_computation(self, tmp_path,
+                                                  monkeypatch):
         # Delay the verdict so the second submitter arrives while the
         # first computation is still in flight.
+        import repro.formal.portfolio as portfolio
+
+        real = portfolio._run_engine
+
+        def slow_engine(*args, **kwargs):
+            verdict = real(*args, **kwargs)
+            time.sleep(1.5)
+            return verdict
+
+        monkeypatch.setattr(portfolio, "_run_engine", slow_engine)
         job = _solve_job(
             circuit=_unsafe_counter(),
-            config={"jobs": 2, "engines": ["bmc"], "max_bound": 10},
-            faults={"specs": [{"kind": "delay_verdict", "engine": "bmc",
-                               "delay": 1.5}]},
+            config={"engines": ["bmc"], "max_bound": 10},
         )
         with _daemon(tmp_path, workers=2) as (server, path):
             replies = [None, None]
 
             def submit(slot, delay):
-                import time
                 time.sleep(delay)
                 with connect(path) as client:
                     replies[slot] = client.submit(job)
@@ -167,32 +173,6 @@ class TestDedup:
             assert sorted(r["dedup"] for r in replies) == [False, True]
             assert server.stats.deduped == 1
             assert server.stats.completed == 1  # one computation, two answers
-
-
-class TestFaultedJobs:
-    def test_killed_worker_is_retried_to_the_clean_verdict(self, tmp_path):
-        """A SIGKILLed engine worker mid-job must not change the verdict:
-        the portfolio's supervision relaunches it with backoff."""
-        config = {"jobs": 2, "engines": ["bmc"], "max_bound": 10,
-                  "retry_backoff": 0.01}
-        clean = _solve_job(circuit=_unsafe_counter(), config=config)
-        faulted = _solve_job(
-            circuit=_unsafe_counter(), config=config,
-            faults={"specs": [{"kind": "kill_worker", "engine": "bmc",
-                               "after": 1}]},
-        )
-        with _daemon(tmp_path, workers=2) as (_server, path):
-            with connect(path) as client:
-                # Faulted first: the daemon's shared cache must not have
-                # seen this circuit yet, or every solve is a hit and the
-                # kill never fires.
-                faulted_reply = client.submit(faulted)
-                clean_reply = client.submit(clean)
-        assert (clean_reply["result"]["status"]
-                == faulted_reply["result"]["status"]
-                == "counterexample")
-        report = faulted_reply["result"]["reports"][0]
-        assert report["retries"] >= 1
 
 
 class TestPersistence:

@@ -2,12 +2,13 @@
 
 The PR's acceptance criteria: a traced run's span totals for the
 model-check / simulate / backtrace / generate phases agree with the
-``CegarStats`` t_MC / t_Simu / t_BT / t_Gen fields within 5%, worker
-spans from portfolio processes merge onto the parent timeline, and the
-CLI round-trips a trace file through ``trace summarize``.
+``CegarStats`` t_MC / t_Simu / t_BT / t_Gen fields within 5%, every
+portfolio engine that ran has its span, and the CLI round-trips a
+trace file through ``trace summarize``.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -73,22 +74,31 @@ class TestStatsAgreement:
 
 
 class TestPortfolioTrace:
-    def test_worker_spans_merge_onto_parent_timeline(self):
+    def test_one_engine_span_per_engine_that_ran(self, monkeypatch):
+        import repro.cegar.speculate as speculate
+
+        results = []
+        real = speculate.verify_portfolio
+
+        def recording(*args, **kwargs):
+            result = real(*args, **kwargs)
+            results.append(result)
+            return result
+
+        monkeypatch.setattr(speculate, "verify_portfolio", recording)
         task = make_contract_task(build_sodor(TINY))
         tracer = Tracer()
         result = run_compass(task, CegarConfig(
-            **KNOBS, engine="portfolio", jobs=2, trace=tracer))
-        summary = summary_from_events(tracer.snapshot_events())
-        assert result.stats.portfolio_calls > 0
-        # Worker events carry the worker pid as the track id; process
-        # mode therefore yields more than one track, each labelled.
-        if len(summary.tracks) > 1:
-            assert summary.track_labels
-            assert any("worker" in label
-                       for label in summary.track_labels.values())
-            engine_spans = [s for s in summary.spans if s.cat == "engine"]
-            assert engine_spans
-        # Either way the cache counters flowed through the tracer.
+            **KNOBS, engine="portfolio", trace=tracer))
+        assert result.stats.portfolio_calls == len(results) > 0
+        ran = Counter(report.engine for call in results
+                      for report in call.reports
+                      if report.status not in ("not_run", "cached"))
+        spans = Counter(event["args"]["engine"]
+                        for event in tracer.snapshot_events()
+                        if event["type"] == "span"
+                        and event["name"] == "portfolio.engine")
+        assert ran and spans == ran
         totals = tracer.counter_totals()
         assert (totals.get("solve_cache.misses", 0)
                 + totals.get("solve_cache.hits", 0)

@@ -55,8 +55,8 @@ def test_engines_agree(seed):
     pdr = pdr_prove(circuit, PROP, max_frames=30, time_limit=30)
     por = verify_portfolio(
         circuit, PROP,
-        PortfolioConfig(force_sequential=True, max_bound=MAX_BOUND,
-                        induction_max_k=5, time_limit=60),
+        PortfolioConfig(max_bound=MAX_BOUND, induction_max_k=5,
+                        time_limit=60),
     )
 
     found = bmc.status is BmcStatus.COUNTEREXAMPLE
@@ -98,8 +98,8 @@ def test_engines_agree(seed):
 
 
 def test_process_portfolio_agrees_with_engines():
-    """Process-mode spot check: racing workers match the in-process
-    verdicts on a violating and a non-violating fuzzed circuit."""
+    """Spot check of the default portfolio lineup against plain BMC on
+    a violating and a non-violating fuzzed circuit."""
     verdicts = {}
     for seed in SEEDS:
         circuit = random_machine(seed)
@@ -113,7 +113,7 @@ def test_process_portfolio_agrees_with_engines():
         circuit = random_machine(seed)
         por = verify_portfolio(
             circuit, PROP,
-            PortfolioConfig(jobs=2, max_bound=MAX_BOUND, induction_max_k=5,
+            PortfolioConfig(max_bound=MAX_BOUND, induction_max_k=5,
                             time_limit=60),
         )
         if violating:

@@ -198,8 +198,8 @@ class TestStaticPortfolioEngine:
         assert "static" in ALL_ENGINE_NAMES
         res = verify_portfolio(
             _safe_machine(), PROP,
-            PortfolioConfig(engines=("static",), force_sequential=True,
-                            max_bound=10, time_limit=60),
+            PortfolioConfig(engines=("static",), max_bound=10,
+                            time_limit=60),
         )
         assert res.status is PortfolioStatus.PROVED
         assert res.winner == "static"
@@ -213,8 +213,8 @@ class TestStaticPortfolioEngine:
 
         res = verify_portfolio(
             _unsafe_counter(), PROP,
-            PortfolioConfig(engines=("static",), force_sequential=True,
-                            max_bound=10, time_limit=60),
+            PortfolioConfig(engines=("static",), max_bound=10,
+                            time_limit=60),
         )
         assert res.status is PortfolioStatus.COUNTEREXAMPLE
         wf = res.counterexample.replay(_unsafe_counter())
@@ -229,8 +229,8 @@ class TestStaticPortfolioEngine:
 
         res = verify_portfolio(
             _input_gated(), PROP,
-            PortfolioConfig(engines=("static", "bmc"), force_sequential=True,
-                            max_bound=10, time_limit=60),
+            PortfolioConfig(engines=("static", "bmc"), max_bound=10,
+                            time_limit=60),
         )
         assert res.status is PortfolioStatus.COUNTEREXAMPLE
         assert res.winner == "bmc"

@@ -105,7 +105,19 @@ class TestEncoding:
         doc.update(version=2, speculation=None)
         path = str(tmp_path / "journal-000000.ckpt")
         write_segment(path, [dumps(doc)])
-        with pytest.raises(CheckpointError, match="format version 2 != 3"):
+        with pytest.raises(CheckpointError, match="format version 2 != 4"):
+            _read(path)
+
+    def test_v3_entry_is_refused(self, tmp_path):
+        from repro.codec import dumps, to_doc
+        from repro.store.segment import write_segment
+
+        doc = to_doc(_checkpoint())
+        doc["version"] = 3
+        doc["stats"].update(worker_crashes=0, worker_retries=0)
+        path = str(tmp_path / "journal-000000.ckpt")
+        write_segment(path, [dumps(doc)])
+        with pytest.raises(CheckpointError, match="format version 3 != 4"):
             _read(path)
 
     def test_sequential_checkpoint_round_trips(self):

@@ -32,53 +32,20 @@ def _safe_machine(width=4):
 
 
 class TestVerdicts:
-    def test_counterexample_in_process_mode(self):
+    def test_cascade_stops_at_first_definitive_verdict(self):
         res = verify_portfolio(
             _unsafe_counter(), PROP,
-            PortfolioConfig(jobs=2, max_bound=10, time_limit=60),
+            PortfolioConfig(max_bound=10, time_limit=60),
         )
         assert res.status is PortfolioStatus.COUNTEREXAMPLE
         assert res.found_cex and not res.proved
-        assert res.mode == "process"
-        assert res.winner in ENGINE_NAMES
+        assert res.mode == "sequential"
+        assert res.winner == "bmc"
+        assert [r.engine for r in res.reports] == list(ENGINE_NAMES)
+        assert [r.status for r in res.reports[1:]] == ["not_run", "not_run"]
+        assert all(r.row() for r in res.reports)
         wf = res.counterexample.replay(_unsafe_counter())
         assert wf.value("bad", res.counterexample.length - 1) == 1
-
-    def test_proof_in_process_mode(self):
-        res = verify_portfolio(
-            _safe_machine(), PROP,
-            PortfolioConfig(jobs=2, max_bound=10, time_limit=60),
-        )
-        assert res.status is PortfolioStatus.PROVED
-        assert res.proved
-        # only unbounded engines can close a proof
-        assert res.winner in ("pdr", "kind")
-
-    def test_losers_are_reported(self):
-        res = verify_portfolio(
-            _unsafe_counter(), PROP,
-            PortfolioConfig(jobs=3, max_bound=10, time_limit=60),
-        )
-        assert {r.engine for r in res.reports} == set(ENGINE_NAMES)
-        winners = [r for r in res.reports if r.winner]
-        assert len(winners) == 1 and winners[0].engine == res.winner
-        assert all(r.row() for r in res.reports)
-
-    def test_jobs_one_runs_sequential(self):
-        res = verify_portfolio(
-            _unsafe_counter(), PROP,
-            PortfolioConfig(jobs=1, max_bound=10, time_limit=60),
-        )
-        assert res.mode == "sequential"
-        assert res.status is PortfolioStatus.COUNTEREXAMPLE
-
-    def test_force_sequential(self):
-        res = verify_portfolio(
-            _safe_machine(), PROP,
-            PortfolioConfig(force_sequential=True, max_bound=10, time_limit=60),
-        )
-        assert res.mode == "sequential"
-        assert res.status is PortfolioStatus.PROVED
 
     def test_single_engine_subset(self):
         res = verify_portfolio(
@@ -87,6 +54,23 @@ class TestVerdicts:
         )
         assert res.status is PortfolioStatus.COUNTEREXAMPLE
         assert res.winner == "bmc"
+
+    def test_static_engine_detail_reaches_the_report(self):
+        """The static engine's reason and suspect count land in its
+        report, not only in the verdict record."""
+        b = ModuleBuilder("gated")
+        x = b.input("x", 4)
+        c = b.reg("cnt", 4)
+        c.drive(c ^ x)  # bad depends on the free input: ternary-unknown
+        b.output("bad", c.eq(5))
+        res = verify_portfolio(
+            b.build(), PROP,
+            PortfolioConfig(engines=("static",), max_bound=10, time_limit=60),
+        )
+        (report,) = res.reports
+        assert report.status == "unknown"
+        assert report.detail.startswith("bad is not separable")
+        assert report.detail.endswith(" suspects")
 
 
 class TestValidation:
@@ -111,16 +95,15 @@ class TestBudgets:
         circ = random_machine(14)
         full = verify_portfolio(
             circ, PROP,
-            PortfolioConfig(engines=("bmc",), force_sequential=True,
-                            max_bound=8),
+            PortfolioConfig(engines=("bmc",), max_bound=8),
         )
         assert full.status is PortfolioStatus.COUNTEREXAMPLE
 
         def budgeted():
             return verify_portfolio(
                 circ, PROP,
-                PortfolioConfig(engines=("bmc",), force_sequential=True,
-                                max_bound=8, max_conflicts=1),
+                PortfolioConfig(engines=("bmc",), max_bound=8,
+                                max_conflicts=1),
             )
 
         first, second = budgeted(), budgeted()
@@ -132,7 +115,7 @@ class TestBudgets:
     def test_engine_deadline_honored(self):
         res = verify_portfolio(
             _unsafe_counter(bad_at=9), PROP,
-            PortfolioConfig(force_sequential=True, max_bound=10,
+            PortfolioConfig(max_bound=10,
                             engine_deadlines={"bmc": 0.0, "pdr": 0.0,
                                               "kind": 0.0}),
         )
@@ -143,7 +126,7 @@ class TestBudgets:
     def test_overall_time_limit_zero(self):
         res = verify_portfolio(
             _unsafe_counter(), PROP,
-            PortfolioConfig(jobs=2, max_bound=10, time_limit=0.0),
+            PortfolioConfig(max_bound=10, time_limit=0.0),
         )
         assert res.status is PortfolioStatus.UNKNOWN
         assert all(r.status == "not_run" for r in res.reports)
@@ -152,7 +135,7 @@ class TestBudgets:
 class TestCache:
     def test_whole_verdict_memoized(self):
         cache = SolveCache()
-        cfg = PortfolioConfig(jobs=2, max_bound=10, time_limit=60)
+        cfg = PortfolioConfig(max_bound=10, time_limit=60)
         first = verify_portfolio(_unsafe_counter(), PROP, cfg, cache=cache)
         assert not first.cache_hit
         again = verify_portfolio(_unsafe_counter(), PROP, cfg, cache=cache)
@@ -163,21 +146,20 @@ class TestCache:
     def test_memo_respects_config(self):
         cache = SolveCache()
         verify_portfolio(_unsafe_counter(), PROP,
-                         PortfolioConfig(jobs=1, max_bound=10, time_limit=60),
+                         PortfolioConfig(max_bound=10, time_limit=60),
                          cache=cache)
         other = verify_portfolio(
             _unsafe_counter(), PROP,
-            PortfolioConfig(jobs=1, max_bound=9, time_limit=60), cache=cache)
+            PortfolioConfig(max_bound=9, time_limit=60), cache=cache)
         assert not other.cache_hit  # different max_bound, different key
 
     def test_sequential_engines_share_cache_entries(self):
-        """In degraded mode the k-induction base case reuses the frames
-        BMC just solved on the same netlist."""
+        """The k-induction base case reuses the frames BMC just solved
+        on the same netlist."""
         cache = SolveCache()
         res = verify_portfolio(
             _safe_machine(), PROP,
-            PortfolioConfig(force_sequential=True,
-                            engines=("bmc", "kind"),
+            PortfolioConfig(engines=("bmc", "kind"),
                             max_bound=4, induction_max_k=4, time_limit=60),
             cache=cache,
         )
@@ -189,28 +171,16 @@ class TestCertification:
     def test_pdr_proof_ships_validated_certificate(self):
         res = verify_portfolio(
             _safe_machine(), PROP,
-            PortfolioConfig(engines=("pdr",), force_sequential=True,
-                            time_limit=60),
+            PortfolioConfig(engines=("pdr",), time_limit=60),
         )
         assert res.status is PortfolioStatus.PROVED
-        assert res.certificate is not None
-        assert res.certificate_ok is True
-
-    def test_certificate_crosses_worker_boundary(self):
-        res = verify_portfolio(
-            _safe_machine(), PROP,
-            PortfolioConfig(engines=("pdr",), jobs=2, time_limit=60),
-        )
-        assert res.status is PortfolioStatus.PROVED
-        assert res.mode == "process"
         assert res.certificate is not None
         assert res.certificate_ok is True
 
     def test_certify_off_skips_validation(self):
         res = verify_portfolio(
             _safe_machine(), PROP,
-            PortfolioConfig(engines=("pdr",), force_sequential=True,
-                            time_limit=60, certify=False),
+            PortfolioConfig(engines=("pdr",), time_limit=60, certify=False),
         )
         assert res.status is PortfolioStatus.PROVED
         assert res.certificate is not None
@@ -227,26 +197,10 @@ class TestCertification:
             lambda *a, **kw: CertificateCheck(False, "injected failure"))
         res = verify_portfolio(
             _safe_machine(), PROP,
-            PortfolioConfig(engines=("pdr",), force_sequential=True,
-                            time_limit=60),
+            PortfolioConfig(engines=("pdr",), time_limit=60),
         )
         assert res.status is PortfolioStatus.UNKNOWN
         assert res.certificate_ok is False
         assert res.winner is None
         assert any("certificate rejected" in r.detail for r in res.reports)
 
-
-class TestDegradation:
-    def test_falls_back_when_spawning_unavailable(self, monkeypatch):
-        import repro.formal.portfolio as pf
-
-        def broken(*args, **kwargs):
-            raise OSError("no process spawning here")
-
-        monkeypatch.setattr(pf, "_run_processes", broken)
-        res = verify_portfolio(
-            _unsafe_counter(), PROP,
-            PortfolioConfig(jobs=2, max_bound=10, time_limit=60),
-        )
-        assert res.mode == "sequential"
-        assert res.status is PortfolioStatus.COUNTEREXAMPLE

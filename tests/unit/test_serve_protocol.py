@@ -30,7 +30,7 @@ def _solve_job(**config):
         "kind": "solve",
         "circuit": circuit_to_dict(_safe_machine()),
         "prop": {"bad": "bad"},
-        "config": dict({"jobs": 1, "max_bound": 6}, **config),
+        "config": dict({"max_bound": 6}, **config),
     }
 
 
@@ -122,7 +122,8 @@ class TestJobDigest:
         assert job_digest(a) == job_digest(b)
 
     def test_faults_change_identity(self):
-        """A faulted job must never dedup against its clean twin."""
+        """Every field is part of the identity, even one no handler
+        reads: a job with an extra field never dedups against its twin."""
         clean = {"kind": "verify", "core": {"name": "Sodor"}}
         faulted = dict(clean, faults={"specs": [
             {"kind": "kill_worker", "engine": "bmc"}]})
@@ -153,16 +154,6 @@ class TestRunJobErrors:
         job = _solve_job()
         job["config"]["rm_rf"] = True
         with pytest.raises(JobError, match="unknown solve config field"):
-            run_job(job)
-
-    def test_bad_fault_spec_rejected(self):
-        job = _solve_job()
-        job["faults"] = {"specs": [{"kind": "meteor_strike"}]}
-        with pytest.raises(JobError, match="bad fault spec"):
-            run_job(job)
-        job["faults"] = {"specs": [{"kind": "kill_worker", "engine": "bmc",
-                                    "payload": "x"}]}
-        with pytest.raises(JobError, match="unknown fault spec fields"):
             run_job(job)
 
     def test_bad_circuit_document(self):
@@ -205,7 +196,7 @@ class TestRunJobHappyPaths:
         c.drive(c + 1)
         b.output("bad", c.eq(3))
         job = {"kind": "solve", "circuit": circuit_to_dict(b.build()),
-               "prop": {"bad": "bad"}, "config": {"jobs": 1, "max_bound": 8}}
+               "prop": {"bad": "bad"}, "config": {"max_bound": 8}}
         result = run_job(job)
         assert result["status"] == "counterexample"
         cex = result["counterexample"]

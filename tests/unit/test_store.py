@@ -397,7 +397,7 @@ class TestStoreBackedCache:
         b.output("bad", c.eq(5))
         circuit = b.build()
         prop = SafetyProperty("p", "bad")
-        config = PortfolioConfig(jobs=1, max_bound=6, time_limit=60)
+        config = PortfolioConfig(max_bound=6, time_limit=60)
 
         with SolveStore(str(tmp_path)) as store:
             cold = verify_portfolio(circuit, prop, config,

@@ -37,7 +37,7 @@ def _run(store_dir: str) -> Dict[str, Any]:
     core = core_registry()["Sodor"](
         CoreConfig(xlen=4, imem_depth=4, dmem_depth=4, secret_words=1), True)
     task = make_contract_task(core)
-    config = CegarConfig(engine="portfolio", jobs=1, max_bound=3,
+    config = CegarConfig(engine="portfolio", max_bound=3,
                          total_time_limit=300.0, mc_time_limit=60.0,
                          max_refinements=30, sim_trials=16, sim_depth=8,
                          seed=0, store_dir=store_dir)
