@@ -14,17 +14,17 @@ import time
 
 from repro.bench.workloads import WORKLOADS
 from repro.cores import CoreConfig, build_rocket
-from repro.sim import make_simulator
+from repro.sim import BatchSimulator
 from repro.taint import TaintSources, blackbox_scheme, cellift_scheme, instrument
 
 
 def timed_run(circuit, initial_state, max_cycles=20000):
-    sim = make_simulator(circuit, compiled=True, initial_state=initial_state)
+    sim = BatchSimulator(circuit, lanes=1, initial_states=initial_state)
     started = time.monotonic()
     cycles = 0
     for cycles in range(1, max_cycles + 1):
-        sim.step({})
-        if sim.peek("core.halted"):
+        sim.advance({})
+        if sim.peek("core.halted", 0):
             break
     return time.monotonic() - started, cycles, sim
 
@@ -69,7 +69,7 @@ def main() -> None:
     data = workload.make_data(random.Random(0), cfg)
     _, _, sim = timed_run(design.circuit, core.initial_state_for(workload.program, data))
     tainted = [i for i in range(cfg.dmem_depth)
-               if sim.peek(design.taint_name[core.dmem_words[i]]) != 0]
+               if sim.peek(design.taint_name[core.dmem_words[i]], 0) != 0]
     print(f"\nafter rsort with inputs 0-3 tainted, tainted memory words: {tainted}")
     print("(sorting *branches* on tainted values, so taint reaches the PC and")
     print(" every subsequent store — dynamic IFT surfaces implicit flows too)")

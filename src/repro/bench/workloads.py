@@ -219,38 +219,6 @@ def workload_names() -> List[str]:
     return list(WORKLOADS)
 
 
-def run_workload_on_core(core, workload: Workload, seed: int = 0,
-                         compiled: bool = True, max_cycles: int = 20000):
-    """Execute a workload on a built core; returns (cycles, simulator).
-
-    Raises if the final data memory disagrees with the architectural
-    interpreter (self-checking).
-    """
-    from repro.sim import make_simulator
-
-    cfg = core.config
-    rng = random.Random(seed)
-    data = workload.make_data(rng, cfg)
-    expected = workload.expected_memory(data, cfg)
-    sim = make_simulator(core.circuit, compiled=compiled,
-                         initial_state=core.initial_state_for(workload.program, data))
-    cycles = 0
-    for cycles in range(1, max_cycles + 1):
-        sim.step({})
-        if sim.peek("core.halted"):
-            break
-    else:
-        raise RuntimeError(f"{workload.name} on {core.name}: no halt in {max_cycles}")
-    for address, value in enumerate(expected):
-        got = sim.peek(core.dmem_words[address])
-        if got != value:
-            raise AssertionError(
-                f"{workload.name} on {core.name}: mem[{address}] = {got}, "
-                f"expected {value}"
-            )
-    return cycles, sim
-
-
 def run_workload_batch(core, workload: Workload, seeds: Sequence[int],
                        circuit=None, max_cycles: int = 20000,
                        self_check: bool = True, tracer=None):
@@ -261,7 +229,7 @@ def run_workload_batch(core, workload: Workload, seeds: Sequence[int],
     (same program, per-seed data memory).  Lanes run until every lane's
     ``core.halted`` fires; a lane's data memory is snapshotted at its own
     halt cycle and (by default) checked against the architectural
-    interpreter, exactly as the scalar runner does.
+    interpreter.  One seed is one lane: this is also the single-run path.
 
     ``circuit`` overrides the simulated netlist (e.g. a taint-
     instrumented variant of ``core.circuit`` sharing its signal names).

@@ -32,6 +32,13 @@ def _core_names() -> List[str]:
     return list(core_registry())
 
 
+def _lane_count(text: str) -> int:
+    lanes = int(text)
+    if lanes < 1:
+        raise argparse.ArgumentTypeError(f"lane count must be >= 1, got {lanes}")
+    return lanes
+
+
 def _build_core(args, with_shadow: bool = True):
     cfg = CoreConfig(
         xlen=args.xlen, imem_depth=args.imem, dmem_depth=args.dmem,
@@ -457,10 +464,8 @@ def cmd_overhead(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from repro.bench.workloads import (WORKLOADS, run_workload_batch,
-                                       run_workload_on_core)
+    from repro.bench.workloads import WORKLOADS, run_workload_batch
     from repro.taint import TaintSources, cellift_scheme, instrument
-    from repro.sim import make_simulator
 
     if args.remote and _remote_allowed(args, _SIMULATE_LOCAL_ONLY):
         job = {"kind": "simulate", "core": args.core,
@@ -489,16 +494,16 @@ def cmd_simulate(args) -> int:
     cfg = CoreConfig.simulation()
     core = core_registry()[args.core](cfg, False)
     workload = WORKLOADS[args.workload]
+    # One lane per data seed, all lanes in one bit-parallel pass.
+    seeds = list(range(args.seed, args.seed + args.lanes))
+    started = time.monotonic()
+    cycles_per_lane, _sim = run_workload_batch(core, workload, seeds,
+                                               tracer=tracer)
+    elapsed = time.monotonic() - started
+    lane_steps = sum(cycles_per_lane)
+    if tracer is not None and elapsed > 0:
+        tracer.gauge("sim.steps_per_sec", lane_steps / elapsed)
     if args.lanes > 1:
-        # Bit-parallel sweep: one lane per data seed, one pass.
-        seeds = list(range(args.seed, args.seed + args.lanes))
-        started = time.monotonic()
-        cycles_per_lane, sim = run_workload_batch(core, workload, seeds,
-                                                  tracer=tracer)
-        elapsed = time.monotonic() - started
-        lane_steps = sum(cycles_per_lane)
-        if tracer is not None and elapsed > 0:
-            tracer.gauge("sim.steps_per_sec", lane_steps / elapsed)
         print(f"{workload.name} on {core.name}: {args.lanes} lanes "
               f"(seeds {seeds[0]}..{seeds[-1]}), "
               f"{min(cycles_per_lane)}-{max(cycles_per_lane)} cycles/lane, "
@@ -506,40 +511,23 @@ def cmd_simulate(args) -> int:
               "lane-steps/s (every lane self-checked against the ISA "
               "interpreter)")
     else:
-        started = time.monotonic()
-        cycles, sim = run_workload_on_core(core, workload, seed=args.seed)
-        elapsed = time.monotonic() - started
-        if tracer is not None:
-            tracer.gauge("sim.lanes", 1)
-            tracer.count("sim.steps", cycles)
-            tracer.count("sim.lane_steps", cycles)
-            if elapsed > 0:
-                tracer.gauge("sim.steps_per_sec", cycles / elapsed)
-        print(f"{workload.name} on {core.name}: {cycles} cycles, {elapsed:.3f}s "
-              "(self-checked against the ISA interpreter)")
+        print(f"{workload.name} on {core.name}: {cycles_per_lane[0]} cycles, "
+              f"{elapsed:.3f}s (self-checked against the ISA interpreter)")
     if args.taint:
         sources = TaintSources(registers={core.dmem_words[i]: -1 for i in range(4)})
         design = instrument(core.circuit, cellift_scheme(), sources)
-        import random
-
-        if args.lanes > 1:
-            tcycles, tsim = run_workload_batch(
-                core, workload, seeds, circuit=design.circuit, tracer=tracer)
-            for lane, seed in enumerate(seeds):
-                tainted = [i for i in range(cfg.dmem_depth)
-                           if tsim.peek(design.taint_name[core.dmem_words[i]],
-                                        lane) != 0]
+        _tcycles, tsim = run_workload_batch(
+            core, workload, seeds, circuit=design.circuit, tracer=tracer)
+        for lane, seed in enumerate(seeds):
+            tainted = [i for i in range(cfg.dmem_depth)
+                       if tsim.peek(design.taint_name[core.dmem_words[i]],
+                                    lane) != 0]
+            if args.lanes > 1:
                 print(f"  seed {seed}: tainted memory words "
                       f"(inputs 0-3 tainted): {tainted}")
-        else:
-            data = workload.make_data(random.Random(args.seed), cfg)
-            tsim = make_simulator(design.circuit, compiled=True,
-                                  initial_state=core.initial_state_for(workload.program, data))
-            for _ in range(cycles):
-                tsim.step({})
-            tainted = [i for i in range(cfg.dmem_depth)
-                       if tsim.peek(design.taint_name[core.dmem_words[i]]) != 0]
-            print(f"tainted memory words after run (inputs 0-3 tainted): {tainted}")
+            else:
+                print("tainted memory words after run "
+                      f"(inputs 0-3 tainted): {tainted}")
     if tracer is not None:
         from repro.obs import write_trace_file
 
@@ -873,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--core", choices=_core_names(), default="Rocket")
     p.add_argument("--workload", default="median")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lanes", type=int, default=1, metavar="K",
+    p.add_argument("--lanes", type=_lane_count, default=1, metavar="K",
                    help="run K data seeds bit-parallel (one lane per seed, "
                         "one simulation pass; seeds are SEED..SEED+K-1)")
     p.add_argument("--taint", action="store_true",

@@ -125,13 +125,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def merge(self, other: "CacheStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stores += other.stores
-        self.evictions += other.evictions
-        self.rejected += other.rejected
-
     def row(self) -> str:
         rejected = f", {self.rejected} rejected" if self.rejected else ""
         return (

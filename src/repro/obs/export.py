@@ -80,13 +80,6 @@ def write_chrome_trace(tracer, stream: TextIO) -> None:
                 "tid": event["tid"],
                 "args": {"value": event["value"]},
             })
-        elif kind == "meta":
-            trace_events.append({
-                "name": "process_name",
-                "ph": "M",
-                "pid": event["pid"],
-                "args": {"name": event["label"]},
-            })
     json.dump({"traceEvents": trace_events, "displayTimeUnit": "ms"},
               stream, default=str)
     stream.write("\n")

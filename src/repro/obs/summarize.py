@@ -45,7 +45,6 @@ class TraceSummary:
     spans: List[SpanRecord]
     counters: Dict[str, float]
     gauges: Dict[str, float]
-    track_labels: Dict[int, str] = field(default_factory=dict)
 
     @property
     def tracks(self) -> List[Tuple[int, int]]:
@@ -109,7 +108,6 @@ def _load_chrome(doc) -> TraceSummary:
     events = doc.get("traceEvents", doc) if isinstance(doc, dict) else doc
     spans: List[SpanRecord] = []
     last_counter: Dict[Tuple[int, str], float] = {}
-    labels: Dict[int, str] = {}
     for event in events:
         ph = event.get("ph")
         if ph == "X":
@@ -125,15 +123,13 @@ def _load_chrome(doc) -> TraceSummary:
         elif ph == "C":
             value = (event.get("args") or {}).get("value", 0)
             last_counter[(int(event.get("pid", 0)), str(event["name"]))] = float(value)
-        elif ph == "M" and event.get("name") == "process_name":
-            labels[int(event.get("pid", 0))] = str((event.get("args") or {}).get("name", ""))
     # Chrome "C" events carry per-process running totals: the final
     # value per (pid, name) is that process's total; sum across pids.
     counters: Dict[str, float] = defaultdict(float)
     for (_pid, name), value in last_counter.items():
         counters[name] += value
     _link_nesting(spans)
-    return TraceSummary(spans, dict(counters), {}, labels)
+    return TraceSummary(spans, dict(counters), {})
 
 
 def _load_jsonl(lines: List[str]) -> TraceSummary:
@@ -152,7 +148,6 @@ def summary_from_events(events: List[Dict]) -> TraceSummary:
     spans: List[SpanRecord] = []
     counters: Dict[str, float] = defaultdict(float)
     gauges: Dict[str, float] = {}
-    labels: Dict[int, str] = {}
     for event in events:
         kind = event.get("type")
         if kind == "span":
@@ -169,10 +164,8 @@ def summary_from_events(events: List[Dict]) -> TraceSummary:
             counters[str(event["name"])] += float(event["value"])
         elif kind == "gauge":
             gauges[str(event["name"])] = float(event["value"])
-        elif kind == "meta":
-            labels[int(event["pid"])] = str(event.get("label", ""))
     _link_nesting(spans)
-    return TraceSummary(spans, dict(counters), gauges, labels)
+    return TraceSummary(spans, dict(counters), gauges)
 
 
 def load_trace(path: str) -> TraceSummary:
@@ -203,8 +196,6 @@ def render_summary(summary: TraceSummary, top: int = 15) -> str:
         f"{len(summary.spans)} spans on {len(summary.tracks)} track(s), "
         f"wall {summary.wall:.2f}s"
     )
-    for pid, label in sorted(summary.track_labels.items()):
-        lines.append(f"  track pid={pid}: {label}")
 
     cats = summary.category_totals()
     if cats:

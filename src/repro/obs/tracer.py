@@ -8,9 +8,7 @@ conflicts a frame cost.  This module provides the primitives:
 
 - :class:`Tracer` — records hierarchical *spans* (named wall-clock
   intervals, nestable via context manager, thread-safe) plus *counter*
-  and *gauge* metrics.  Events are plain dicts; another tracer's
-  events can be merged onto this timeline (:meth:`Tracer.adopt`), with
-  their pid as the track id.
+  and *gauge* metrics.  Events are plain dicts.
 - :data:`NULL_TRACER` — the disabled singleton.  Its spans still
   measure wall clock (the CEGAR loop feeds span elapsed times into the
   Table-3 statistics either way) but record nothing, so tracing
@@ -98,9 +96,7 @@ class Tracer:
     """Thread-safe span/counter/gauge recorder.
 
     Events are stored as plain dicts with *absolute* ``time.monotonic()``
-    timestamps (``CLOCK_MONOTONIC`` is system-wide, so worker-process
-    events recorded against the same clock merge onto one timeline);
-    exporters rebase them against :attr:`epoch`.
+    timestamps; exporters rebase them against :attr:`epoch`.
 
     Event shapes::
 
@@ -108,7 +104,6 @@ class Tracer:
          "pid", "tid", "args"}
         {"type": "counter", "name", "ts", "value", "pid", "tid"}
         {"type": "gauge", "name", "ts", "value", "pid", "tid"}
-        {"type": "meta", "pid", "label"}
     """
 
     enabled = True
@@ -195,30 +190,6 @@ class Tracer:
         with self._lock:
             return dict(self._counters)
 
-    # -- cross-process merging -----------------------------------------
-    def adopt(self, events: List[Dict[str, Any]]) -> None:
-        """Merge events recorded by another tracer (e.g. a worker).
-
-        Worker events carry the worker's own pid/tid, which become the
-        track ids in the merged timeline; counter events are folded
-        into this tracer's running totals.
-        """
-        if not events:
-            return
-        with self._lock:
-            for event in events:
-                if event.get("type") == "counter":
-                    name = str(event["name"])
-                    self._counters[name] = (
-                        self._counters.get(name, 0) + event["value"]
-                    )
-            self._events.extend(events)
-
-    def label_track(self, pid: int, label: str) -> None:
-        """Give a process track a human-readable name in trace viewers."""
-        with self._lock:
-            self._events.append({"type": "meta", "pid": pid, "label": label})
-
     def snapshot_events(self) -> List[Dict[str, Any]]:
         """A copy of the recorded events (plain data, pickles cleanly)."""
         with self._lock:
@@ -267,12 +238,6 @@ class NullTracer:
 
     def counter_totals(self) -> Dict[str, float]:
         return {}
-
-    def adopt(self, events) -> None:
-        pass
-
-    def label_track(self, pid: int, label: str) -> None:
-        pass
 
     def snapshot_events(self) -> List[Dict[str, Any]]:
         return []

@@ -226,8 +226,7 @@ def _run_analyze(job, cache, tracer, deadline):
 
 
 def _run_simulate(job, cache, tracer, deadline):
-    from repro.bench.workloads import (WORKLOADS, run_workload_batch,
-                                       run_workload_on_core)
+    from repro.bench.workloads import WORKLOADS, run_workload_batch
     from repro.cores import CoreConfig, core_registry
 
     registry = core_registry()
@@ -242,15 +241,12 @@ def _run_simulate(job, cache, tracer, deadline):
     workload = WORKLOADS[workload_name]
     seed = int(job.get("seed", 0))
     lanes = int(job.get("lanes", 1))
+    if lanes < 1:
+        raise JobError(f"lane count must be >= 1, got {lanes}")
     started = time.monotonic()
-    if lanes > 1:
-        seeds = list(range(seed, seed + lanes))
-        cycles, _sim = run_workload_batch(core, workload, seeds,
-                                          tracer=tracer)
-        cycles = list(cycles)
-    else:
-        count, _sim = run_workload_on_core(core, workload, seed=seed)
-        cycles = [count]
+    cycles, _sim = run_workload_batch(core, workload,
+                                      range(seed, seed + lanes),
+                                      tracer=tracer)
     return {
         "kind": "simulate",
         "core": core.name,

@@ -6,13 +6,13 @@ and VCD export for debugging.  :class:`BatchSimulator` runs K
 testbenches bit-parallel in one pass (see ``docs/simulation.md``).
 """
 
-from repro.sim.simulator import Simulator, CompiledSimulator, SimulationError, make_simulator
+from repro.sim.simulator import Simulator, SimulationError
 from repro.sim.batch import BatchSimulator, BatchProgram, batch_program_for
 from repro.sim.waveform import Waveform, BatchWaveform
 from repro.sim.vcd import write_vcd, write_vcd_file
 
 __all__ = [
-    "Simulator", "CompiledSimulator", "SimulationError", "make_simulator",
+    "Simulator", "SimulationError",
     "BatchSimulator", "BatchProgram", "batch_program_for",
     "Waveform", "BatchWaveform", "write_vcd", "write_vcd_file",
 ]

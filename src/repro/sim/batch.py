@@ -1,7 +1,7 @@
 """Bit-parallel batch simulation: K testbenches per Python integer.
 
-The scalar engines (:class:`~repro.sim.simulator.Simulator` and its
-compiled twin) evaluate one stimulus at a time.  But every cell
+The scalar :class:`~repro.sim.simulator.Simulator` evaluates one
+stimulus at a time.  But every cell
 semantics in :func:`repro.hdl.cells.evaluate_cell` is bitwise-definable,
 and Python integers are arbitrary-width — so the design can be
 *transposed*: instead of one W-bit value per signal, hold W integer

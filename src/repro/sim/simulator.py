@@ -1,20 +1,17 @@
 """Cycle-accurate simulation of circuits.
 
-Two engines share one semantics (defined by
-:func:`repro.hdl.cells.evaluate_cell`):
-
-- :class:`Simulator` — a straightforward interpreter; the reference
-  implementation used by unit tests and the CEGAR loop.
-- :class:`CompiledSimulator` — generates a Python step function with
-  ``compile``/``exec`` for the Figure 6 simulation benchmarks; ~5-15x
-  faster on processor-sized circuits, bit-for-bit identical results.
+:class:`Simulator` is a straightforward interpreter of the semantics
+defined by :func:`repro.hdl.cells.evaluate_cell`: the reference engine
+used by unit tests, counterexample replay and the CEGAR loop.  The fast
+engine is :class:`repro.sim.batch.BatchSimulator`, which compiles the
+circuit to bit planes and runs any number of lanes, one included.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro.hdl.cells import Cell, CellOp, evaluate_cell
+from repro.hdl.cells import Cell, evaluate_cell
 from repro.hdl.circuit import Circuit
 from repro.sim.waveform import Waveform
 
@@ -116,106 +113,3 @@ class Simulator:
             self._clock()
             self.cycle += 1
         return waveform
-
-
-class CompiledSimulator(Simulator):
-    """Simulator with a codegen'd combinational step function."""
-
-    def __init__(self, circuit: Circuit, initial_state: Optional[Mapping[str, int]] = None) -> None:
-        self._step_fn = None
-        super().__init__(circuit, initial_state)
-        self._step_fn = _compile_step(circuit, self._order)
-
-    def _evaluate_comb(self, inputs: Mapping[str, int]) -> None:
-        if self._step_fn is None:
-            super()._evaluate_comb(inputs)
-            return
-        for sig in self.circuit.inputs:
-            if sig.name not in inputs:
-                raise SimulationError(f"missing input {sig.name!r}")
-            value = inputs[sig.name]
-            if not (0 <= value <= sig.mask):
-                raise SimulationError(f"input {sig.name!r}: value {value} exceeds width {sig.width}")
-            self._values[sig.name] = value
-        self._step_fn(self._values)
-
-
-def _compile_step(circuit: Circuit, order: List[Cell]):
-    """Generate ``def _step(v): ...`` computing all combinational values."""
-    lines = ["def _step(v):"]
-    if not order:
-        lines.append("    pass")
-
-    def ref(name: str) -> str:
-        return f"v[{name!r}]"
-
-    for cell in order:
-        out = ref(cell.out.name)
-        ins = [ref(s.name) for s in cell.ins]
-        mask = cell.out.mask
-        op = cell.op
-        if op is CellOp.CONST:
-            expr = str(cell.param("value"))
-        elif op is CellOp.BUF:
-            expr = ins[0]
-        elif op is CellOp.NOT:
-            expr = f"(~{ins[0]}) & {mask}"
-        elif op is CellOp.AND:
-            expr = " & ".join(ins)
-        elif op is CellOp.OR:
-            expr = " | ".join(ins)
-        elif op is CellOp.XOR:
-            expr = " ^ ".join(ins)
-        elif op is CellOp.MUX:
-            expr = f"{ins[1]} if {ins[0]} else {ins[2]}"
-        elif op is CellOp.ADD:
-            expr = f"({ins[0]} + {ins[1]}) & {mask}"
-        elif op is CellOp.SUB:
-            expr = f"({ins[0]} - {ins[1]}) & {mask}"
-        elif op is CellOp.EQ:
-            expr = f"1 if {ins[0]} == {ins[1]} else 0"
-        elif op is CellOp.NEQ:
-            expr = f"1 if {ins[0]} != {ins[1]} else 0"
-        elif op is CellOp.ULT:
-            expr = f"1 if {ins[0]} < {ins[1]} else 0"
-        elif op is CellOp.ULE:
-            expr = f"1 if {ins[0]} <= {ins[1]} else 0"
-        elif op is CellOp.SHL:
-            expr = f"({ins[0]} << {ins[1]}) & {mask} if {ins[1]} < {cell.out.width} else 0"
-        elif op is CellOp.SHR:
-            expr = f"({ins[0]} >> {ins[1]}) if {ins[1]} < {cell.out.width} else 0"
-        elif op is CellOp.CONCAT:
-            parts = []
-            shift = 0
-            for sig, in_ref in zip(reversed(cell.ins), reversed(ins)):
-                part = f"(({in_ref} & {sig.mask}) << {shift})" if shift else f"({in_ref} & {sig.mask})"
-                parts.append(part)
-                shift += sig.width
-            expr = " | ".join(parts)
-        elif op is CellOp.SLICE:
-            lo, hi = cell.param("lo"), cell.param("hi")
-            expr = f"({ins[0]} >> {lo}) & {(1 << (hi - lo + 1)) - 1}"
-        elif op is CellOp.ZEXT:
-            expr = ins[0]
-        elif op is CellOp.SEXT:
-            in_w = cell.ins[0].width
-            high = mask & ~((1 << in_w) - 1)
-            expr = f"{ins[0]} | {high} if {ins[0]} >> {in_w - 1} else {ins[0]}"
-        elif op is CellOp.REDOR:
-            expr = f"1 if {ins[0]} else 0"
-        elif op is CellOp.REDAND:
-            expr = f"1 if {ins[0]} == {cell.ins[0].mask} else 0"
-        elif op is CellOp.REDXOR:
-            expr = f"bin({ins[0]}).count('1') & 1"
-        else:  # pragma: no cover
-            raise ValueError(f"cannot compile op {op}")
-        lines.append(f"    {out} = {expr}")
-    namespace: Dict[str, object] = {}
-    exec(compile("\n".join(lines), f"<compiled:{circuit.name}>", "exec"), namespace)
-    return namespace["_step"]
-
-
-def make_simulator(circuit: Circuit, compiled: bool = False, **kwargs) -> Simulator:
-    """Factory: pick the interpreter or the compiled engine."""
-    cls = CompiledSimulator if compiled else Simulator
-    return cls(circuit, **kwargs)

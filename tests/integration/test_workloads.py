@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from repro.bench.workloads import WORKLOADS, run_workload_on_core
+from repro.bench.workloads import WORKLOADS, run_workload_batch
 from repro.cores import CoreConfig, core_registry
-from repro.sim import make_simulator
+from repro.sim import BatchSimulator
 from repro.taint import TaintSources, cellift_scheme, instrument
 
 CFG = CoreConfig.simulation()
@@ -21,19 +21,36 @@ def _core(name):
     return _CORES[name]
 
 
+#: Halt cycle of each (core, workload) at data seed 3, as recorded by the
+#: scalar engine; a one-lane batch run must reproduce every count.
+SEED3_CYCLES = {
+    ("Sodor", "matrix_mul"): 168, ("Sodor", "median"): 128,
+    ("Sodor", "qsort"): 176, ("Sodor", "rsa"): 84, ("Sodor", "rsort"): 296,
+    ("Rocket", "matrix_mul"): 188, ("Rocket", "median"): 148,
+    ("Rocket", "qsort"): 200, ("Rocket", "rsa"): 97, ("Rocket", "rsort"): 318,
+    ("BOOM", "matrix_mul"): 220, ("BOOM", "median"): 224,
+    ("BOOM", "qsort"): 320, ("BOOM", "rsa"): 125, ("BOOM", "rsort"): 548,
+    ("BOOM-S", "matrix_mul"): 220, ("BOOM-S", "median"): 224,
+    ("BOOM-S", "qsort"): 320, ("BOOM-S", "rsa"): 125, ("BOOM-S", "rsort"): 548,
+    ("ProSpeCT-S", "matrix_mul"): 220, ("ProSpeCT-S", "median"): 224,
+    ("ProSpeCT-S", "qsort"): 320, ("ProSpeCT-S", "rsa"): 125,
+    ("ProSpeCT-S", "rsort"): 548,
+}
+
+
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
 @pytest.mark.parametrize("core_name", ["Sodor", "Rocket", "BOOM", "BOOM-S", "ProSpeCT-S"])
 def test_workload_runs_self_checked(core_name, workload_name):
-    cycles, _sim = run_workload_on_core(
-        _core(core_name), WORKLOADS[workload_name], seed=3,
+    (cycles,), _sim = run_workload_batch(
+        _core(core_name), WORKLOADS[workload_name], [3],
     )
-    assert cycles > 10
+    assert cycles == SEED3_CYCLES[core_name, workload_name]
 
 
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
 def test_workloads_deterministic(workload_name):
-    c1, _ = run_workload_on_core(_core("Rocket"), WORKLOADS[workload_name], seed=5)
-    c2, _ = run_workload_on_core(_core("Rocket"), WORKLOADS[workload_name], seed=5)
+    c1, _ = run_workload_batch(_core("Rocket"), WORKLOADS[workload_name], [5])
+    c2, _ = run_workload_batch(_core("Rocket"), WORKLOADS[workload_name], [5])
     assert c1 == c2
 
 
@@ -46,10 +63,10 @@ def test_instrumentation_does_not_change_cycle_count():
                         TaintSources(registers={core.dmem_words[0]: -1}))
 
     def cycles_of(circuit):
-        sim = make_simulator(circuit, compiled=True, initial_state=init)
+        sim = BatchSimulator(circuit, lanes=1, initial_states=init)
         for n in range(1, 20000):
-            sim.step({})
-            if sim.peek("core.halted"):
+            sim.advance({})
+            if sim.peek("core.halted", 0):
                 return n
         raise AssertionError("no halt")
 
@@ -64,16 +81,16 @@ def test_taint_follows_sorted_data():
     data = {i: v for i, v in enumerate([9, 3, 7, 1, 8, 2, 6, 4])}
     sources = TaintSources(registers={core.dmem_words[0]: -1})  # value 9
     design = instrument(core.circuit, cellift_scheme(), sources)
-    sim = make_simulator(design.circuit, compiled=True,
-                         initial_state=core.initial_state_for(workload.program, data))
+    sim = BatchSimulator(design.circuit, lanes=1,
+                         initial_states=core.initial_state_for(workload.program, data))
     for _ in range(20000):
-        sim.step({})
-        if sim.peek("core.halted"):
+        sim.advance({})
+        if sim.peek("core.halted", 0):
             break
     tainted = {i for i in range(CFG.dmem_depth)
-               if sim.peek(design.taint_name[core.dmem_words[i]]) != 0}
+               if sim.peek(design.taint_name[core.dmem_words[i]], 0) != 0}
     # 9 sorts to index 7; its original slot 0 received an untainted value,
     # but slots the tainted value transited may be conservatively tainted.
     assert 7 in tainted
-    values = [sim.peek(core.dmem_words[i]) for i in range(8)]
+    values = [sim.peek(core.dmem_words[i], 0) for i in range(8)]
     assert values[:8] == sorted([9, 3, 7, 1, 8, 2, 6, 4])

@@ -9,7 +9,7 @@ differential-test on and checks the abstraction never lies:
 - the proven-clean ``bound`` it donates to ``start_bound`` is sound:
   any BMC violation lies strictly deeper;
 - every gate-level signal the ternary fixpoint pins to 0/1 holds that
-  value on random concrete stimuli in the compiled simulator.
+  value on random concrete stimuli in a one-lane batch simulation.
 """
 
 import random
@@ -20,7 +20,7 @@ from repro.analyze import constant_fixpoint, static_verify
 from repro.bench.fuzz import random_machine
 from repro.formal import BmcStatus, SafetyProperty, bounded_model_check
 from repro.hdl.lowering import lower_to_gates
-from repro.sim.simulator import CompiledSimulator
+from repro.sim import BatchSimulator
 
 SEEDS = range(60)
 MAX_BOUND = 8
@@ -79,9 +79,9 @@ def test_constprop_constants_hold_in_simulation(seed):
          for sig in lowered.circuit.inputs}
         for _ in range(16)
     ]
-    wf = CompiledSimulator(lowered.circuit).run(
+    wf = BatchSimulator(lowered.circuit, lanes=1).run(
         frames, record=list(constants)
-    )
+    ).lane(0)
     for name, expected in constants.items():
         trace = wf.trace(name)
         assert all(v == expected for v in trace), (

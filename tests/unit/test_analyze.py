@@ -421,26 +421,44 @@ class TestCegarPrescreen:
         assert result.stats.static_proofs == 1
         assert _frame_solves(tracer) == 0
 
-    def test_prescreen_skips_proven_bounds(self):
+    def _toy_task(self):
+        b = ModuleBuilder("m")
+        sec = b.reg("secret", 2)
+        sec.drive(sec)
+        pub = b.input("pub", 2)
+        b.output("sink", sec ^ pub)
+        return self._task(b.build(), ["sink"])
+
+    @staticmethod
+    def _tiny_sodor_task():
+        from repro.contracts import make_contract_task
+        from repro.cores import CoreConfig, core_registry
+
+        cfg = CoreConfig.formal(xlen=4, imem_depth=4, dmem_depth=4,
+                                secret_words=1)
+        return make_contract_task(core_registry()["Sodor"](cfg, True))
+
+    @pytest.mark.parametrize("make_task, max_bound, max_refinements", [
+        pytest.param("_toy_task", 4, 4, id="toy"),
+        pytest.param("_tiny_sodor_task", 2, 2, id="sodor"),
+    ])
+    def test_prescreen_skips_proven_bounds(self, make_task, max_bound,
+                                           max_refinements):
         """The pre-screen donates its ternary bound to BMC as
         start_bound: identical verdict, strictly fewer SAT frame
-        solves."""
+        solves.  Sequential engine, no induction and no simulation
+        pre-filter, so every iteration goes straight to BMC and the
+        frame count isolates what the pre-screen saves."""
         from repro.cegar.loop import CegarConfig, run_compass
         from repro.obs import Tracer
 
-        def build():
-            b = ModuleBuilder("m")
-            sec = b.reg("secret", 2)
-            sec.drive(sec)
-            pub = b.input("pub", 2)
-            b.output("sink", sec ^ pub)
-            return self._task(b.build(), ["sink"])
+        build = getattr(self, make_task)
 
         def run(prescreen):
             tracer = Tracer()
             config = CegarConfig(engine="sequential", use_induction=False,
-                                 sim_prefilter=False, max_bound=4,
-                                 max_refinements=4,
+                                 sim_prefilter=False, max_bound=max_bound,
+                                 max_refinements=max_refinements, seed=0,
                                  static_prescreen=prescreen, trace=tracer)
             result = run_compass(build(), config)
             return result, _frame_solves(tracer)

@@ -2,7 +2,7 @@
 
 These pin the *relations* that make batching trustworthy: lanes are
 independent (permutation invariance), broadcasting equals scalar runs,
-K=1 degenerates to the compiled engine, ragged stimulus is rejected up
+K=1 degenerates to the scalar interpreter, ragged stimulus is rejected up
 front, taint state slices per lane, coverage is the union of lanes, and
 the obs counters surface lane throughput.
 """
@@ -18,7 +18,6 @@ from repro.obs import Tracer
 from repro.obs.summarize import render_summary, summary_from_events
 from repro.sim import (
     BatchSimulator,
-    CompiledSimulator,
     Simulator,
     batch_program_for,
 )
@@ -82,18 +81,18 @@ class TestMetamorphic:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_single_lane_equals_compiled(self, seed):
-        """K=1 is just a slow spelling of CompiledSimulator."""
+        """The K=1 compiled program steps exactly like the interpreter."""
         circuit = random_machine(seed, width=4, max_regs=3, max_ops=8)
         rng = random.Random(seed + 300)
         widths = _input_widths(circuit)
         frames = [{n: rng.getrandbits(w) for n, w in widths.items()}
                   for _ in range(8)]
         bsim = BatchSimulator(circuit, lanes=1)
-        fast = CompiledSimulator(circuit)
+        ref = Simulator(circuit)
         for frame in frames:
             (batch_out,) = bsim.step([frame])
-            assert batch_out == fast.step(frame)
-        assert bsim.state(0) == fast.state()
+            assert batch_out == ref.step(frame)
+        assert bsim.state(0) == ref.state()
 
     def test_ragged_stimulus_rejected_up_front(self):
         circuit = random_machine(0, width=3)

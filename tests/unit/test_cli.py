@@ -41,6 +41,22 @@ class TestSimulate:
         assert "median on Sodor" in out
         assert "self-checked" in out
 
+    def test_single_lane_taint_output(self, capsys):
+        assert main(["simulate", "--core", "Sodor", "--workload", "median",
+                     "--taint"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("median on Sodor: 130 cycles, ")
+        assert lines[0].endswith("s (self-checked against the ISA interpreter)")
+        assert lines[1] == ("tainted memory words after run (inputs 0-3 "
+                            f"tainted): {list(range(32))}")
+
+    @pytest.mark.parametrize("lanes", ["0", "-3"])
+    def test_rejects_nonpositive_lanes(self, lanes, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", "--core", "Sodor", "--lanes", lanes])
+        assert info.value.code == 2
+        assert "lane count must be >= 1" in capsys.readouterr().err
+
 
 class TestLint:
     def test_selftest_passes(self, capsys):

@@ -123,25 +123,6 @@ class TestNullTracer:
         assert (Tracer() or NULL_TRACER).enabled
 
 
-class TestAdopt:
-    def test_adopt_merges_events_and_counters(self):
-        parent, worker = Tracer(), Tracer()
-        with worker.span("w", cat="engine"):
-            worker.count("sat.conflicts", 3)
-        parent.count("sat.conflicts", 2)
-        parent.adopt(worker.snapshot_events())
-        assert parent.counter_totals()["sat.conflicts"] == 5
-        names = [e["name"] for e in parent.snapshot_events()
-                 if e["type"] == "span"]
-        assert names == ["w"]
-
-    def test_label_track(self):
-        tracer = Tracer()
-        tracer.label_track(1234, "bmc worker")
-        (event,) = tracer.snapshot_events()
-        assert event == {"type": "meta", "pid": 1234, "label": "bmc worker"}
-
-
 def _sample_tracer():
     tracer = Tracer()
     with tracer.span("cegar.model-check", cat="mc", iteration=0):
@@ -152,12 +133,7 @@ def _sample_tracer():
     with tracer.span("cegar.replay", cat="simu"):
         pass
     tracer.gauge("depth", 2)
-    tracer.label_track(_pid(tracer), "main")
     return tracer
-
-
-def _pid(tracer):
-    return tracer.snapshot_events()[0]["pid"]
 
 
 class TestExportRoundTrip:
@@ -170,7 +146,6 @@ class TestExportRoundTrip:
         assert len(summary.spans) == 4
         assert summary.counters == {"sat.conflicts": 15}
         assert summary.gauges == {"depth": 2}
-        assert list(summary.track_labels.values()) == ["main"]
 
     def test_jsonl_timestamps_rebased(self, tmp_path):
         tracer = _sample_tracer()
@@ -186,7 +161,7 @@ class TestExportRoundTrip:
         with open(path, "w") as handle:
             write_chrome_trace(tracer, handle)
         doc = json.loads(path.read_text())
-        assert {e["ph"] for e in doc["traceEvents"]} == {"X", "C", "M"}
+        assert {e["ph"] for e in doc["traceEvents"]} == {"X", "C"}
         summary = load_trace(str(path))
         assert len(summary.spans) == 4
         # Chrome "C" events cannot distinguish counters from gauges, so

@@ -150,6 +150,12 @@ class TestRunJobErrors:
             run_job({"kind": "simulate", "core": "Rocket",
                      "workload": "crysis"})
 
+    @pytest.mark.parametrize("lanes", [0, -2])
+    def test_nonpositive_lanes_rejected(self, lanes):
+        with pytest.raises(JobError, match="lane count must be >= 1"):
+            run_job({"kind": "simulate", "core": "Sodor",
+                     "workload": "median", "lanes": lanes})
+
     def test_unknown_config_field_rejected(self):
         job = _solve_job()
         job["config"]["rm_rf"] = True
@@ -236,3 +242,11 @@ class TestRunJobHappyPaths:
         assert result["lanes"] == 2
         assert len(result["cycles"]) == 2
         json.dumps(result)
+
+    def test_simulate_job_single_lane(self):
+        result = run_job({"kind": "simulate", "core": "Sodor",
+                          "workload": "median", "seed": 2})
+        assert isinstance(result.pop("elapsed"), float)
+        assert result == {"kind": "simulate", "core": "Sodor",
+                          "workload": "median", "seed": 2, "lanes": 1,
+                          "cycles": [132]}

@@ -1,9 +1,10 @@
-"""Differential fuzzing: Simulator vs CompiledSimulator.
+"""Differential fuzzing: Simulator vs a one-lane BatchSimulator.
 
-The two engines must be indistinguishable — identical waveforms on
-valid stimulus AND identical error behavior on invalid stimulus.  The
-compiled engine used to mask out-of-range inputs with ``& sig.mask``
-where the interpreter raises; these tests pin the strict behavior.
+The interpreter and the compiled bit-plane engine must be
+indistinguishable — identical waveforms on valid stimulus AND identical
+error behavior on invalid stimulus.  A compiled engine once masked
+out-of-range inputs with ``& sig.mask`` where the interpreter raises;
+these tests pin the strict behavior.
 """
 
 import random
@@ -11,11 +12,16 @@ import random
 import pytest
 
 from repro.bench.fuzz import random_machine
-from repro.sim.simulator import CompiledSimulator, SimulationError, Simulator
+from repro.sim import BatchSimulator
+from repro.sim.simulator import SimulationError, Simulator
 
 
 def _input_widths(circuit):
     return {sig.name: sig.width for sig in circuit.inputs}
+
+
+def _one_lane(circuit):
+    return BatchSimulator(circuit, lanes=1)
 
 
 def _random_frames(circuit, rng, cycles):
@@ -34,7 +40,7 @@ class TestDifferentialFuzz:
         frames = _random_frames(circuit, rng, 16)
         names = list(circuit.signals)
         ref = Simulator(circuit).run(frames, record=names)
-        fast = CompiledSimulator(circuit).run(frames, record=names)
+        fast = _one_lane(circuit).run(frames, record=names).lane(0)
         for name in names:
             assert ref.trace(name) == fast.trace(name), name
 
@@ -53,7 +59,7 @@ class TestDifferentialFuzz:
         else:
             frames[victim][name] = (1 << widths[name]) + rng.randrange(16)
         outcomes = []
-        for engine in (Simulator, CompiledSimulator):
+        for engine in (Simulator, _one_lane):
             sim = engine(circuit)
             try:
                 for frame in frames:
@@ -68,34 +74,34 @@ class TestDifferentialFuzz:
     def test_identical_state_after_run(self, seed):
         circuit = random_machine(seed, width=3)
         frames = _random_frames(circuit, random.Random(seed), 10)
-        ref, fast = Simulator(circuit), CompiledSimulator(circuit)
+        ref, fast = Simulator(circuit), _one_lane(circuit)
         for frame in frames:
-            assert ref.step(frame) == fast.step(frame)
-        assert ref.state() == fast.state()
+            assert [ref.step(frame)] == fast.step(frame)
+        assert ref.state() == fast.state(0)
 
 
 class TestCompiledStrictness:
-    """Regression: the compiled engine masked oversized inputs silently."""
+    """Regression: a compiled engine masked oversized inputs silently."""
 
     def _machine(self):
         return random_machine(0, width=3)
 
     def test_oversized_input_raises(self):
         circuit = self._machine()
-        sim = CompiledSimulator(circuit)
+        sim = _one_lane(circuit)
         with pytest.raises(SimulationError, match="exceeds width"):
             sim.step({"x": 1 << 3})
 
     def test_negative_input_raises(self):
         circuit = self._machine()
-        sim = CompiledSimulator(circuit)
+        sim = _one_lane(circuit)
         with pytest.raises(SimulationError, match="exceeds width"):
             sim.step({"x": -1})
 
     def test_error_message_matches_interpreter(self):
         circuit = self._machine()
         messages = []
-        for engine in (Simulator, CompiledSimulator):
+        for engine in (Simulator, _one_lane):
             with pytest.raises(SimulationError) as info:
                 engine(circuit).step({"x": 99})
             messages.append(str(info.value))
@@ -103,8 +109,8 @@ class TestCompiledStrictness:
 
     def test_max_value_still_accepted(self):
         circuit = self._machine()
-        ref, fast = Simulator(circuit), CompiledSimulator(circuit)
-        assert ref.step({"x": 7}) == fast.step({"x": 7})
+        ref, fast = Simulator(circuit), _one_lane(circuit)
+        assert [ref.step({"x": 7})] == fast.step({"x": 7})
 
 
 class TestBatchDifferentialFuzz:
@@ -117,8 +123,6 @@ class TestBatchDifferentialFuzz:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_identical_waveforms(self, seed):
-        from repro.sim import BatchSimulator
-
         circuit = random_machine(seed, width=4, max_regs=3, max_ops=8)
         rng = random.Random(seed + 1000)
         frames = _random_frames(circuit, rng, 16)
@@ -135,8 +139,6 @@ class TestBatchDifferentialFuzz:
     @pytest.mark.parametrize("seed", range(20))
     def test_identical_error_behavior(self, seed):
         """The corrupted frame raises the scalar message from the batch."""
-        from repro.sim import BatchSimulator
-
         circuit = random_machine(seed, width=4, max_regs=3, max_ops=8)
         rng = random.Random(seed + 2000)
         widths = _input_widths(circuit)

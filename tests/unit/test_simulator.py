@@ -1,7 +1,7 @@
 import pytest
 
 from repro.hdl import ModuleBuilder
-from repro.sim import CompiledSimulator, Simulator, make_simulator
+from repro.sim import BatchSimulator, Simulator
 from repro.sim.simulator import SimulationError
 
 import sys
@@ -83,21 +83,14 @@ class TestSimulator:
         assert sim.state() == {"c": 2}
 
 
-class TestCompiledSimulator:
+class TestBatchSingleLane:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_interpreter(self, seed):
         circ = random_cell_circuit(seed)
         interp = Simulator(circ)
-        compiled = CompiledSimulator(circ)
+        batch = BatchSimulator(circ, lanes=1)
         for frame in random_stimulus(seed + 7, 12):
-            assert interp.step(frame) == compiled.step(frame)
-
-    def test_factory(self):
-        circ = _counter()
-        assert isinstance(make_simulator(circ, compiled=True), CompiledSimulator)
-        sim = make_simulator(circ, compiled=False)
-        assert isinstance(sim, Simulator)
-        assert not isinstance(sim, CompiledSimulator)
+            assert [interp.step(frame)] == batch.step(frame)
 
 
 class TestRunAndWaveform:
