@@ -96,9 +96,8 @@ class ExactValidator:
         monitored_signals: Sequence[str],
         init_assumption_outputs: Sequence[str] = (),
     ) -> None:
-        from repro.hdl.lowering import lower_to_gates
+        from repro.hdl.lowering import LoweredCircuit, lower_to_gates
         from repro.hdl.optimize import simplify
-        from repro.hdl.lowering import LoweredCircuit
 
         self.circuit = circuit
         self.secret_registers = set(secret_registers)
@@ -109,8 +108,10 @@ class ExactValidator:
             self.product.c2(name) for name in init_assumption_outputs
         )
         self.product.circuit.validate()
+        # The product's gates are lowered and simplified flat; the one
+        # gate-level Circuit is the simplified netlist, validated here.
         lowered = lower_to_gates(self.product.circuit)
-        self.lowered = LoweredCircuit(simplify(lowered.circuit), lowered.bits)
+        self.lowered = LoweredCircuit(simplify(lowered.netlist).to_circuit(), lowered.bits)
 
     def is_falsely_tainted(
         self, cex: Counterexample, signal_name: str,

@@ -119,23 +119,17 @@ def _as_lowered(
         return cached
     from repro.hdl.optimize import cone_of_influence, simplify, strash
 
-    # Intermediate passes skip their own invariant re-validation; the
-    # final netlist is validated once below.
-    lowered = lower_to_gates(circuit, validate=False)
-    gates = simplify(lowered.circuit, validate=False)
-    pruned_resets: Dict[str, int] = {}
-    if prop is not None:
-        full_resets = {reg.q.name: reg.reset_value & 1 for reg in gates.registers}
-        gates = strash(
-            cone_of_influence(gates, _property_roots(lowered, prop), validate=False),
-            validate=False,
-        )
-        kept = {reg.q.name for reg in gates.registers}
-        pruned_resets = {
-            name: bit for name, bit in full_resets.items() if name not in kept
-        }
-    gates.validate()
-    result = LoweredCircuit(gates, lowered.bits, pruned_resets)
+    # The passes rewrite the flat netlist in turn; the one Circuit is
+    # built, and validated once, at the end (inside strash).
+    lowered = lower_to_gates(circuit)
+    gates = simplify(lowered.netlist)
+    if prop is None:
+        result = LoweredCircuit(gates.to_circuit(), lowered.bits)
+    else:
+        reduced = strash(cone_of_influence(gates, _property_roots(lowered, prop)))
+        kept = {reg.q.name for reg in reduced.registers}
+        pruned = {q: reset & 1 for q, _d, reset in gates.registers if q not in kept}
+        result = LoweredCircuit(reduced, lowered.bits, pruned)
     _LOWERED_CACHE[key] = result
     while len(_LOWERED_CACHE) > _LOWERED_CACHE_MAX:
         _LOWERED_CACHE.popitem(last=False)

@@ -42,14 +42,14 @@ def circuit_fingerprint(circuit: Union[Circuit, LoweredCircuit]) -> str:
     Uses the canonical serialized document, which sorts signals by name
     and preserves cell order, so structurally identical circuits — in
     particular ``serialize`` round-trips — produce identical digests.
-    The digest is memoized on the circuit object: instrumented designs
-    are never mutated in place (refinement re-instruments from scratch),
-    so the structure a ``Circuit`` had when first hashed is the
-    structure it keeps.
+    The digest is memoized on the circuit object; every mutation
+    (``add_signal``, ``add_cell``, ``add_register``) drops the memo, so
+    a circuit grown after hashing (a product that gains a difference
+    monitor) hashes afresh.
     """
     if isinstance(circuit, LoweredCircuit):
         circuit = circuit.circuit
-    cached = getattr(circuit, "_content_fingerprint", None)
+    cached = circuit._content_fingerprint
     if cached is not None:
         return cached
     from repro.hdl.serialize import circuit_to_dict
@@ -59,10 +59,7 @@ def circuit_fingerprint(circuit: Union[Circuit, LoweredCircuit]) -> str:
     digest = hashlib.sha256(
         json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
-    try:
-        circuit._content_fingerprint = digest
-    except AttributeError:  # pragma: no cover - circuits allow attrs
-        pass
+    circuit._content_fingerprint = digest
     return digest
 
 

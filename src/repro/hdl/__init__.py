@@ -14,6 +14,8 @@ Public entry points:
 - :class:`~repro.hdl.circuit.Circuit` / :class:`~repro.hdl.circuit.Register`
 - :class:`~repro.hdl.builder.ModuleBuilder` — the Chisel-like eDSL
 - :func:`~repro.hdl.lowering.lower_to_gates` — cell → 1-bit gate lowering
+- :class:`~repro.hdl.netlist.Netlist` — the flat netlist the SAT pipeline
+  (lowering, :mod:`~repro.hdl.optimize`) works on
 - :func:`~repro.hdl.stats.gate_count` / :func:`~repro.hdl.stats.register_bits`
 """
 

@@ -9,7 +9,7 @@ and the CNF encoder unrolls it over time frames.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.hdl.cells import Cell, CellOp, validate_cell
 from repro.hdl.signals import Signal, SignalKind
@@ -21,6 +21,63 @@ class CircuitError(ValueError):
 
 class CombinationalLoopError(CircuitError):
     """Raised when the cells of a circuit contain a combinational cycle."""
+
+
+def topo_order(circuit_name: str, outs: Sequence[str],
+               ins: Iterable[Sequence[str]]) -> List[int]:
+    """Kahn's algorithm over cells given by output name and input names.
+
+    Returns cell indices in dependency order; a cell's inputs that no
+    cell drives (inputs, registers) are sources.  The ready set is a
+    LIFO stack seeded in index order, and a popped cell releases its
+    consumers in index order, so the order is a function of the cell
+    list alone.  Raises :class:`CombinationalLoopError` when cells sit
+    on a combinational cycle.
+
+    Consumers are kept in flat integer lists (one ``start`` offset per
+    driven name into ``targets``) rather than a list per name: on a
+    70k-gate lowering the per-name lists alone set off several full
+    garbage collections.
+    """
+    slot: Dict[str, int] = {}
+    slot_of = [slot.setdefault(name, len(slot)) for name in outs]
+    driven = slot.get
+    indegree = [0] * len(outs)
+    edge_slot: List[int] = []
+    edge_cell: List[int] = []
+    for idx, names in enumerate(ins):
+        for name in names:
+            s = driven(name)
+            if s is not None:
+                edge_slot.append(s)
+                edge_cell.append(idx)
+                indegree[idx] += 1
+    start = [0] * (len(slot) + 1)
+    for s in edge_slot:
+        start[s + 1] += 1
+    for s in range(len(slot)):
+        start[s + 1] += start[s]
+    fill = start[:]
+    targets = [0] * len(edge_cell)
+    for s, idx in zip(edge_slot, edge_cell):
+        targets[fill[s]] = idx
+        fill[s] += 1
+    ready = [i for i, d in enumerate(indegree) if d == 0]
+    order: List[int] = []
+    while ready:
+        idx = ready.pop()
+        order.append(idx)
+        s = slot_of[idx]
+        for consumer in targets[start[s]:start[s + 1]]:
+            indegree[consumer] -= 1
+            if indegree[consumer] == 0:
+                ready.append(consumer)
+    if len(order) != len(outs):
+        stuck = [name for name, d in zip(outs, indegree) if d > 0]
+        raise CombinationalLoopError(
+            f"combinational loop in circuit {circuit_name!r} involving: {stuck[:10]}"
+        )
+    return order
 
 
 @dataclass(frozen=True)
@@ -66,6 +123,13 @@ class Circuit:
         self._producer: Dict[str, Cell] = {}
         self._register_of: Dict[str, Register] = {}
         self._topo_cache: Optional[List[Cell]] = None
+        #: Memo of :func:`repro.formal.cache.circuit_fingerprint`.
+        self._content_fingerprint: Optional[str] = None
+
+    def _changed(self) -> None:
+        """Drop the memos that describe the structure before a mutation."""
+        self._topo_cache = None
+        self._content_fingerprint = None
 
     # ------------------------------------------------------------------
     # construction
@@ -81,7 +145,7 @@ class Circuit:
             self.inputs.append(signal)
         elif signal.kind is SignalKind.OUTPUT:
             self.outputs.append(signal)
-        self._topo_cache = None
+        self._changed()
         return signal
 
     def add_cell(self, cell: Cell) -> Cell:
@@ -96,23 +160,7 @@ class Circuit:
                 raise CircuitError(f"cell {cell.out.name!r} references unknown signal {sig.name!r}")
         self.cells.append(cell)
         self._producer[cell.out.name] = cell
-        self._topo_cache = None
-        return cell
-
-    def adopt_cell(self, cell: Cell) -> Cell:
-        """Trusted :meth:`add_cell` for optimizer passes.
-
-        The per-cell arity/width validation is skipped — the cell is
-        being copied unchanged out of an already-validated circuit.
-        Structural bookkeeping (producer uniqueness, signal
-        registration) still applies.
-        """
-        if cell.out.name in self._producer:
-            raise CircuitError(f"signal {cell.out.name!r} already driven")
-        self.add_signal(cell.out)
-        self.cells.append(cell)
-        self._producer[cell.out.name] = cell
-        self._topo_cache = None
+        self._changed()
         return cell
 
     def add_register(self, register: Register) -> Register:
@@ -123,8 +171,26 @@ class Circuit:
         self.add_signal(register.q)
         self.registers.append(register)
         self._register_of[register.q.name] = register
-        self._topo_cache = None
+        self._changed()
         return register
+
+    @classmethod
+    def _assemble(cls, name: str, signals: Dict[str, Signal],
+                  registers: List[Register], cells: List[Cell]) -> "Circuit":
+        """Trusted bulk construction from a finished signal table.
+
+        Nothing is checked per element; :meth:`validate` runs every
+        check ``add_signal``/``add_cell``/``add_register`` would have.
+        """
+        circuit = cls(name)
+        circuit.signals = signals
+        circuit.inputs = [s for s in signals.values() if s.kind is SignalKind.INPUT]
+        circuit.outputs = [s for s in signals.values() if s.kind is SignalKind.OUTPUT]
+        circuit.registers = registers
+        circuit.cells = cells
+        circuit._register_of = {reg.q.name: reg for reg in registers}
+        circuit._producer = {cell.out.name: cell for cell in cells}
+        return circuit
 
     # ------------------------------------------------------------------
     # queries
@@ -191,31 +257,11 @@ class Circuit:
         """
         if self._topo_cache is not None:
             return self._topo_cache
-        # Kahn's algorithm over cells.
-        consumers: Dict[str, List[int]] = {}
-        indegree = [0] * len(self.cells)
-        for idx, cell in enumerate(self.cells):
-            for sig in cell.ins:
-                if sig.name in self._producer:
-                    consumers.setdefault(sig.name, []).append(idx)
-                    indegree[idx] += 1
-        ready = [i for i, d in enumerate(indegree) if d == 0]
-        order: List[Cell] = []
-        while ready:
-            idx = ready.pop()
-            cell = self.cells[idx]
-            order.append(cell)
-            for consumer in consumers.get(cell.out.name, ()):
-                indegree[consumer] -= 1
-                if indegree[consumer] == 0:
-                    ready.append(consumer)
-        if len(order) != len(self.cells):
-            stuck = [self.cells[i].out.name for i, d in enumerate(indegree) if d > 0]
-            raise CombinationalLoopError(
-                f"combinational loop in circuit {self.name!r} involving: {stuck[:10]}"
-            )
-        self._topo_cache = order
-        return order
+        cells = self.cells
+        order = topo_order(self.name, [cell.out.name for cell in cells],
+                           ([sig.name for sig in cell.ins] for cell in cells))
+        self._topo_cache = [cells[i] for i in order]
+        return self._topo_cache
 
     def validate(self) -> None:
         """Check all structural invariants; raise :class:`CircuitError`.

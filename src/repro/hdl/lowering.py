@@ -14,24 +14,33 @@ The lowering serves two consumers:
 Multi-bit signal ``x`` of width *n* becomes gate signals ``x[0]`` …
 ``x[n-1]``; width-1 signals keep their original name so that waveforms
 and counterexamples remain readable.
+
+Gates are emitted as plain tuples into a flat
+:class:`~repro.hdl.netlist.Netlist`.  The SAT pipeline
+(:func:`repro.formal.bmc._as_lowered`) hands that netlist straight to
+:mod:`repro.hdl.optimize`; the lowering's own ``Circuit`` is built
+only for callers that read ``LoweredCircuit.circuit``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hdl.cells import Cell, CellOp
-from repro.hdl.circuit import Circuit, Register
+from repro.hdl.circuit import Circuit, CircuitError
+from repro.hdl.netlist import WIRE, Netlist
 from repro.hdl.signals import Signal, SignalKind
 
 
-@dataclass
 class LoweredCircuit:
     """A gate-level circuit plus the bit-provenance map.
 
     Attributes:
-        circuit: The 1-bit gate netlist.
+        circuit: The 1-bit gate netlist.  A lowering built flat (see
+            :func:`lower_to_gates`) builds it on first read.
+        netlist: The flat :class:`~repro.hdl.netlist.Netlist` the
+            lowering emitted, which the SAT pipeline rewrites without
+            building ``circuit`` (``None`` when given a ``circuit``).
         bits: ``original signal name -> [gate signal per bit]`` (LSB first).
         pruned_resets: reset bit of register bits that a
             cone-of-influence reduction removed from ``circuit`` but
@@ -40,9 +49,26 @@ class LoweredCircuit:
             value from here instead of the SAT model.
     """
 
-    circuit: Circuit
-    bits: Dict[str, List[Signal]]
-    pruned_resets: Dict[str, int] = field(default_factory=dict)
+    def __init__(
+        self,
+        circuit: Optional[Circuit],
+        bits: Dict[str, List[Signal]],
+        pruned_resets: Optional[Dict[str, int]] = None,
+        *,
+        netlist: Optional[Netlist] = None,
+        validate: bool = True,
+    ) -> None:
+        self._circuit = circuit
+        self.netlist = netlist
+        self._validate = validate
+        self.bits = bits
+        self.pruned_resets = pruned_resets if pruned_resets is not None else {}
+
+    @property
+    def circuit(self) -> Circuit:
+        if self._circuit is None:
+            self._circuit = self.netlist.to_circuit(self._validate)
+        return self._circuit
 
     def bit(self, name: str, index: int) -> Signal:
         return self.bits[name][index]
@@ -59,80 +85,76 @@ class LoweredCircuit:
         return {sig.name: (value >> i) & 1 for i, sig in enumerate(self.bits[name])}
 
 
+_CONST_PARAMS = ((("value", 0),), (("value", 1),))
+
+
 class _Lowerer:
+    """Bit-blasts a circuit into a flat netlist, gate names as strings."""
+
     def __init__(self, source: Circuit) -> None:
         self.source = source
-        self.out = Circuit(source.name + ".gates")
+        self.out = Netlist(source.name + ".gates")
         self.bits: Dict[str, List[Signal]] = {}
+        #: ``bits`` by name: what the lowering rules below pass around.
+        self.names: Dict[str, List[str]] = {}
         self._tmp = 0
 
     # -- helpers ---------------------------------------------------------
-    def _fresh(self, module: str) -> Signal:
+    def _gate(self, op: str, ins: Tuple[str, ...], module: str, params=()) -> str:
         self._tmp += 1
-        name = f"_g{self._tmp}"
-        if module:
-            name = f"{module}.{name}"
-        return Signal(name, 1, SignalKind.WIRE, module=module)
+        name = f"{module}._g{self._tmp}" if module else f"_g{self._tmp}"
+        self.out.signals[name] = (1, WIRE, module)
+        self.out.cells.append((op, name, ins, params, module))
+        return name
 
-    def _gate(self, op: CellOp, ins: Sequence[Signal], module: str) -> Signal:
-        out = self._fresh(module)
-        self.out.add_cell(Cell(op, out, tuple(ins), module=module))
-        return out
+    def _const(self, value: int, module: str) -> str:
+        return self._gate("const", (), module, _CONST_PARAMS[value & 1])
 
-    def _const(self, value: int, module: str) -> Signal:
-        out = self._fresh(module)
-        self.out.add_cell(Cell(CellOp.CONST, out, (), (("value", value & 1),), module=module))
-        return out
+    def g_not(self, a: str, module: str) -> str:
+        return self._gate("not", (a,), module)
 
-    def g_not(self, a: Signal, module: str) -> Signal:
-        return self._gate(CellOp.NOT, (a,), module)
+    def g_and(self, a: str, b: str, module: str) -> str:
+        return self._gate("and", (a, b), module)
 
-    def g_and(self, a: Signal, b: Signal, module: str) -> Signal:
-        return self._gate(CellOp.AND, (a, b), module)
+    def g_or(self, a: str, b: str, module: str) -> str:
+        return self._gate("or", (a, b), module)
 
-    def g_or(self, a: Signal, b: Signal, module: str) -> Signal:
-        return self._gate(CellOp.OR, (a, b), module)
+    def g_xor(self, a: str, b: str, module: str) -> str:
+        return self._gate("xor", (a, b), module)
 
-    def g_xor(self, a: Signal, b: Signal, module: str) -> Signal:
-        return self._gate(CellOp.XOR, (a, b), module)
-
-    def g_mux(self, s: Signal, a: Signal, b: Signal, module: str) -> Signal:
+    def g_mux(self, s: str, a: str, b: str, module: str) -> str:
         """s ? a : b as (s&a) | (~s&b) — the paper's MUX gate decomposition."""
         return self.g_or(self.g_and(s, a, module), self.g_and(self.g_not(s, module), b, module), module)
 
-    def _reduce(self, op_fn, items: Sequence[Signal], module: str) -> Signal:
+    def _reduce(self, op_fn, items: Sequence[str], module: str) -> str:
         acc = items[0]
         for item in items[1:]:
             acc = op_fn(acc, item, module)
         return acc
 
     # -- signal splitting --------------------------------------------------
-    def _declare(self, sig: Signal) -> List[Signal]:
-        if sig.name in self.bits:
-            return self.bits[sig.name]
+    def _declare(self, sig: Signal) -> None:
         kind = sig.kind
         if kind is SignalKind.CONST:
             kind = SignalKind.WIRE
         if sig.width == 1:
-            bit_sigs = [Signal(sig.name, 1, kind, module=sig.module)]
+            names = [sig.name]
         else:
-            bit_sigs = [
-                Signal(f"{sig.name}[{i}]", 1, kind, module=sig.module)
-                for i in range(sig.width)
-            ]
-        if kind is not SignalKind.REG:
-            # REG bit signals are added by the register pass so that the
-            # Register entries exist before validation.
-            for bs in bit_sigs:
-                if bs.kind is SignalKind.INPUT:
-                    self.out.add_signal(bs)
-        self.bits[sig.name] = bit_sigs
-        return bit_sigs
+            names = [f"{sig.name}[{i}]" for i in range(sig.width)]
+        if kind is SignalKind.INPUT:
+            # REG bits are declared by the register pass, the others by
+            # the cell driving them.
+            for name in names:
+                self.out.signals.setdefault(name, (1, kind.value, sig.module))
+        self.bits[sig.name] = [Signal(name, 1, kind, sig.module) for name in names]
+        self.names[sig.name] = names
 
-    def _assign(self, targets: List[Signal], sources: List[Signal], module: str) -> None:
-        """Drive declared (named) bit signals from computed temporaries."""
-        for target, source in zip(targets, sources):
-            self.out.add_cell(Cell(CellOp.BUF, target, (source,), module=module))
+    def _assign(self, word: str, sources: List[str], module: str) -> None:
+        """Drive a word's declared (named) bit signals from computed ones."""
+        signals, cells = self.out.signals, self.out.cells
+        for target, source in zip(self.bits[word], sources):
+            signals.setdefault(target.name, (1, target.kind.value, target.module))
+            cells.append(("buf", target.name, (source,), (), module))
 
     # -- main ---------------------------------------------------------------
     def run(self, validate: bool = True) -> LoweredCircuit:
@@ -141,24 +163,25 @@ class _Lowerer:
             self._declare(sig)
         # Registers: one per bit; next-value bits come from the d signal's bits.
         for reg in src.registers:
-            q_bits = self.bits[reg.q.name]
-            d_bits = self.bits[reg.d.name]
-            for i, (qb, db) in enumerate(zip(q_bits, d_bits)):
-                self.out.add_register(Register(qb, db, (reg.reset_value >> i) & 1))
+            for i, (qb, db) in enumerate(zip(self.bits[reg.q.name], self.names[reg.d.name])):
+                self.out.signals.setdefault(qb.name, (1, qb.kind.value, qb.module))
+                self.out.registers.append((qb.name, db, (reg.reset_value >> i) & 1))
+        declared = len(self.out.signals)
         for cell in src.topo_cells():
             self._lower_cell(cell)
-        if validate:
-            self.out.validate()
-        return LoweredCircuit(self.out, self.bits)
+        if len(self.out.signals) != declared + len(self.out.cells):
+            raise CircuitError(
+                f"gate names of circuit {src.name!r} collide with its signal names")
+        return LoweredCircuit(None, self.bits, netlist=self.out, validate=validate)
 
     def _lower_cell(self, cell: Cell) -> None:
         m = cell.module
-        out_bits = self.bits[cell.out.name]
-        in_bits = [self.bits[s.name] for s in cell.ins]
+        width = cell.out.width
+        in_bits = [self.names[s.name] for s in cell.ins]
         op = cell.op
         if op is CellOp.CONST:
             value = cell.param("value")
-            computed = [self._const((value >> i) & 1, m) for i in range(len(out_bits))]
+            computed = [self._const((value >> i) & 1, m) for i in range(width)]
         elif op is CellOp.BUF:
             computed = in_bits[0]
         elif op is CellOp.NOT:
@@ -167,7 +190,7 @@ class _Lowerer:
             fn = {CellOp.AND: self.g_and, CellOp.OR: self.g_or, CellOp.XOR: self.g_xor}[op]
             computed = [
                 self._reduce(fn, [operand[i] for operand in in_bits], m)
-                for i in range(len(out_bits))
+                for i in range(width)
             ]
         elif op is CellOp.MUX:
             sel = in_bits[0][0]
@@ -194,10 +217,10 @@ class _Lowerer:
             lo, hi = cell.param("lo"), cell.param("hi")
             computed = in_bits[0][lo:hi + 1]
         elif op is CellOp.ZEXT:
-            pad = len(out_bits) - len(in_bits[0])
+            pad = width - len(in_bits[0])
             computed = list(in_bits[0]) + [self._const(0, m) for _ in range(pad)]
         elif op is CellOp.SEXT:
-            pad = len(out_bits) - len(in_bits[0])
+            pad = width - len(in_bits[0])
             sign = in_bits[0][-1]
             computed = list(in_bits[0]) + [sign] * pad
         elif op is CellOp.REDOR:
@@ -208,11 +231,11 @@ class _Lowerer:
             computed = [self._reduce(self.g_xor, in_bits[0], m)]
         else:  # pragma: no cover
             raise ValueError(f"cannot lower op {op}")
-        self._assign(out_bits, computed, m)
+        self._assign(cell.out.name, computed, m)
 
     def _lower_addsub(
-        self, a: List[Signal], b: List[Signal], subtract: bool, m: str
-    ) -> List[Signal]:
+        self, a: List[str], b: List[str], subtract: bool, m: str
+    ) -> List[str]:
         carry = self._const(1 if subtract else 0, m)
         result = []
         for ai, bi in zip(a, b):
@@ -222,7 +245,7 @@ class _Lowerer:
             carry = self.g_or(self.g_and(ai, bi_eff, m), self.g_and(carry, axb, m), m)
         return result
 
-    def _lower_ult(self, a: List[Signal], b: List[Signal], m: str) -> Signal:
+    def _lower_ult(self, a: List[str], b: List[str], m: str) -> str:
         """Unsigned a < b via the final borrow of a - b."""
         borrow = self._const(0, m)
         for ai, bi in zip(a, b):
@@ -234,8 +257,8 @@ class _Lowerer:
         return borrow
 
     def _lower_shift(
-        self, a: List[Signal], sh: List[Signal], left: bool, m: str
-    ) -> List[Signal]:
+        self, a: List[str], sh: List[str], left: bool, m: str
+    ) -> List[str]:
         width = len(a)
         zero = self._const(0, m)
         cur = list(a)
@@ -261,7 +284,8 @@ class _Lowerer:
 def lower_to_gates(circuit: Circuit, validate: bool = True) -> LoweredCircuit:
     """Lower a cell-level circuit to the 1-bit gate vocabulary.
 
-    ``validate=False`` defers the output invariant check to the caller
-    (used by pass pipelines that validate once at the end).
+    The lowering is built flat; its ``circuit`` is built, and validated
+    unless ``validate=False``, when first read.  The SAT pipeline reads
+    only ``netlist`` and never builds it.
     """
     return _Lowerer(circuit).run(validate=validate)

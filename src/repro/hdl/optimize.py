@@ -9,64 +9,83 @@ The pass preserves, by name: all INPUT signals, all registers (``q``
 and reset value), and all OUTPUT signals.  Everything else may be
 renamed, merged or removed.  Semantics are preserved exactly (the test
 suite cross-simulates against the original).
+
+Every pass here works on the flat :class:`~repro.hdl.netlist.Netlist`,
+so the SAT pipeline (lowering, :func:`simplify`,
+:func:`cone_of_influence`, :func:`strash`) allocates no ``Cell`` or
+``Signal`` per gate and builds one :class:`Circuit` at its end.  Given
+a netlist, ``simplify`` and ``cone_of_influence`` return a netlist;
+``strash``, the last pass, returns the validated ``Circuit``.  Given a
+``Circuit``, every pass returns a ``Circuit`` (the same code, through
+:meth:`Netlist.from_circuit` and :meth:`Netlist.to_circuit`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.hdl.cells import Cell, CellOp, evaluate_cell
-from repro.hdl.circuit import Circuit, Register
-from repro.hdl.signals import Signal, SignalKind
+from repro.hdl.cells import Cell, CellOp, GATE_OPS, evaluate_cell
+from repro.hdl.circuit import Circuit, CircuitError
+from repro.hdl.netlist import OUTPUT, WIRE, FlatCell, Netlist
+from repro.hdl.signals import Signal
+
+_GATE_OPS = frozenset(op.value for op in GATE_OPS)
+
+
+def _param(params, key: str) -> int:
+    for name, value in params:
+        if name == key:
+            return value
+    raise KeyError(key)
 
 
 class _Simplifier:
-    def __init__(self, source: Circuit) -> None:
+    """Constant folding, identity rules and CSE in one topological sweep.
+
+    A source signal's canonical form is a constant (an ``int``) or the
+    name (a ``str``) of the output-netlist signal holding its value.
+    """
+
+    def __init__(self, source: Netlist) -> None:
         self.src = source
-        self.out = Circuit(source.name + ".opt")
-        #: canonical representation per source signal: ("const", value) or
-        #: ("sig", canonical_source_name)
-        self.repr: Dict[str, Tuple[str, int]] = {}
+        self.out = Netlist(source.name + ".opt")
+        self.repr: Dict[str, Union[int, str]] = {}
         self.cse: Dict[Tuple, str] = {}
         self._const_cells: Dict[Tuple[int, int], str] = {}
         self._tmp = 0
 
     # ------------------------------------------------------------------
-    def run(self, validate: bool = True) -> Circuit:
-        for sig in self.src.inputs:
-            self.out.add_signal(sig)
-            self.repr[sig.name] = ("sig", sig.name)
-        for reg in self.src.registers:
-            self.out.add_signal(reg.q)
-            self.repr[reg.q.name] = ("sig", reg.q.name)
-        for cell in self.src.topo_cells():
-            self._simplify_cell(cell)
+    def run(self) -> Netlist:
+        src, out, repr_ = self.src, self.out, self.repr
+        for name in src.inputs():
+            out.signals[name] = src.signals[name]
+            repr_[name] = name
+        for q, _d, _reset in src.registers:
+            out.signals.setdefault(q, src.signals[q])
+            repr_[q] = q
+        simplify_cell = self._simplify_cell
+        for cell in src.topo_cells():
+            simplify_cell(cell)
         # Registers: next values through the canonical map.
-        for reg in self.src.registers:
-            d_name = self._materialize(reg.d)
-            d_sig = self.out.signal(d_name)
-            self.out.add_register(Register(reg.q, d_sig, reg.reset_value))
+        for q, d, reset in src.registers:
+            out.registers.append((q, self._materialize(d), reset))
         # Outputs: keep names, driven from canonical sources.
-        for sig in self.src.outputs:
-            source = self._materialize(sig)
-            if source == sig.name:
+        for name in src.outputs():
+            source = self._materialize(name)
+            if source == name:
                 continue
-            self.out.add_cell(Cell(CellOp.BUF, sig, (self.out.signal(source),), module=sig.module))
-        return _eliminate_dead(self.out, validate=validate)
+            entry = src.signals[name]
+            out.signals.setdefault(name, entry)
+            out.cells.append(("buf", name, (source,), (), entry[2]))
+        return _eliminate_dead(out)
 
     # ------------------------------------------------------------------
-    def _canon(self, sig: Signal) -> Tuple[str, int]:
-        entry = self.repr.get(sig.name)
-        if entry is None:
-            raise KeyError(f"signal {sig.name!r} has no canonical form yet")
-        return entry
-
-    def _materialize(self, sig: Signal) -> str:
-        """Name (in the output circuit) holding this signal's value."""
-        kind, value = self._canon(sig)
-        if kind == "sig":
-            return value  # type: ignore[return-value]
-        return self._const_cell(value, sig.width)
+    def _materialize(self, name: str) -> str:
+        """Name (in the output netlist) holding this signal's value."""
+        entry = self.repr[name]
+        if isinstance(entry, str):
+            return entry
+        return self._const_cell(entry, self.src.signals[name][0])
 
     def _const_cell(self, value: int, width: int) -> str:
         key = (value, width)
@@ -75,172 +94,170 @@ class _Simplifier:
             return existing
         self._tmp += 1
         name = f"_opt_const{self._tmp}"
-        out = Signal(name, width, SignalKind.WIRE)
-        self.out.add_cell(Cell(CellOp.CONST, out, (), (("value", value),)))
+        self.out.signals.setdefault(name, (width, WIRE, ""))
+        self.out.cells.append(("const", name, (), (("value", value),), ""))
         self._const_cells[key] = name
         return name
 
-    def _emit(self, cell: Cell, in_names: List[str]) -> None:
+    def _emit(self, cell: FlatCell, in_names: List[str], width: int) -> None:
         """Emit a (possibly CSE-deduped) cell and record its output."""
-        key = (cell.op, tuple(in_names), cell.params, cell.out.width)
+        op, out_name, _ins, params, module = cell
+        ins = tuple(in_names)
+        key = (op, ins, params, width)
         existing = self.cse.get(key)
         if existing is not None:
-            self.repr[cell.out.name] = ("sig", existing)
+            self.repr[out_name] = existing
             return
-        ins = tuple(self.out.signal(n) for n in in_names)
-        out = Signal(cell.out.name, cell.out.width, SignalKind.WIRE, module=cell.module)
-        self.out.add_cell(Cell(cell.op, out, ins, cell.params, module=cell.module))
-        self.cse[key] = out.name
-        self.repr[cell.out.name] = ("sig", out.name)
+        self.out.signals.setdefault(out_name, (width, WIRE, module))
+        self.out.cells.append((op, out_name, ins, params, module))
+        self.cse[key] = out_name
+        self.repr[out_name] = out_name
 
-    def _set_const(self, cell: Cell, value: int) -> None:
-        self.repr[cell.out.name] = ("const", value & cell.out.mask)
-
-    def _set_alias(self, cell: Cell, source_entry: Tuple[str, int]) -> None:
-        self.repr[cell.out.name] = source_entry
+    def _evaluate(self, cell: FlatCell, values: List[int]) -> int:
+        """:func:`evaluate_cell` on a flat cell (it reads widths, not names)."""
+        op, out_name, ins, params, _module = cell
+        widths = self.src.signals
+        return evaluate_cell(
+            Cell(CellOp(op), Signal(out_name, widths[out_name][0]),
+                 tuple(Signal(n, widths[n][0]) for n in ins), params),
+            values)
 
     # ------------------------------------------------------------------
-    def _simplify_cell(self, cell: Cell) -> None:
-        op = cell.op
-        entries = [self._canon(s) for s in cell.ins]
-        consts = [e[1] if e[0] == "const" else None for e in entries]
+    def _simplify_cell(self, cell: FlatCell) -> None:
+        op, out_name, ins, params, _module = cell
+        repr_ = self.repr
+        if op == "const":
+            repr_[out_name] = _param(params, "value") & self._mask(out_name)
+            return
+        entries = [repr_[n] for n in ins]
+        for entry in entries:
+            if isinstance(entry, str):
+                break
+        else:
+            repr_[out_name] = self._evaluate(cell, entries) & self._mask(out_name)
+            return
+        if op == "buf":
+            repr_[out_name] = entries[0]
+            return
+        consts = [None if isinstance(e, str) else e for e in entries]
 
-        if op is CellOp.CONST:
-            self._set_const(cell, cell.param("value"))
-            return
-        if all(c is not None for c in consts):
-            self._set_const(cell, evaluate_cell(cell, [c for c in consts]))  # type: ignore[list-item]
-            return
-        if op is CellOp.BUF:
-            self._set_alias(cell, entries[0])
-            return
-
-        if op in (CellOp.AND, CellOp.OR, CellOp.XOR):
+        if op in ("and", "or", "xor"):
             self._simplify_bitwise(cell, entries, consts)
             return
-        if op is CellOp.MUX:
+        if op == "mux":
             self._simplify_mux(cell, entries, consts)
             return
-        if op in (CellOp.ADD, CellOp.SUB):
-            if consts[1] == 0:
-                self._set_alias(cell, entries[0])
-                return
-            if op is CellOp.ADD and consts[0] == 0:
-                self._set_alias(cell, entries[1])
-                return
-        if op in (CellOp.SHL, CellOp.SHR):
-            if consts[1] == 0:
-                self._set_alias(cell, entries[0])
-                return
-            if consts[1] is not None and consts[1] >= cell.out.width:
-                self._set_const(cell, 0)
-                return
-            if consts[0] == 0:
-                self._set_const(cell, 0)
-                return
-        if op is CellOp.SLICE:
-            if cell.param("lo") == 0 and cell.param("hi") == cell.ins[0].width - 1:
-                self._set_alias(cell, entries[0])
-                return
-        if op in (CellOp.ZEXT, CellOp.SEXT):
-            if cell.out.width == cell.ins[0].width:
-                self._set_alias(cell, entries[0])
-                return
-        if op in (CellOp.REDOR, CellOp.REDAND, CellOp.REDXOR):
-            if cell.ins[0].width == 1:
-                self._set_alias(cell, entries[0])
-                return
-        if op in (CellOp.EQ, CellOp.ULE) and entries[0] == entries[1]:
-            self._set_const(cell, 1)
-            return
-        if op in (CellOp.NEQ, CellOp.ULT) and entries[0] == entries[1]:
-            self._set_const(cell, 0)
+        alias = self._word_rule(cell, entries, consts)
+        if alias is not None:
+            repr_[out_name] = alias
             return
         self._emit_generic(cell, entries)
 
-    def _emit_generic(self, cell: Cell, entries) -> None:
-        in_names = []
-        for sig, entry in zip(cell.ins, entries):
-            if entry[0] == "const":
-                in_names.append(self._const_cell(entry[1], sig.width))
-            else:
-                in_names.append(entry[1])
-        self._emit(cell, in_names)
+    def _mask(self, name: str) -> int:
+        return (1 << self.src.signals[name][0]) - 1
 
-    def _simplify_bitwise(self, cell: Cell, entries, consts) -> None:
-        op = cell.op
-        mask = cell.out.mask
-        live: List[Tuple[str, int]] = []
+    def _word_rule(self, cell: FlatCell, entries, consts) -> Optional[Union[int, str]]:
+        """Canonical form by a word-level identity, or ``None``."""
+        op, out_name, ins, params, _module = cell
+        widths = self.src.signals
+        if op in ("add", "sub"):
+            if consts[1] == 0:
+                return entries[0]
+            if op == "add" and consts[0] == 0:
+                return entries[1]
+        if op in ("shl", "shr"):
+            if consts[1] == 0:
+                return entries[0]
+            if consts[1] is not None and consts[1] >= widths[out_name][0]:
+                return 0
+            if consts[0] == 0:
+                return 0
+        if op == "slice":
+            if _param(params, "lo") == 0 and _param(params, "hi") == widths[ins[0]][0] - 1:
+                return entries[0]
+        if op in ("zext", "sext"):
+            if widths[out_name][0] == widths[ins[0]][0]:
+                return entries[0]
+        if op in ("redor", "redand", "redxor"):
+            if widths[ins[0]][0] == 1:
+                return entries[0]
+        if op in ("eq", "ule") and entries[0] == entries[1]:
+            return 1
+        if op in ("neq", "ult") and entries[0] == entries[1]:
+            return 0
+        return None
+
+    def _emit_generic(self, cell: FlatCell, entries) -> None:
+        widths = self.src.signals
+        in_names = [entry if isinstance(entry, str)
+                    else self._const_cell(entry, widths[name][0])
+                    for name, entry in zip(cell[2], entries)]
+        self._emit(cell, in_names, widths[cell[1]][0])
+
+    def _simplify_bitwise(self, cell: FlatCell, entries, consts) -> None:
+        op, out_name = cell[0], cell[1]
+        width = self.src.signals[out_name][0]
+        mask = (1 << width) - 1
+        live: List[str] = []
         const_acc: Optional[int] = None
         for entry, const in zip(entries, consts):
             if const is not None:
                 const_acc = const if const_acc is None else (
-                    const_acc & const if op is CellOp.AND
-                    else const_acc | const if op is CellOp.OR
+                    const_acc & const if op == "and"
+                    else const_acc | const if op == "or"
                     else const_acc ^ const
                 )
             else:
                 live.append(entry)
         # Absorbing / identity constants.
         if const_acc is not None:
-            if op is CellOp.AND and const_acc == 0:
-                self._set_const(cell, 0)
+            if op == "and" and const_acc == 0:
+                self.repr[out_name] = 0
                 return
-            if op is CellOp.OR and const_acc == mask:
-                self._set_const(cell, mask)
+            if op == "or" and const_acc == mask:
+                self.repr[out_name] = mask
                 return
-            identity = mask if op is CellOp.AND else 0
+            identity = mask if op == "and" else 0
             if const_acc == identity:
                 const_acc = None
         # Duplicate operands.
-        if op in (CellOp.AND, CellOp.OR):
-            seen: Set[Tuple[str, int]] = set()
-            deduped = []
-            for entry in live:
-                if entry not in seen:
-                    seen.add(entry)
-                    deduped.append(entry)
-            live = deduped
-        else:  # XOR: pairs cancel
-            counts: Dict[Tuple[str, int], int] = {}
+        if op == "xor":  # pairs cancel
+            counts: Dict[str, int] = {}
             for entry in live:
                 counts[entry] = counts.get(entry, 0) + 1
             live = [entry for entry, n in counts.items() if n % 2 == 1]
+        else:
+            live = list(dict.fromkeys(live))
         if not live:
-            self._set_const(cell, const_acc if const_acc is not None else
-                            (mask if op is CellOp.AND else 0))
+            self.repr[out_name] = (const_acc if const_acc is not None else
+                                   (mask if op == "and" else 0))
             return
         if len(live) == 1 and const_acc is None:
-            self._set_alias(cell, live[0])
+            self.repr[out_name] = live[0]
             return
-        in_names = [self._entry_name(entry, cell.out.width) for entry in live]
         if const_acc is not None:
-            in_names.append(self._const_cell(const_acc, cell.out.width))
-        in_names.sort()  # commutative: canonical order helps CSE
-        self._emit(cell, in_names)
+            live.append(self._const_cell(const_acc, width))
+        live.sort()  # commutative: canonical order helps CSE
+        self._emit(cell, live, width)
 
-    def _entry_name(self, entry: Tuple[str, int], width: int) -> str:
-        if entry[0] == "const":
-            return self._const_cell(entry[1], width)
-        return entry[1]  # type: ignore[return-value]
-
-    def _simplify_mux(self, cell: Cell, entries, consts) -> None:
+    def _simplify_mux(self, cell: FlatCell, entries, consts) -> None:
         sel_entry, a_entry, b_entry = entries
+        out_name = cell[1]
         if consts[0] is not None:
-            self._set_alias(cell, a_entry if consts[0] else b_entry)
+            self.repr[out_name] = a_entry if consts[0] else b_entry
             return
         if a_entry == b_entry:
-            self._set_alias(cell, a_entry)
+            self.repr[out_name] = a_entry
             return
-        if cell.out.width == 1 and consts[1] == 1 and consts[2] == 0:
-            self._set_alias(cell, sel_entry)
+        if self.src.signals[out_name][0] == 1 and consts[1] == 1 and consts[2] == 0:
+            self.repr[out_name] = sel_entry
             return
         self._emit_generic(cell, entries)
 
 
-def cone_of_influence(circuit: Circuit, roots: "Iterable[str]",
-                      validate: bool = True) -> Circuit:
-    """Restrict a circuit to the logic that can influence ``roots``.
+def cone_of_influence(netlist: Union[Netlist, Circuit],
+                      roots: Iterable[str]) -> Union[Netlist, Circuit]:
+    """Restrict a netlist to the logic that can influence ``roots``.
 
     ``roots`` are signal names (typically a property's ``bad``,
     assumption and monitor signals at gate level).  The cone walks
@@ -249,39 +266,57 @@ def cone_of_influence(circuit: Circuit, roots: "Iterable[str]",
     closed under sequential influence — sound for unrolled reachability
     checks at any depth.
 
-    Unlike :func:`_eliminate_dead` (which keeps every output and
+    Unlike dead-logic elimination (which keeps every output and
     register), this drops registers, outputs and cells outside the
     cone.  All INPUT signals are kept even when unreferenced: a pruned
     input costs one unconstrained solver variable and zero clauses, and
     keeping them means counterexamples still assign every input of the
-    original interface.
+    original interface.  A ``Circuit`` argument gives a validated
+    ``Circuit``, a ``Netlist`` a ``Netlist``.
     """
+    if isinstance(netlist, Circuit):
+        return cone_of_influence(Netlist.from_circuit(netlist), roots).to_circuit()
+    live = _cone(netlist, roots)
+    return _restrict(netlist, [reg for reg in netlist.registers if reg[0] in live], live)
+
+
+def _cone(netlist: Netlist, roots: Iterable[str]) -> Set[str]:
+    """The names ``roots`` depend on, through cells and registers."""
+    signals = netlist.signals
+    next_of = {q: d for q, d, _reset in netlist.registers}
+    fanins = {cell[1]: cell[2] for cell in netlist.cells}
     live: Set[str] = set()
-    register_of = {reg.q.name: reg for reg in circuit.registers}
-    stack = [name for name in roots]
+    stack = list(roots)
     while stack:
         name = stack.pop()
         if name in live:
             continue
         live.add(name)
-        reg = register_of.get(name)
-        if reg is not None:
-            stack.append(reg.d.name)
+        d = next_of.get(name)
+        if d is not None:
+            stack.append(d)
             continue
-        producer = circuit.producer(circuit.signal(name))
-        if producer is not None:
-            stack.extend(s.name for s in producer.ins)
-    out = Circuit(circuit.name)
-    for sig in circuit.inputs:
-        out.add_signal(sig)
-    for reg in circuit.registers:
-        if reg.q.name in live:
-            out.add_register(reg)
-    for cell in circuit.cells:
-        if cell.out.name in live:
-            out.adopt_cell(cell)
-    if validate:
-        out.validate()
+        if name not in signals:
+            raise CircuitError(f"no signal named {name!r} in circuit {netlist.name!r}")
+        stack.extend(fanins.get(name, ()))
+    return live
+
+
+def _restrict(netlist: Netlist, registers, live: Set[str]) -> Netlist:
+    """The inputs, ``registers`` and the cells driving ``live`` names."""
+    signals = netlist.signals
+    out = Netlist(netlist.name)
+    table = out.signals
+    for sig in netlist.inputs():
+        table[sig] = signals[sig]
+    for q, _d, _reset in registers:
+        table.setdefault(q, signals[q])
+    out.registers = list(registers)
+    cells = out.cells
+    for cell in netlist.cells:
+        if cell[1] in live:
+            cells.append(cell)
+            table.setdefault(cell[1], signals[cell[1]])
     return out
 
 
@@ -289,7 +324,7 @@ class _Strasher:
     """Structural hashing over 1-bit gates with signed edges.
 
     Every 1-bit signal is reduced to an *edge* ``(node, negated)``
-    where ``node`` is a canonical signal name in the output circuit (or
+    where ``node`` is a canonical signal name in the output netlist (or
     ``None`` for a constant).  ``BUF``/``NOT`` fold into the edge
     phase, and ``AND``/``OR``/``XOR`` nodes are hash-consed on
     ``(op, sorted signed inputs)``, so gates that differ only in
@@ -311,39 +346,45 @@ class _Strasher:
     _FALSE = (None, False)
     _TRUE = (None, True)
 
-    def __init__(self, source: Circuit) -> None:
+    def __init__(self, source: Netlist) -> None:
         self.src = source
-        self.out = Circuit(source.name)
+        self.out = Netlist(source.name)
         #: source signal name -> (canonical node name | None, negated)
         self.edge: Dict[str, Tuple[Optional[str], bool]] = {}
         #: structural key -> canonical node name
         self.nodes: Dict[Tuple, str] = {}
         self._tmp = 0
 
-    def run(self, validate: bool = True) -> Circuit:
-        for sig in self.src.inputs:
-            self.out.add_signal(sig)
-            self.edge[sig.name] = (sig.name, False)
-        for reg in self.src.registers:
-            self.out.add_signal(reg.q)
-            self.edge[reg.q.name] = (reg.q.name, False)
-        for cell in self.src.topo_cells():
-            self._hash_cell(cell)
-        for reg in self.src.registers:
-            d_name = self._materialize(self.edge[reg.d.name], reg.d.width)
-            self.out.add_register(
-                Register(reg.q, self.out.signal(d_name), reg.reset_value))
-        for sig in self.src.outputs:
-            self._drive_output(sig)
-        return _eliminate_dead(self.out, validate=validate)
+    def run(self) -> Netlist:
+        src, out, edge = self.src, self.out, self.edge
+        for name in src.inputs():
+            out.signals[name] = src.signals[name]
+            edge[name] = (name, False)
+        for q, _d, _reset in src.registers:
+            out.signals.setdefault(q, src.signals[q])
+            edge[q] = (q, False)
+        hash_cell = self._hash_cell
+        for cell in src.topo_cells():
+            hash_cell(cell)
+        for q, d, reset in src.registers:
+            out.registers.append(
+                (q, self._materialize(edge[d], src.signals[d][0]), reset))
+        for name in src.outputs():
+            self._drive_output(name)
+        return _eliminate_dead(out)
 
     # ------------------------------------------------------------------
     def _fresh_name(self, prefix: str) -> str:
         self._tmp += 1
         return f"_st_{prefix}{self._tmp}"
 
+    def _add(self, op: str, name: str, ins: Tuple[str, ...], params,
+             entry: Tuple[int, str, str], module: str = "") -> None:
+        self.out.signals.setdefault(name, entry)
+        self.out.cells.append((op, name, ins, params, module))
+
     def _materialize(self, edge: Tuple[Optional[str], bool], width: int) -> str:
-        """Name of an output-circuit signal carrying this edge's value."""
+        """Name of an output-netlist signal carrying this edge's value."""
         node, negated = edge
         if node is None:
             key = ("const", int(negated))
@@ -351,9 +392,7 @@ class _Strasher:
             if existing is not None:
                 return existing
             name = self._fresh_name("const")
-            sig = Signal(name, width, SignalKind.WIRE)
-            self.out.add_cell(
-                Cell(CellOp.CONST, sig, (), (("value", int(negated)),)))
+            self._add("const", name, (), (("value", int(negated)),), (width, WIRE, ""))
             self.nodes[key] = name
             return name
         if not negated:
@@ -363,82 +402,76 @@ class _Strasher:
         if existing is not None:
             return existing
         name = self._fresh_name("not")
-        sig = Signal(name, width, SignalKind.WIRE)
-        self.out.add_cell(Cell(CellOp.NOT, sig, (self.out.signal(node),)))
+        self._add("not", name, (node,), (), (width, WIRE, ""))
         self.nodes[key] = name
         return name
 
-    def _drive_output(self, sig: Signal) -> None:
+    def _drive_output(self, name: str) -> None:
         """Re-create an OUTPUT signal, by name, from its canonical edge."""
-        node, negated = self.edge[sig.name]
-        if node == sig.name and not negated:
+        node, negated = self.edge[name]
+        if node == name and not negated:
             return  # the canonical node *is* the output signal
-        out_sig = Signal(sig.name, sig.width, SignalKind.OUTPUT, module=sig.module)
+        width, _kind, module = self.src.signals[name]
+        entry = (width, OUTPUT, module)
         if node is None:
-            self.out.add_cell(
-                Cell(CellOp.CONST, out_sig, (), (("value", int(negated)),)))
+            self._add("const", name, (), (("value", int(negated)),), entry)
         elif negated:
-            self.out.add_cell(Cell(CellOp.NOT, out_sig, (self.out.signal(node),)))
+            self._add("not", name, (node,), (), entry)
         else:
-            self.out.add_cell(Cell(CellOp.BUF, out_sig, (self.out.signal(node),)))
+            self._add("buf", name, (node,), (), entry)
 
-    def _emit_node(self, cell: Cell, key: Tuple, op: CellOp,
+    def _emit_node(self, cell: FlatCell, key: Tuple, op: str,
                    in_edges: List[Tuple[Optional[str], bool]]) -> Tuple[str, bool]:
         """Hash-cons a gate node; returns its positive edge."""
         existing = self.nodes.get(key)
         if existing is not None:
             return (existing, False)
-        ins = tuple(
-            self.out.signal(self._materialize(edge, 1)) for edge in in_edges)
+        ins = tuple(self._materialize(edge, 1) for edge in in_edges)
         # Keep the source name when it is free (preserves readability and
         # lets outputs be their own canonical node); OUTPUT-kind signals
         # are re-driven separately so the node itself stays a wire.
-        if cell.out.kind is SignalKind.WIRE and cell.out.name not in self.out.signals:
-            sig = Signal(cell.out.name, 1, SignalKind.WIRE, module=cell.module)
-        else:
-            sig = Signal(self._fresh_name("n"), 1, SignalKind.WIRE, module=cell.module)
-        self.out.add_cell(Cell(op, sig, ins, module=cell.module))
-        self.nodes[key] = sig.name
-        return (sig.name, False)
+        name, module = cell[1], cell[4]
+        if self.src.signals[name][1] != WIRE or name in self.out.signals:
+            name = self._fresh_name("n")
+        self._add(op, name, ins, (), (1, WIRE, module), module)
+        self.nodes[key] = name
+        return (name, False)
 
-    def _hash_cell(self, cell: Cell) -> None:
-        op = cell.op
-        out_name = cell.out.name
-        if cell.out.width == 1 and op in (
-                CellOp.CONST, CellOp.BUF, CellOp.NOT,
-                CellOp.AND, CellOp.OR, CellOp.XOR):
-            if op is CellOp.CONST:
-                self.edge[out_name] = self._TRUE if cell.param("value") & 1 else self._FALSE
+    def _hash_cell(self, cell: FlatCell) -> None:
+        op, out_name, ins, params, module = cell
+        edge = self.edge
+        signals = self.src.signals
+        out_entry = signals[out_name]
+        if out_entry[0] == 1 and op in _GATE_OPS:
+            if op == "const":
+                edge[out_name] = self._TRUE if _param(params, "value") & 1 else self._FALSE
                 return
-            ins = [self.edge[s.name] for s in cell.ins]
-            if op is CellOp.BUF:
-                self.edge[out_name] = ins[0]
+            in_edges = [edge[n] for n in ins]
+            if op == "buf":
+                edge[out_name] = in_edges[0]
                 return
-            if op is CellOp.NOT:
-                node, negated = ins[0]
-                self.edge[out_name] = (node, not negated)
+            if op == "not":
+                node, negated = in_edges[0]
+                edge[out_name] = (node, not negated)
                 return
-            if op is CellOp.AND:
-                self.edge[out_name] = self._strash_andor(cell, CellOp.AND, ins)
+            if op == "xor":
+                edge[out_name] = self._strash_xor(cell, in_edges)
                 return
-            if op is CellOp.OR:
-                self.edge[out_name] = self._strash_andor(cell, CellOp.OR, ins)
-                return
-            self.edge[out_name] = self._strash_xor(cell, ins)
+            edge[out_name] = self._strash_andor(cell, op, in_edges)
             return
         # Generic pass-through for non-gate cells (word-level circuits).
-        in_names = [self._materialize(self.edge[s.name], s.width) for s in cell.ins]
-        ins = tuple(self.out.signal(n) for n in in_names)
-        out_sig = cell.out
-        if out_sig.name in self.out.signals and self.out.signals[out_sig.name] != out_sig:
-            out_sig = Signal(self._fresh_name("w"), out_sig.width, out_sig.kind,
-                             module=cell.module)
-        self.out.add_cell(Cell(op, out_sig, ins, cell.params, module=cell.module))
-        self.edge[out_name] = (out_sig.name, False)
+        in_names = tuple(self._materialize(edge[n], signals[n][0]) for n in ins)
+        name = out_name
+        existing = self.out.signals.get(name)
+        if existing is not None and existing[:2] != out_entry[:2]:
+            name = self._fresh_name("w")
+            out_entry = (out_entry[0], out_entry[1], module)
+        self._add(op, name, in_names, params, out_entry, module)
+        edge[out_name] = (name, False)
 
-    def _strash_andor(self, cell: Cell, op: CellOp,
+    def _strash_andor(self, cell: FlatCell, op: str,
                       ins: List[Tuple[Optional[str], bool]]) -> Tuple[Optional[str], bool]:
-        is_and = op is CellOp.AND
+        is_and = op == "and"
         absorbing = self._FALSE if is_and else self._TRUE
         live: List[Tuple[str, bool]] = []
         seen: Set[Tuple[str, bool]] = set()
@@ -456,11 +489,11 @@ class _Strasher:
             return self._TRUE if is_and else self._FALSE
         if len(live) == 1:
             return live[0]
-        live.sort(key=lambda e: (e[0], e[1]))
-        key = (op.value, tuple(live))
-        return self._emit_node(cell, key, op, list(live))
+        live.sort()
+        key = (op, tuple(live))
+        return self._emit_node(cell, key, op, live)
 
-    def _strash_xor(self, cell: Cell,
+    def _strash_xor(self, cell: FlatCell,
                     ins: List[Tuple[Optional[str], bool]]) -> Tuple[Optional[str], bool]:
         parity = False
         counts: Dict[str, int] = {}
@@ -475,45 +508,33 @@ class _Strasher:
             return (nodes[0], parity)
         key = ("xor", tuple(nodes))
         node, _ = self._emit_node(
-            cell, key, CellOp.XOR, [(n, False) for n in nodes])
+            cell, key, "xor", [(n, False) for n in nodes])
         return (node, parity)
 
 
-def strash(circuit: Circuit, validate: bool = True) -> Circuit:
-    """Hash-cons structurally identical 1-bit gates (see :class:`_Strasher`)."""
-    return _Strasher(circuit).run(validate=validate)
+def strash(netlist: Union[Netlist, Circuit]) -> Circuit:
+    """Hash-cons structurally identical 1-bit gates (see :class:`_Strasher`).
 
-
-def _eliminate_dead(circuit: Circuit, validate: bool = True) -> Circuit:
-    """Drop cells not in the cone of any output or register next-value."""
-    live: Set[str] = set()
-    stack = [sig.name for sig in circuit.outputs]
-    stack.extend(reg.d.name for reg in circuit.registers)
-    while stack:
-        name = stack.pop()
-        if name in live:
-            continue
-        live.add(name)
-        producer = circuit.producer(circuit.signal(name))
-        if producer is not None:
-            stack.extend(s.name for s in producer.ins)
-    out = Circuit(circuit.name)
-    for sig in circuit.inputs:
-        out.add_signal(sig)
-    for reg in circuit.registers:
-        out.add_register(reg)
-    for cell in circuit.cells:
-        if cell.out.name in live:
-            out.adopt_cell(cell)
-    if validate:
-        out.validate()
-    return out
-
-
-def simplify(circuit: Circuit, validate: bool = True) -> Circuit:
-    """Run the full simplification pipeline on a circuit.
-
-    ``validate=False`` skips the output invariant check — for use in
-    pass pipelines that validate once at the end.
+    The last pass of the SAT pipeline: whatever it is given, it returns
+    the validated ``Circuit``.
     """
-    return _Simplifier(circuit).run(validate=validate)
+    if isinstance(netlist, Circuit):
+        netlist = Netlist.from_circuit(netlist)
+    return _Strasher(netlist).run().to_circuit()
+
+
+def _eliminate_dead(netlist: Netlist) -> Netlist:
+    """Drop cells not in the cone of any output or register next-value."""
+    roots = netlist.outputs() + [d for _q, d, _reset in netlist.registers]
+    return _restrict(netlist, netlist.registers, _cone(netlist, roots))
+
+
+def simplify(netlist: Union[Netlist, Circuit]) -> Union[Netlist, Circuit]:
+    """Run the full simplification pipeline on a netlist.
+
+    A ``Netlist`` argument gives a ``Netlist``; a ``Circuit`` gives a
+    validated ``Circuit``.
+    """
+    if isinstance(netlist, Circuit):
+        return _Simplifier(Netlist.from_circuit(netlist)).run().to_circuit()
+    return _Simplifier(netlist).run()

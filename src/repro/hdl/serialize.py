@@ -111,7 +111,7 @@ def circuit_from_dict(data: Dict[str, Any], validate: bool = True) -> Circuit:
                     circuit.outputs.append(cell.out)
             circuit.cells.append(cell)
             circuit._producer.setdefault(cell.out.name, cell)
-            circuit._topo_cache = None
+            circuit._changed()
     if validate:
         circuit.validate()
     return circuit

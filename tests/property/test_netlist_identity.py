@@ -1,0 +1,280 @@
+"""Identity of the SAT netlist pipeline against a recorded golden file.
+
+The gate netlist that :func:`repro.formal.bmc._as_lowered` hands the
+encoder fixes SAT variable numbering, and with it counterexample
+models, CEGAR trajectories and solver effort.  A rewrite of lowering,
+``simplify``, ``cone_of_influence`` or ``strash`` must therefore
+return exactly the same :class:`~repro.hdl.lowering.LoweredCircuit`:
+the content fingerprint, the order of inputs, outputs, registers and
+signals, the ``bits`` map (names, kinds, widths, modules), and
+``pruned_resets``.  This test digests all of that for a fixed corpus
+and compares it with ``tests/data/netlist_identity.json``.
+
+The corpus: ``random_machine`` seeds 0-99 at three sizes (property
+pipeline, plain pipeline, raw lowering, word-level ``simplify`` and
+``strash``), ``random_cell_circuit`` seeds 0-29 (word-level passes and
+raw lowering), three instrumented verify-stream mux-chain tasks, tiny
+Sodor with its initial scheme and property, the ProSpeCT bug1 x
+Spectre directed netlist, its exact-check product and the
+``ExactValidator`` product.
+
+To re-record the golden file after a deliberate netlist change::
+
+    PYTHONPATH=src python tests/property/test_netlist_identity.py --record
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+import os
+import sys
+from typing import Callable, Dict, Iterator, Tuple
+
+import pytest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(os.path.dirname(HERE))
+GOLDEN = os.path.join(ROOT, "tests", "data", "netlist_identity.json")
+
+sys.path.insert(0, os.path.dirname(HERE))
+from conftest import random_cell_circuit  # noqa: E402
+
+#: (width, max_regs, max_ops) of the three random-machine sizes.
+MACHINE_SIZES = {"small": (2, 2, 3), "default": (3, 3, 6), "large": (4, 4, 10)}
+#: (index, stages, width, leaky) of the verify-stream tasks.
+STREAM_TASKS = ((0, 3, 4, False), (1, 5, 6, True), (2, 7, 8, False))
+#: The sink the bug1 x Spectre check hands the exact false-taint check.
+PROSPECT_SINK = "obs_dmem_laddr"
+TINY = dict(xlen=4, imem_depth=4, dmem_depth=4, secret_words=1)
+
+
+def _signal_doc(sig):
+    return [sig.name, sig.width, sig.kind.value, sig.module]
+
+
+def netlist_digest(lowered) -> str:
+    """Digest of everything the encoder and counterexample reader see."""
+    from repro.formal.cache import circuit_fingerprint
+    from repro.hdl.lowering import LoweredCircuit
+
+    if isinstance(lowered, LoweredCircuit):
+        circuit = lowered.circuit
+        bits = [[name, [_signal_doc(s) for s in sigs]]
+                for name, sigs in lowered.bits.items()]
+        pruned = sorted(lowered.pruned_resets.items())
+    else:
+        circuit, bits, pruned = lowered, None, None
+    doc = {
+        "fingerprint": circuit_fingerprint(circuit),
+        "name": circuit.name,
+        "signals": [_signal_doc(s) for s in circuit.signals.values()],
+        "inputs": [s.name for s in circuit.inputs],
+        "outputs": [s.name for s in circuit.outputs],
+        "registers": [[r.q.name, r.d.name, r.reset_value] for r in circuit.registers],
+        # What each cell references, not only by name: the encoder and
+        # the simulators read widths and kinds off these objects.
+        "cell_refs": [[_signal_doc(c.out)] + [_signal_doc(s) for s in c.ins]
+                      for c in circuit.cells],
+        "topo": [c.out.name for c in circuit.topo_cells()],
+        "bits": bits,
+        "pruned_resets": pruned,
+    }
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:24]
+
+
+def _fresh_lowered(circuit, prop=None):
+    from repro.formal import bmc
+
+    bmc._LOWERED_CACHE.clear()
+    return bmc._as_lowered(circuit, prop)
+
+
+def _bad_property(name="bad"):
+    from repro.formal.properties import SafetyProperty
+
+    return SafetyProperty(name="identity", bad=name)
+
+
+def _load_perfbench_workloads():
+    """perfbench's workload module, which builds the verify-stream tasks."""
+    name = "_identity_perfbench_workloads"
+    if name not in sys.modules:
+        path = os.path.join(ROOT, "perfbench", "workloads.py")
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses resolve their module here
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+# -- the corpus ---------------------------------------------------------------
+
+def _machine_cases(size: str) -> Iterator[Tuple[str, Callable[[], str]]]:
+    from repro.bench.fuzz import random_machine
+    from repro.hdl.lowering import lower_to_gates
+    from repro.hdl.optimize import simplify, strash
+
+    width, regs, ops = MACHINE_SIZES[size]
+    for seed in range(100):
+        def case(seed=seed):
+            circuit = random_machine(seed, width=width, max_regs=regs, max_ops=ops)
+            parts = [
+                netlist_digest(_fresh_lowered(circuit, _bad_property())),
+                netlist_digest(_fresh_lowered(circuit)),
+                netlist_digest(lower_to_gates(circuit)),
+                netlist_digest(simplify(circuit)),
+                netlist_digest(strash(circuit)),
+            ]
+            return "/".join(parts)
+        yield f"machine-{size}-{seed}", case
+
+
+def _cell_circuit_cases() -> Iterator[Tuple[str, Callable[[], str]]]:
+    from repro.hdl.lowering import lower_to_gates
+    from repro.hdl.optimize import cone_of_influence, simplify, strash
+
+    for seed in range(30):
+        def case(seed=seed):
+            circuit = random_cell_circuit(seed)
+            gates = lower_to_gates(circuit)
+            roots = [s.name for s in gates.bits["out"]]
+            parts = [
+                netlist_digest(simplify(circuit)),
+                netlist_digest(strash(circuit)),
+                netlist_digest(cone_of_influence(circuit, ["out"])),
+                netlist_digest(gates),
+                netlist_digest(strash(cone_of_influence(simplify(gates.circuit), roots))),
+            ]
+            return "/".join(parts)
+        yield f"cells-{seed}", case
+
+
+def _stream_cases() -> Iterator[Tuple[str, Callable[[], str]]]:
+    from repro.cegar import loop
+
+    for index, stages, width, leaky in STREAM_TASKS:
+        def case(index=index, stages=stages, width=width, leaky=leaky):
+            task = _load_perfbench_workloads().mux_chain_task(index, stages, width, leaky)
+            design, prop = loop.instrument_task(task, task.initial_scheme())
+            return netlist_digest(_fresh_lowered(design.circuit, prop))
+        yield f"stream-{index}", case
+
+
+def _sodor_case() -> str:
+    from repro.cegar import loop
+    from repro.contracts import make_contract_task
+    from repro.cores import CoreConfig, build_sodor
+
+    task = make_contract_task(build_sodor(CoreConfig(**TINY)))
+    design, prop = loop.instrument_task(task, task.initial_scheme())
+    return netlist_digest(_fresh_lowered(design.circuit, prop))
+
+
+def _exact_validator_case() -> str:
+    from repro.cegar.falsetaint import ExactValidator
+    from repro.contracts import make_contract_task
+    from repro.cores import CoreConfig, build_sodor
+
+    task = make_contract_task(build_sodor(CoreConfig(**TINY)))
+    validator = ExactValidator(task.circuit, task.secret_registers(), task.sinks,
+                               init_assumption_outputs=task.init_assumption_outputs)
+    return netlist_digest(validator.lowered)
+
+
+def _prospect_cases() -> Iterator[Tuple[str, Callable[[], str]]]:
+    def build():
+        from repro.cores import CoreConfig, build_prospect
+
+        return build_prospect(CoreConfig.formal(), bug1=True, bug2=False)
+
+    def directed():
+        from repro.cegar import loop
+        from repro.contracts import make_contract_task
+        from repro.formal.properties import SafetyProperty
+        from repro.taint import cellift_scheme
+
+        core = build()
+        task = make_contract_task(core)
+        scheme = cellift_scheme()
+        for module in core.precise_modules:
+            scheme.module_defaults[module] = scheme.default
+        design, prop = loop.instrument_task(task, scheme)
+        free = frozenset(set(task.symbolic_registers) - set(core.imem_words))
+        directed_prop = SafetyProperty(prop.name, prop.bad, prop.assumptions,
+                                       prop.init_assumptions, free)
+        return netlist_digest(_fresh_lowered(design.circuit, directed_prop))
+
+    def exact_product():
+        from repro.contracts import make_contract_task
+        from repro.formal.product import self_composition
+        from repro.formal.properties import SafetyProperty
+
+        core = build()
+        task = make_contract_task(core)
+        secrets = set(task.secret_registers())
+        product = self_composition(core.circuit,
+                                   shared_inputs={s.name for s in core.circuit.inputs})
+        bad = product.differs(PROSPECT_SINK)
+        symbolic = frozenset(product.c2(reg.q.name) for reg in core.circuit.registers
+                             if reg.q.name in secrets)
+        prop = SafetyProperty(
+            name=f"false-taint:{PROSPECT_SINK}", bad=bad,
+            init_assumptions=tuple(product.c2(n) for n in core.init_assumption_outputs),
+            symbolic_registers=symbolic,
+        )
+        return netlist_digest(_fresh_lowered(product.circuit, prop))
+
+    yield "prospect-bug1-spectre", directed
+    yield "prospect-exact-product", exact_product
+
+
+def all_cases() -> Dict[str, Callable[[], str]]:
+    cases: Dict[str, Callable[[], str]] = {}
+    for size in MACHINE_SIZES:
+        cases.update(_machine_cases(size))
+    cases.update(_cell_circuit_cases())
+    cases.update(_stream_cases())
+    cases["sodor-initial"] = _sodor_case
+    cases["sodor-exact-validator"] = _exact_validator_case
+    cases.update(_prospect_cases())
+    return cases
+
+
+# -- the tests ----------------------------------------------------------------
+
+def _golden() -> Dict[str, str]:
+    with open(GOLDEN) as handle:
+        return json.load(handle)
+
+
+FAMILIES = ("machine-small", "machine-default", "machine-large", "cells",
+            "stream", "sodor-initial", "sodor-exact-validator",
+            "prospect-bug1-spectre", "prospect-exact-product")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_netlist_identity(family):
+    golden = _golden()
+    cases = {name: fn for name, fn in all_cases().items()
+             if name == family or name.startswith(family + "-")}
+    assert cases, family
+    mismatched = [name for name, fn in cases.items() if fn() != golden[name]]
+    assert not mismatched, f"netlists differ from the golden file: {mismatched}"
+
+
+def test_golden_covers_the_corpus():
+    assert set(_golden()) == set(all_cases())
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    record = {name: fn() for name, fn in all_cases().items()}
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w") as handle:
+        json.dump(record, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"recorded {len(record)} cases in {GOLDEN}")

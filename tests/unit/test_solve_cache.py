@@ -4,6 +4,7 @@ import pytest
 
 from repro.hdl import ModuleBuilder
 from repro.hdl.lowering import lower_to_gates
+from repro.hdl.signals import Signal, SignalKind
 from repro.hdl.serialize import circuit_from_dict, circuit_to_dict
 from repro.formal import (
     CachedVerdict,
@@ -48,6 +49,27 @@ class TestFingerprints:
         lowered = lower_to_gates(_counter())
         assert circuit_fingerprint(lowered) == \
             circuit_fingerprint(lowered.circuit)
+
+    def test_fingerprint_follows_mutation(self):
+        """Growing a hashed circuit must not reuse its old digest."""
+        circ = _counter()
+        before = circuit_fingerprint(circ)
+        circ.add_signal(Signal("x", 1, SignalKind.INPUT))
+        assert circuit_fingerprint(circ) != before
+
+    def test_lowered_cache_sees_a_grown_product(self):
+        """A product gaining a monitor lowers afresh, with the monitor."""
+        from repro.bench.fuzz import random_machine
+        from repro.formal.bmc import _as_lowered
+        from repro.formal.product import self_composition
+
+        product = self_composition(random_machine(3))
+        product.differs("bad")
+        first = _as_lowered(product.circuit)
+        monitor = product.differs("r0")
+        second = _as_lowered(product.circuit)
+        assert second is not first
+        assert monitor in second.bits
 
     def test_key_distinguishes_property(self):
         circ = _counter()
