@@ -350,6 +350,18 @@ def instrument_task(
 ) -> Tuple[InstrumentedDesign, SafetyProperty]:
     """Instrument the task's design and build the safety property."""
     design = instrument(task.circuit, scheme, task.sources)
+    return design, attach_property(task, design)
+
+
+def attach_property(
+    task: TaintVerificationTask, design: InstrumentedDesign
+) -> SafetyProperty:
+    """Add the task's sink/assumption monitors to ``design`` in place and
+    return the safety property over them.
+
+    Monitor cells only read taint signals, so a design that was already
+    simulated (a refinement's candidate) keeps every recorded value.
+    """
     bad = design.add_taint_monitor(task.sinks, out_name="__compass_bad")
     assumptions: List[str] = list(task.assumption_outputs)
     if task.clean_assumptions:
@@ -362,14 +374,13 @@ def instrument_task(
                 task.gated_clean_assumptions, out_name="__compass_gated_clean"
             )
         )
-    prop = SafetyProperty(
+    return SafetyProperty(
         name=task.name,
         bad=bad,
         assumptions=tuple(assumptions),
         init_assumptions=tuple(task.init_assumption_outputs),
         symbolic_registers=frozenset(task.symbolic_registers),
     )
-    return design, prop
 
 
 def _tainted_sink(
@@ -873,13 +884,11 @@ def _run_compass_inner(
             )
         stats.t_simu += sp.elapsed
         failed_locations: set = set()
-        while _tainted_sink(design, taint_wf, task.sinks,
-                            final_cycle) is not None:
+        while sink is not None:
             if stats.refinements >= config.max_refinements or out_of_time():
                 return CegarResult(CegarStatus.BUDGET_EXHAUSTED, task,
                                    scheme, design, prop, stats,
                                    bound=last_bound)
-            sink = _tainted_sink(design, taint_wf, task.sinks, final_cycle)
             outcome = None
             alert = None
             for _attempt in range(config.max_location_retries):
@@ -923,12 +932,14 @@ def _run_compass_inner(
                 tracer.count("cegar.refinements")
             stats.refinements += 1
             stats.refinement_log.append(f"{location}: {outcome.description}")
+            # Keep the design and waveform the flip test already built:
+            # attaching the monitors leaves both as a fresh
+            # ``instrument_task`` + replay would make them.
             scheme = outcome.scheme
-            design, prop = instrument_task(task, scheme)
-            with tracer.span("cegar.replay", cat="simu",
-                             iteration=iteration) as sp:
-                taint_wf = cex.replay(design.circuit)
-            stats.t_simu += sp.elapsed
+            design = outcome.design
+            prop = attach_property(task, design)
+            taint_wf = outcome.waveform
+            sink = _tainted_sink(design, taint_wf, task.sinks, final_cycle)
         stats.counterexamples_eliminated += 1
         stats.eliminated.append(cex)
         tracer.count("cegar.counterexamples_eliminated")

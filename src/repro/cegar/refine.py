@@ -38,7 +38,11 @@ class CorrelationImprecisionAlert(RuntimeError):
 
 @dataclass
 class RefinementOutcome:
-    """Result of one refinement application."""
+    """Result of one refinement application.
+
+    ``design`` is the new scheme's instrumentation and ``waveform`` the
+    counterexample replayed on it; the CEGAR loop keeps both.
+    """
 
     scheme: TaintScheme
     design: InstrumentedDesign

@@ -150,11 +150,16 @@ class PortfolioResult:
 
 
 # ---------------------------------------------------------------------------
-# Engine adapters: run one engine, produce a uniform plain-data verdict.
+# Engine adapters: run one engine, fill its report.
 # ---------------------------------------------------------------------------
 
+#: What a definitive engine hands the result: whether it proved the
+#: property, its counterexample, and PDR's invariant certificate.
+_Win = Tuple[bool, Optional[Counterexample], Optional[Certificate]]
+
+
 def _run_engine(
-    engine: str,
+    report: EngineReport,
     lowered: LoweredCircuit,
     prop: SafetyProperty,
     config: PortfolioConfig,
@@ -162,84 +167,62 @@ def _run_engine(
     time_limit: Optional[float],
     cache: Optional[SolveCache],
     tracer=None,
-) -> Dict[str, object]:
-    """Execute one engine; returns a plain verdict record.
+) -> Optional[_Win]:
+    """Run ``report.engine`` and fill ``report`` with what it did.
 
-    ``definitive`` marks outcomes that settle the property (violation
-    or unbounded proof); everything else is partial information.
+    Returns ``(proved, counterexample, certificate)`` when the outcome
+    settles the property (violation or unbounded proof); None when it
+    is partial information (the report's clean bound).
     """
+    engine = report.engine
     started = time.monotonic()
+    certificate: Optional[Certificate] = None
     if engine == "bmc":
         res = bounded_model_check(
             lowered, prop, max_bound=config.max_bound, time_limit=time_limit,
             start_bound=config.start_bound,
             max_conflicts=config.max_conflicts, cache=cache, tracer=tracer,
         )
+        proved = False
         definitive = res.status is BmcStatus.COUNTEREXAMPLE
-        return {
-            "engine": engine,
-            "status": res.status.value,
-            "definitive": definitive,
-            "proved": False,
-            "bound": res.bound,
-            "counterexample": res.counterexample,
-            "elapsed": time.monotonic() - started,
-        }
-    if engine == "kind":
+        report.status, report.bound = res.status.value, res.bound
+    elif engine == "kind":
         res = k_induction(
             lowered, prop, max_k=config.induction_max_k, time_limit=time_limit,
             unique_states=config.unique_states,
             max_conflicts=config.max_conflicts, cache=cache, tracer=tracer,
         )
-        definitive = res.status in (InductionStatus.PROVED,
-                                    InductionStatus.COUNTEREXAMPLE)
-        return {
-            "engine": engine,
-            "status": res.status.value,
-            "definitive": definitive,
-            "proved": res.status is InductionStatus.PROVED,
-            "bound": res.bound,
-            "counterexample": res.counterexample,
-            "elapsed": time.monotonic() - started,
-        }
-    if engine == "pdr":
+        proved = res.status is InductionStatus.PROVED
+        definitive = proved or res.status is InductionStatus.COUNTEREXAMPLE
+        report.status, report.bound = res.status.value, res.bound
+    elif engine == "pdr":
         res = pdr_prove(
             lowered, prop, max_frames=config.pdr_max_frames, time_limit=time_limit,
             max_conflicts=config.max_conflicts, tracer=tracer,
         )
-        definitive = res.status in (PdrStatus.PROVED, PdrStatus.COUNTEREXAMPLE)
-        return {
-            "engine": engine,
-            "status": res.status.value,
-            "definitive": definitive,
-            "proved": res.status is PdrStatus.PROVED,
-            "bound": -1,  # PDR frames are not cycle bounds
-            "counterexample": res.counterexample,
-            "elapsed": time.monotonic() - started,
-            "certificate": res.certificate,
-        }
-    if engine == "static":
+        proved = res.status is PdrStatus.PROVED
+        definitive = proved or res.status is PdrStatus.COUNTEREXAMPLE
+        certificate = res.certificate
+        # report.bound stays -1: PDR frames are not cycle bounds.
+        report.status = res.status.value
+    elif engine == "static":
         from repro.analyze import static_verify
 
         res = static_verify(lowered, prop,
                             max_frames=config.static_max_frames,
                             tracer=tracer)
-        detail = res.reason
+        proved, definitive = res.proved, res.definitive
+        report.status, report.bound = res.status, res.bound
+        report.detail = res.reason
         if res.suspects:
-            detail += f"; {len(res.suspects)} suspects"
-        return {
-            "engine": engine,
-            "status": res.status,
-            "definitive": res.definitive,
-            "proved": res.proved,
-            "bound": res.bound,
-            "counterexample": res.counterexample,
-            "elapsed": time.monotonic() - started,
-            "detail": detail,
-            "suspects": res.suspects,
-        }
-    raise ValueError(f"unknown portfolio engine {engine!r} "
-                     f"(expected one of {ENGINE_NAMES})")
+            report.detail += f"; {len(res.suspects)} suspects"
+    else:
+        raise ValueError(f"unknown portfolio engine {engine!r} "
+                         f"(expected one of {ENGINE_NAMES})")
+    report.elapsed = time.monotonic() - started
+    if not definitive:
+        return None
+    return proved, res.counterexample, certificate
 
 
 # ---------------------------------------------------------------------------
@@ -261,27 +244,25 @@ def _portfolio_key(lowered: LoweredCircuit, prop: SafetyProperty,
 def _finalize(
     reports: Dict[str, EngineReport],
     order: Tuple[str, ...],
-    winner: Optional[Dict[str, object]],
     elapsed: float,
+    winner: Optional[str] = None,
+    proved: bool = False,
+    counterexample: Optional[Counterexample] = None,
+    certificate: Optional[Certificate] = None,
 ) -> PortfolioResult:
     bound = max((r.bound for r in reports.values()), default=-1)
     ordered = [reports[name] for name in order]
-    if winner is not None:
-        name = winner["engine"]
-        reports[name].winner = True
-        if winner["proved"]:
-            status = PortfolioStatus.PROVED
-        else:
-            status = PortfolioStatus.COUNTEREXAMPLE
-        return PortfolioResult(
-            status, winner=name, bound=bound,
-            counterexample=winner["counterexample"],
-            elapsed=elapsed, reports=ordered,
-            certificate=winner.get("certificate"),
-        )
-    status = PortfolioStatus.BOUND_REACHED if bound >= 0 else PortfolioStatus.UNKNOWN
-    return PortfolioResult(status, bound=bound, elapsed=elapsed,
-                           reports=ordered)
+    if winner is None:
+        status = (PortfolioStatus.BOUND_REACHED if bound >= 0
+                  else PortfolioStatus.UNKNOWN)
+        return PortfolioResult(status, bound=bound, elapsed=elapsed,
+                               reports=ordered)
+    reports[winner].winner = True
+    status = PortfolioStatus.PROVED if proved else PortfolioStatus.COUNTEREXAMPLE
+    return PortfolioResult(
+        status, winner=winner, bound=bound, counterexample=counterexample,
+        elapsed=elapsed, reports=ordered, certificate=certificate,
+    )
 
 
 def _memoize(cache: Optional[SolveCache], key: Optional[str],
@@ -324,7 +305,6 @@ def _run_sequential(
     until one returns a definitive verdict."""
     tracer = tracer or NULL_TRACER
     reports = {name: EngineReport(name) for name in config.engines}
-    winner: Optional[Dict[str, object]] = None
     for position, engine in enumerate(config.engines):
         remaining = None
         if config.time_limit is not None:
@@ -341,21 +321,16 @@ def _run_sequential(
             deadline = remaining
         elif remaining is not None:
             deadline = min(deadline, remaining)
-        with tracer.span("portfolio.engine", cat="portfolio", engine=engine) as span:
-            verdict = _run_engine(engine, lowered, prop, config,
-                                  time_limit=deadline, cache=cache,
-                                  tracer=tracer)
-            span.set(status=str(verdict["status"]))
         report = reports[engine]
-        report.status = str(verdict["status"])
-        report.bound = int(verdict["bound"])
-        report.elapsed = float(verdict["elapsed"])
-        report.detail = str(verdict.get("detail", ""))
-        if verdict["definitive"]:
-            winner = verdict
-            break
-    return _finalize(reports, config.engines, winner,
-                     time.monotonic() - started)
+        with tracer.span("portfolio.engine", cat="portfolio", engine=engine) as span:
+            win = _run_engine(report, lowered, prop, config,
+                              time_limit=deadline, cache=cache,
+                              tracer=tracer)
+            span.set(status=report.status)
+        if win is not None:
+            return _finalize(reports, config.engines,
+                             time.monotonic() - started, engine, *win)
+    return _finalize(reports, config.engines, time.monotonic() - started)
 
 
 def verify_portfolio(

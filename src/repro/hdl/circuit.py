@@ -125,11 +125,14 @@ class Circuit:
         self._topo_cache: Optional[List[Cell]] = None
         #: Memo of :func:`repro.formal.cache.circuit_fingerprint`.
         self._content_fingerprint: Optional[str] = None
+        #: True once :meth:`validate` passed on the current structure.
+        self._validated = False
 
     def _changed(self) -> None:
         """Drop the memos that describe the structure before a mutation."""
         self._topo_cache = None
         self._content_fingerprint = None
+        self._validated = False
 
     # ------------------------------------------------------------------
     # construction
@@ -272,12 +275,18 @@ class Circuit:
         message lists them all.  When the only violations are
         combinational cycles, :class:`CombinationalLoopError` is raised
         for compatibility with loop-specific handlers.
+
+        A structure that passed is not checked again until the next
+        ``add_*`` call (or ``_changed()``) alters it.
         """
+        if self._validated:
+            return
         from repro.lint.structural import invariant_diagnostics
 
         violations = invariant_diagnostics(self)
         if not violations:
             self.topo_cells()  # populate the cache on the happy path
+            self._validated = True
             return
         messages = []
         for diag in violations:
@@ -298,15 +307,13 @@ class Circuit:
     # misc
     # ------------------------------------------------------------------
     def clone(self, name: Optional[str] = None) -> "Circuit":
-        """Shallow structural copy (signals/cells are immutable, safe to share)."""
-        out = Circuit(name or self.name)
-        for sig in self.signals.values():
-            out.add_signal(sig)
-        for reg in self.registers:
-            out.add_register(reg)
-        for cell in self.cells:
-            out.add_cell(cell)
-        return out
+        """Shallow structural copy (signals/cells are immutable, safe to share).
+
+        Every element already passed its ``add_*`` check here, so the
+        copy goes through :meth:`_assemble` without re-checking them.
+        """
+        return Circuit._assemble(name or self.name, dict(self.signals),
+                                 list(self.registers), list(self.cells))
 
     def state_bits(self) -> int:
         return sum(r.q.width for r in self.registers)

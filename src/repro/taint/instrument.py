@@ -177,8 +177,6 @@ def _instrument_gate_level(
     """
     lowered = lower_to_gates(circuit)
     gate_sources = TaintSources()
-    for reg in lowered.circuit.registers:
-        pass
     for orig_name, bit_sigs in lowered.bits.items():
         reg_mask = sources.registers.get(orig_name)
         in_mask = sources.inputs.get(orig_name)

@@ -113,3 +113,103 @@ def test_taint_of_secret_register_starts_set(seed):
     sim = Simulator(design.circuit)
     sim.step({f"in{i}": 0 for i in range(3)})
     assert sim.peek(design.taint_name["secret"]) != 0
+
+
+def _rehome(circuit, rng):
+    """Copy ``circuit`` with random registers and cells moved into
+    submodules ``m0``/``m1`` (inputs and outputs stay at the top)."""
+    from repro.hdl.cells import Cell
+    from repro.hdl.circuit import Circuit, Register
+    from repro.hdl.signals import Signal, SignalKind
+
+    moved = {}
+    for sig in circuit.signals.values():
+        module = ""
+        if sig.kind not in (SignalKind.INPUT, SignalKind.OUTPUT):
+            module = rng.choice(("", "m0", "m1"))
+        name = f"{module}.{sig.name}" if module else sig.name
+        moved[sig.name] = Signal(name, sig.width, sig.kind, module=module)
+    out = Circuit(circuit.name)
+    for sig in moved.values():
+        out.add_signal(sig)
+    for reg in circuit.registers:
+        out.add_register(Register(moved[reg.q.name], moved[reg.d.name],
+                                  reg.reset_value))
+    for cell in circuit.cells:
+        new_out = moved[cell.out.name]
+        out.add_cell(Cell(cell.op, new_out,
+                          tuple(moved[s.name] for s in cell.ins),
+                          cell.params, module=new_out.module))
+    out.validate()
+    return out
+
+
+def _random_scheme(circuit, rng):
+    """Blackboxed modules, BIT/WORD registers and ladder options on cells."""
+    from repro.taint.space import refinement_ladder
+
+    scheme = TaintScheme("random", default=rng.choice(refinement_ladder()))
+    for module in sorted(circuit.module_paths()):
+        if rng.random() < 0.4:
+            scheme.blackboxes.add(module)
+    for reg in circuit.registers:
+        scheme.refine_register(reg.q.name,
+                               rng.choice((Granularity.BIT, Granularity.WORD)))
+    for cell in circuit.cells:
+        ladder = refinement_ladder(scheme.option_for_cell(cell.out.name, cell.module))
+        if ladder and rng.random() < 0.6:
+            scheme.refine_cell(cell.out.name, rng.choice(ladder))
+    return scheme
+
+
+@given(seed=st.integers(min_value=0, max_value=400), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_instrumentation_never_drives_the_data_path(seed, data):
+    """Taint logic sits beside the design: every original cell and
+    register survives unchanged, nothing else drives an original signal,
+    and the sink/clean/gated monitors add only ``_monitor`` cells."""
+    import random
+
+    from repro.bench.fuzz import random_machine
+
+    rng = random.Random(seed)
+    circ = _rehome(random_machine(seed, max_regs=3, max_ops=8), rng)
+    scheme = _random_scheme(circ, rng)
+    secret = rng.choice(circ.registers).q.name
+    design = instrument(circ, scheme, TaintSources(registers={secret: -1}))
+    inst = design.circuit
+
+    assert inst.cells[:len(circ.cells)] == circ.cells
+    for cell in circ.cells:
+        assert inst.producer(cell.out) is cell
+        assert inst.producer(cell.out).module == cell.module
+    for reg in circ.registers:
+        assert inst.register_of(reg.q) is reg
+    for name, sig in circ.signals.items():
+        assert inst.signals[name] == sig and inst.signals[name].module == sig.module
+    assert inst.inputs == circ.inputs
+    originals = {id(cell) for cell in circ.cells}
+    for cell in inst.cells:
+        if id(cell) not in originals:
+            assert cell.out.name not in circ.signals, cell
+
+    tainted = sorted(n for n in circ.signals if design.has_taint(n))
+    sinks = data.draw(st.lists(st.sampled_from(tainted), min_size=1,
+                               max_size=3), label="sinks")
+    clean = data.draw(st.lists(st.sampled_from(tainted), max_size=2),
+                      label="clean")
+    gated = data.draw(st.lists(st.tuples(st.sampled_from(sorted(circ.signals)),
+                                         st.sampled_from(tainted)),
+                               max_size=2), label="gated")
+    before = len(inst.cells)
+    registers = list(inst.registers)
+    design.add_taint_monitor(sinks, out_name="__bad")
+    if clean:
+        design.add_zero_taint_monitor(clean, out_name="__clean")
+    if gated:
+        design.add_gated_clean_monitor(gated, out_name="__gated")
+    inst.validate()
+    assert inst.registers == registers
+    added = inst.cells[before:]
+    assert added and all(cell.module == "_monitor" for cell in added)
+    assert all(cell.out.name not in circ.signals for cell in added)

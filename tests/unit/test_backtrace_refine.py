@@ -1,5 +1,8 @@
 """Backtracing (Algorithm 1) and the refinement strategy (Figure 4)."""
 
+import contextlib
+from dataclasses import replace
+
 import pytest
 
 from repro.hdl import ModuleBuilder
@@ -15,22 +18,26 @@ from repro.cegar import (
 from repro.cegar.falsetaint import FastFalseTaintOracle, SecretSpec
 
 
-def _fig2_circuit():
-    """Figure 2: three muxes; mux2/mux3 select public constantly."""
+def _fig2_circuit(module=None):
+    """Figure 2: three muxes; mux2/mux3 select public constantly.
+
+    With ``module``, the registers and muxes sit inside that submodule.
+    """
     b = ModuleBuilder("fig2")
     sel1 = b.input("sel1", 1)
     sel23 = b.const(0, 1)
-    sec = b.reg("secret", 4)
-    sec.drive(sec)
-    pub1 = b.reg("pub1", 4)
-    pub1.drive(pub1)
-    pub2 = b.reg("pub2", 4)
-    pub2.drive(pub2)
-    pub3 = b.reg("pub3", 4)
-    pub3.drive(pub3)
-    o1 = b.named("o1", b.mux(sel1, sec, pub1))
-    o2 = b.named("o2", b.mux(sel23, o1, pub2))
-    o3 = b.named("o3", b.mux(sel23, o2, pub3))
+    with b.scope(module) if module else contextlib.nullcontext():
+        sec = b.reg("secret", 4)
+        sec.drive(sec)
+        pub1 = b.reg("pub1", 4)
+        pub1.drive(pub1)
+        pub2 = b.reg("pub2", 4)
+        pub2.drive(pub2)
+        pub3 = b.reg("pub3", 4)
+        pub3.drive(pub3)
+        o1 = b.named("o1", b.mux(sel1, sec, pub1))
+        o2 = b.named("o2", b.mux(sel23, o1, pub2))
+        o3 = b.named("o3", b.mux(sel23, o2, pub3))
     b.output("sink", o3)
     return b.build()
 
@@ -145,3 +152,53 @@ class TestRefine:
         loc = find_refinement_location(design, wf, oracle, "sink", cycle=0)
         with pytest.raises(CorrelationImprecisionAlert):
             apply_refinement(circ, sources, scheme, design, loc, cex)
+
+
+class TestRefinementReuse:
+    """The CEGAR loop keeps the design and waveform each refinement
+    built; both must equal a fresh instrumentation and replay."""
+
+    def test_every_step_matches_a_fresh_build(self, monkeypatch):
+        from repro.cegar import loop
+        from repro.formal.cache import circuit_fingerprint
+
+        task = loop.TaintVerificationTask(
+            name="fig2",
+            circuit=_fig2_circuit("m"),
+            sources=TaintSources(registers={"m.secret": -1}),
+            sinks=("sink",),
+            symbolic_registers=frozenset(
+                {"m.secret", "m.pub1", "m.pub2", "m.pub3"}),
+        )
+        kinds = []
+        real = loop.apply_refinement
+
+        def checked(circuit, sources, scheme, design, location, cex):
+            outcome = real(circuit, sources, scheme, design, location, cex)
+            # The loop attaches the property to outcome.design in place;
+            # check on a copy so the run itself is left untouched.
+            kept = replace(outcome.design,
+                           circuit=outcome.design.circuit.clone())
+            kept_prop = loop.attach_property(task, kept)
+            fresh, fresh_prop = loop.instrument_task(task, outcome.scheme)
+            assert (circuit_fingerprint(kept.circuit)
+                    == circuit_fingerprint(fresh.circuit))
+            assert kept_prop == fresh_prop
+            replayed = cex.replay(fresh.circuit)
+            wf = outcome.waveform
+            assert wf.length == replayed.length
+            assert set(wf.signal_names) == set(outcome.design.circuit.signals)
+            for name in wf.signal_names:
+                assert wf.trace(name) == replayed.trace(name), name
+            kinds.append(location.kind)
+            return outcome
+
+        monkeypatch.setattr(loop, "apply_refinement", checked)
+        result = loop.run_compass(
+            task, loop.CegarConfig(max_bound=6, induction_max_k=6, seed=0))
+        assert result.status is loop.CegarStatus.PROVED
+        assert LocationKind.MODULE in kinds and LocationKind.CELL in kinds
+        fresh, fresh_prop = loop.instrument_task(task, result.scheme)
+        assert (circuit_fingerprint(result.design.circuit)
+                == circuit_fingerprint(fresh.circuit))
+        assert result.prop == fresh_prop

@@ -80,6 +80,36 @@ class TestTopologicalOrder:
         circ.topo_cells()  # must not raise
 
 
+class TestValidateOnce:
+    def test_unchanged_circuit_is_checked_once(self, monkeypatch):
+        import repro.lint.structural as structural
+
+        circ = Circuit("t")
+        a = circ.add_signal(Signal("a", 4, SignalKind.INPUT))
+        circ.add_cell(Cell(CellOp.BUF, Signal("o", 4, SignalKind.OUTPUT), (a,)))
+        calls = []
+        real = structural.invariant_diagnostics
+        monkeypatch.setattr(structural, "invariant_diagnostics",
+                            lambda c: calls.append(c) or real(c))
+        circ.validate()
+        circ.validate()
+        assert len(calls) == 1
+        circ.add_cell(Cell(CellOp.NOT, _wire("n", 4), (a,)))
+        circ.validate()
+        assert len(calls) == 2
+
+    def test_loop_added_after_validate_is_caught(self):
+        c = Circuit("grow")
+        a = c.add_signal(Signal("a", 1, SignalKind.INPUT))
+        c.add_cell(Cell(CellOp.NOT, Signal("o", 1, SignalKind.OUTPUT), (a,)))
+        c.validate()
+        y = c.add_signal(_wire("y"))
+        x = c.add_cell(Cell(CellOp.AND, _wire("x"), (a, y))).out
+        c.add_cell(Cell(CellOp.BUF, y, (x,)))
+        with pytest.raises(CombinationalLoopError):
+            c.validate()
+
+
 class TestQueries:
     def test_module_paths_and_registers_in_module(self):
         b = ModuleBuilder("t")
@@ -113,6 +143,31 @@ class TestQueries:
         assert len(clone.cells) == len(circ.cells)
         assert len(clone.registers) == len(circ.registers)
         clone.validate()
+
+    def test_clone_keeps_order_and_fingerprint(self):
+        from repro.formal.cache import circuit_fingerprint
+
+        b = ModuleBuilder("t")
+        a = b.input("a", 4)
+        c = b.input("c", 4)
+        r = b.reg("r", 4, reset=3)
+        s = b.reg("s", 4)
+        r.drive(a ^ s)
+        s.drive(r + c)
+        b.output("o", r + a)
+        b.output("p", s & c)
+        circ = b.build()
+        clone = circ.clone()
+        assert list(clone.signals) == list(circ.signals)
+        assert clone.inputs == circ.inputs
+        assert clone.outputs == circ.outputs
+        assert clone.registers == circ.registers
+        assert clone.cells == circ.cells
+        assert circuit_fingerprint(clone) == circuit_fingerprint(circ)
+        # The copy is independent: growing it leaves the source alone.
+        clone.add_cell(Cell(CellOp.NOT, _wire("n", 4), (a,)))
+        assert "n" not in circ.signals
+        assert len(clone.cells) == len(circ.cells) + 1
 
     def test_fanout_index(self):
         b = ModuleBuilder("t")
