@@ -44,7 +44,8 @@ def _run(label, budget, **extra):
         "status": result.status.value,
         "bound": result.bound,
         "wall": wall,
-        "engine_times": dict(result.stats.engine_times),
+        "engine_times": {name: seconds
+                         for name, seconds, _wins in result.stats.engines()},
         "cache": result.stats.cache,
     }
     _RESULTS[label] = row

@@ -36,8 +36,9 @@ _ENTRY_RE = re.compile(r"^journal-(\d{6})\.ckpt$")
 
 #: Bump when the checkpoint payload schema changes incompatibly
 #: (3: the in-flight candidate record was dropped; 4: the stats lost
-#: their worker crash and retry counters).
-FORMAT_VERSION = 4
+#: their worker crash and retry counters; 5: the stats became one
+#: ``counters`` dict of the run's tracer counters and span seconds).
+FORMAT_VERSION = 5
 
 
 class CheckpointError(Exception):

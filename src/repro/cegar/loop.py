@@ -13,6 +13,8 @@
 
 Statistics mirror Table 3: number of counterexamples eliminated, number
 of refinements, and the t_MC / t_Simu / t_BT / t_Gen runtime breakdown.
+They are a view of the run's tracer: its counters and the seconds of
+its ``mc`` / ``simu`` / ``bt`` / ``gen`` spans (:class:`RefinementStats`).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.formal.cache import CacheStats, SolveCache
 from repro.formal.counterexample import Counterexample
 from repro.formal.portfolio import ENGINE_NAMES
 from repro.formal.properties import SafetyProperty
-from repro.obs import NULL_TRACER, Tracer
+from repro.obs import NullTracer, Tracer
 from repro.taint.instrument import InstrumentedDesign, TaintSources, instrument
 from repro.taint.space import TaintScheme, blackbox_scheme
 from repro.cegar.backtrace import find_refinement_location
@@ -160,8 +162,8 @@ class CegarConfig:
     #: Run the static analyzer before every model-checking call:
     #: a ``verified``/``violation`` verdict skips SAT entirely, and an
     #: inconclusive one still donates its proven-clean bound so BMC
-    #: skips the shallow solves.  Prune counts land in
-    #: :class:`RefinementStats` and the ``analyze.*`` tracer counters.
+    #: skips the shallow solves.  What it did is counted in the
+    #: ``analyze.*`` counters of :attr:`RefinementStats.counters`.
     static_prescreen: bool = False
     #: Frame budget for the static engine's bounded ternary pass.
     static_max_frames: int = 64
@@ -194,8 +196,9 @@ class CegarConfig:
     store_dir: Optional[str] = None
     #: Observability: a :class:`repro.obs.Tracer` that records phase
     #: spans (model-check / simulate / backtrace / generate), engine
-    #: frames and SAT counters for this run.  None disables tracing;
-    #: the Table-3 statistics are collected either way.
+    #: frames and SAT counters for this run.  None runs untraced, on a
+    #: fresh :class:`repro.obs.NullTracer` that keeps the counters and
+    #: span seconds the Table-3 statistics are read from.
     trace: Optional[Tracer] = None
     #: Checkpointing: how many journal entries ``run_compass`` keeps
     #: when a ``checkpoint_dir`` is given (>= 2 so corruption of the
@@ -208,48 +211,50 @@ class CegarConfig:
     faults: Optional[FaultPlan] = None
 
 
+#: Key prefix of a span category's seconds in
+#: :attr:`RefinementStats.counters` (``time.mc`` is t_MC).
+TIME_PREFIX = "time."
+
+
 @dataclass
 class RefinementStats:
-    """Table 3 statistics."""
+    """Table 3 statistics, read from the run's books.
 
-    counterexamples_eliminated: int = 0
-    refinements: int = 0
-    t_mc: float = 0.0
-    t_simu: float = 0.0
-    t_bt: float = 0.0
-    t_gen: float = 0.0
+    ``counters`` holds the run's tracer counter totals and, under
+    ``time.<category>``, the seconds of its outermost spans per
+    category.  On a resumed run they are the checkpoint's counters plus
+    the resumed run's own.  Everything else here is a read-only view of
+    them, so the statistics and the run's trace cannot disagree.
+    """
+
+    counters: Dict[str, float] = field(default_factory=dict)
     refinement_log: List[str] = field(default_factory=list)
     #: The spurious counterexamples the loop eliminated, kept for the
     #: unnecessary-refinement pruning pass (paper Section 6.5).
     eliminated: List[Counterexample] = field(default_factory=list)
-    #: Portfolio observability: cumulative wall-clock per engine, how
-    #: often each engine produced the winning verdict, number of
-    #: portfolio invocations, and the solve-cache counters.
-    engine_times: Dict[str, float] = field(default_factory=dict)
-    engine_wins: Dict[str, int] = field(default_factory=dict)
-    portfolio_calls: int = 0
-    cache: Optional[CacheStats] = None
-    #: Robustness observability: checkpoints written, and — on a
-    #: resumed run — the iteration the journal restored.
-    checkpoints_written: int = 0
+    #: On a resumed run, the iteration the checkpoint journal restored.
     resumed_from: Optional[int] = None
-    #: Static pre-screen observability: analyzer invocations, how many
-    #: ended the iteration without SAT (proof or definite violation),
-    #: and how many shallow BMC solves its bounds let the solver skip.
-    static_prescreens: int = 0
-    static_proofs: int = 0
-    static_cex: int = 0
-    static_skipped_bounds: int = 0
-    #: Proof-certificate observability: how many PDR invariant
-    #: certificates the independent checker validated, and how many it
-    #: rejected (each rejection downgraded its call to UNKNOWN).
-    certificates_checked: int = 0
-    certificates_failed: int = 0
+    #: The solve cache's live counters (None when the run had no cache).
+    cache: Optional[CacheStats] = None
     #: Persistent-store observability: a snapshot of the
     #: :class:`repro.store.StoreStats` counters when the run used a
     #: ``store_dir`` (entries loaded/persisted, recovery events, hits
     #: served from disk).  None when no store was attached.
     store: Optional[StoreStats] = None
+
+    def count(self, name: str) -> int:
+        return int(self.counters.get(name, 0))
+
+    def seconds(self, category: str) -> float:
+        return self.counters.get(TIME_PREFIX + category, 0.0)
+
+    counterexamples_eliminated = property(
+        lambda self: self.count("cegar.counterexamples_eliminated"))
+    refinements = property(lambda self: self.count("cegar.refinements"))
+    t_mc = property(lambda self: self.seconds("mc"))
+    t_simu = property(lambda self: self.seconds("simu"))
+    t_bt = property(lambda self: self.seconds("bt"))
+    t_gen = property(lambda self: self.seconds("gen"))
 
     @property
     def total(self) -> float:
@@ -263,47 +268,41 @@ class RefinementStats:
             f"t_BT={self.t_bt:6.2f}s t_Gen={self.t_gen:6.2f}s"
         )
 
-    def record_portfolio(self, result) -> None:
-        """Fold one :class:`PortfolioResult` into the counters."""
-        self.portfolio_calls += 1
-        for report in result.reports:
-            self.engine_times[report.engine] = (
-                self.engine_times.get(report.engine, 0.0) + report.elapsed
-            )
-        if result.winner is not None:
-            self.engine_wins[result.winner] = (
-                self.engine_wins.get(result.winner, 0) + 1
-            )
-        if result.certificate_ok is not None:
-            self.certificates_checked += 1
-            if not result.certificate_ok:
-                self.certificates_failed += 1
+    def engines(self) -> List[Tuple[str, float, int]]:
+        """``(engine, seconds, wins)`` for every engine in the portfolio
+        lineup, including the ones that never ran."""
+        prefix = "portfolio.lineup."
+        names = sorted(key[len(prefix):] for key in self.counters
+                       if key.startswith(prefix))
+        return [(name, self.counters.get(f"portfolio.seconds.{name}", 0.0),
+                 self.count(f"portfolio.wins.{name}")) for name in names]
 
     def portfolio_rows(self) -> List[str]:
         """Human-readable portfolio/cache summary (empty when unused)."""
-        if not self.portfolio_calls:
+        calls = self.count("portfolio.calls")
+        if not calls:
             return []
-        engines = " ".join(
-            f"{name}={self.engine_times.get(name, 0.0):.2f}s"
-            f"(+{self.engine_wins.get(name, 0)} wins)"
-            for name in sorted(self.engine_times)
-        )
-        rows = [f"portfolio: {self.portfolio_calls} calls  {engines}"]
-        if self.certificates_checked:
-            rows.append(f"certificates: {self.certificates_checked} checked, "
-                        f"{self.certificates_failed} rejected")
+        engines = " ".join(f"{name}={seconds:.2f}s(+{wins} wins)"
+                           for name, seconds, wins in self.engines())
+        rows = [f"portfolio: {calls} calls  {engines}"]
+        checked = self.count("portfolio.certificates_checked")
+        if checked:
+            rows.append(f"certificates: {checked} checked, "
+                        f"{self.count('portfolio.certificate_failures')} rejected")
         if self.cache is not None:
             rows.append(self.cache.row())
         return rows
 
     def analyze_rows(self) -> List[str]:
         """Static pre-screen summary lines (empty when unused)."""
-        if not self.static_prescreens:
+        runs = self.count("analyze.prescreens")
+        if not runs:
             return []
         return [
-            f"static pre-screen: {self.static_prescreens} runs, "
-            f"{self.static_proofs} proofs, {self.static_cex} definite "
-            f"violations, {self.static_skipped_bounds} SAT bounds skipped"
+            f"static pre-screen: {runs} runs, "
+            f"{self.count('analyze.prescreen_proofs')} proofs, "
+            f"{self.count('analyze.prescreen_violations')} definite "
+            f"violations, {self.count('analyze.skipped_bounds')} SAT bounds skipped"
         ]
 
     def robustness_rows(self) -> List[str]:
@@ -312,8 +311,9 @@ class RefinementStats:
         if self.resumed_from is not None:
             rows.append(f"resumed from checkpoint at iteration "
                         f"{self.resumed_from}")
-        if self.checkpoints_written:
-            rows.append(f"checkpoints written: {self.checkpoints_written}")
+        checkpoints = self.count("cegar.checkpoints")
+        if checkpoints:
+            rows.append(f"checkpoints written: {checkpoints}")
         if self.store is not None:
             rows.append(self.store.row())
         return rows
@@ -553,6 +553,7 @@ def _config_digest(task: TaintVerificationTask, config: CegarConfig) -> str:
         "portfolio_engines": list(config.portfolio_engines),
         "pdr_max_frames": config.pdr_max_frames,
         "max_conflicts": config.max_conflicts,
+        "certify": config.certify,
         "static_prescreen": config.static_prescreen,
         "static_max_frames": config.static_max_frames,
     }
@@ -655,7 +656,11 @@ def _run_compass_inner(
         # resume under other knobs.  Derive the seed from that digest
         # instead of the old unseeded ``random.Random()`` fallback.
         rng = random.Random(int(digest[:16], 16))
-    tracer = config.trace or NULL_TRACER
+    tracer = config.trace if config.trace is not None else NullTracer()
+    # The statistics take this run's share of the tracer's books: what
+    # it holds now belongs to earlier runs.
+    base_counts = tracer.counter_totals()
+    base_times = tracer.category_totals()
 
     journal: Optional[CheckpointJournal] = None
     restored: Optional[CegarCheckpoint] = None
@@ -676,6 +681,7 @@ def _run_compass_inner(
                 )
 
     stats = RefinementStats()
+    restored_counters: Dict[str, float] = {}
     solve_cache: Optional[SolveCache] = None
     if (config.engine == "portfolio" or journal is not None
             or config.solve_cache is not None):
@@ -698,6 +704,7 @@ def _run_compass_inner(
     if restored is not None:
         scheme = restored.scheme
         stats = restored.stats
+        restored_counters = dict(stats.counters)
         stats.resumed_from = restored.iteration
         start_iteration = restored.iteration
         last_bound = restored.last_bound
@@ -712,9 +719,28 @@ def _run_compass_inner(
         tracer.count("cegar.resumes")
     started = time.monotonic()
 
+    def book() -> None:
+        """Set ``stats.counters``: restored counters + this run's."""
+        counters = dict(restored_counters)
+        for totals, base, prefix in (
+                (tracer.counter_totals(), base_counts, ""),
+                (tracer.category_totals(), base_times, TIME_PREFIX)):
+            for name, value in totals.items():
+                delta = value - base.get(name, 0)
+                if delta:
+                    key = prefix + name
+                    counters[key] = counters.get(key, 0) + delta
+        stats.counters = counters
+
+    def finish(status: CegarStatus, **outcome) -> CegarResult:
+        book()
+        return CegarResult(status, task, scheme, design, prop, stats,
+                           **outcome)
+
     def write_checkpoint(next_iteration: int) -> None:
         if journal is None:
             return
+        book()
         # append() encodes on the spot, so live objects need no copies;
         # stats.cache is the solve cache's own live counters.
         journal.append(CegarCheckpoint(
@@ -730,7 +756,6 @@ def _run_compass_inner(
                            if solve_cache is not None else {}),
             pruned_candidates=pruned_candidates,
         ))
-        stats.checkpoints_written += 1
         tracer.count("cegar.checkpoints")
 
     def out_of_time() -> bool:
@@ -765,25 +790,22 @@ def _run_compass_inner(
 
     from repro.cegar.speculate import verify_candidate
 
-    with tracer.span("cegar.instrument", cat="gen") as sp:
+    with tracer.span("cegar.instrument", cat="gen"):
         design, prop = instrument_task(task, scheme)
-    stats.t_gen += sp.elapsed
 
     validator: Optional[ExactValidator] = None
     if config.exact_validation:
-        with tracer.span("cegar.validator-init", cat="mc") as sp:
+        with tracer.span("cegar.validator-init", cat="mc"):
             validator = ExactValidator(
                 task.circuit, task.secret_registers(), task.sinks,
                 init_assumption_outputs=task.init_assumption_outputs,
             )
-        stats.t_mc += sp.elapsed
 
     if journal is not None and restored is None:
         # Entry 0: even a run killed inside its first iteration can be
         # resumed (from the initial scheme, with an empty cache).
         write_checkpoint(start_iteration)
 
-    verify_time = 0.0
     for iteration in range(start_iteration, config.max_counterexamples + 1):
         # ---- Step 2: model checking -------------------------------
         cex: Optional[Counterexample] = None
@@ -795,8 +817,8 @@ def _run_compass_inner(
                     config.sim_depth, rng,
                 )
                 sp.set(hit=cex is not None)
-            stats.t_simu += sp.elapsed
         static_suspects: Tuple[str, ...] = ()
+        verdict = None
         with tracer.span("cegar.model-check", cat="mc",
                          iteration=iteration,
                          engine=config.engine) as mc_span:
@@ -806,47 +828,32 @@ def _run_compass_inner(
                     tracer=tracer, design=design, prop=prop,
                     time_limit=mc_limit(), iteration=iteration,
                 )
-                stats.static_prescreens += verdict.static_prescreens
-                stats.static_proofs += verdict.static_proofs
-                stats.static_cex += verdict.static_cex
-                stats.static_skipped_bounds += verdict.static_skipped_bounds
-                static_suspects = verdict.suspects
-                last_bound = max(last_bound, verdict.static_bound)
-                if verdict.portfolio is not None:
-                    stats.record_portfolio(verdict.portfolio)
                 if verdict.engine_status:
-                    if verdict.portfolio is not None:
-                        mc_span.set(status=verdict.engine_status,
-                                    winner=verdict.winner)
-                    else:
-                        mc_span.set(status=verdict.engine_status)
-                if verdict.status == "proved":
-                    verify_time = mc_span.elapsed
-                    stats.t_mc += verify_time
-                    # Terminal checkpoint: a resume re-runs this
-                    # iteration and the restored cache answers the
-                    # proof instantly.
-                    write_checkpoint(iteration)
-                    return CegarResult(CegarStatus.PROVED, task, scheme,
-                                       design, prop, stats, bound=-1,
-                                       verify_time=verify_time)
-                last_bound = max(last_bound, verdict.bound)
-                if verdict.status == "counterexample":
-                    cex = verdict.counterexample
+                    mc_span.set(status=verdict.engine_status)
+                    if config.engine == "portfolio":
+                        mc_span.set(winner=verdict.winner)
         verify_time = mc_span.elapsed
-        stats.t_mc += verify_time
+        if verdict is not None:
+            static_suspects = verdict.suspects
+            last_bound = max(last_bound, verdict.static_bound)
+            if verdict.status == "proved":
+                # Terminal checkpoint: a resume re-runs this iteration
+                # and the restored cache answers the proof instantly.
+                write_checkpoint(iteration)
+                return finish(CegarStatus.PROVED, bound=-1,
+                              verify_time=verify_time)
+            last_bound = max(last_bound, verdict.bound)
+            if verdict.status == "counterexample":
+                cex = verdict.counterexample
 
         if cex is None:
             write_checkpoint(iteration)
-            return CegarResult(CegarStatus.BOUND_REACHED, task, scheme,
-                               design, prop, stats, bound=last_bound,
-                               verify_time=verify_time)
+            return finish(CegarStatus.BOUND_REACHED, bound=last_bound,
+                          verify_time=verify_time)
 
         # ---- Counterexample validation ----------------------------
-        with tracer.span("cegar.replay", cat="simu",
-                         iteration=iteration) as sp:
+        with tracer.span("cegar.replay", cat="simu", iteration=iteration):
             taint_wf = cex.replay(design.circuit)
-        stats.t_simu += sp.elapsed
         final_cycle = taint_wf.length - 1
         sink = _tainted_sink(design, taint_wf, task.sinks, final_cycle)
         if sink is None:
@@ -860,7 +867,6 @@ def _run_compass_inner(
                     cex, sink, time_limit=mc_limit(),
                 )
                 sp.set(spurious=spurious)
-            stats.t_mc += sp.elapsed
         else:
             with tracer.span("cegar.validate-fast", cat="simu",
                              iteration=iteration, sink=sink) as sp:
@@ -869,26 +875,22 @@ def _run_compass_inner(
                 )
                 spurious = quick.is_falsely_tainted(sink, final_cycle)
                 sp.set(spurious=spurious)
-            stats.t_simu += sp.elapsed
         if not spurious:
             write_checkpoint(iteration)
-            return CegarResult(CegarStatus.REAL_LEAK, task, scheme, design,
-                               prop, stats, bound=last_bound, leak=cex,
-                               verify_time=verify_time)
+            return finish(CegarStatus.REAL_LEAK, bound=last_bound, leak=cex,
+                          verify_time=verify_time)
 
         # ---- Step 3: iterative refinement (Figure 3) ---------------
         with tracer.span("cegar.oracle-build", cat="simu",
-                         iteration=iteration) as sp:
+                         iteration=iteration):
             oracle = FastFalseTaintOracle(
                 task.circuit, cex, SecretSpec.from_sources(task.sources)
             )
-        stats.t_simu += sp.elapsed
         failed_locations: set = set()
         while sink is not None:
-            if stats.refinements >= config.max_refinements or out_of_time():
-                return CegarResult(CegarStatus.BUDGET_EXHAUSTED, task,
-                                   scheme, design, prop, stats,
-                                   bound=last_bound)
+            if (len(stats.refinement_log) >= config.max_refinements
+                    or out_of_time()):
+                return finish(CegarStatus.BUDGET_EXHAUSTED, bound=last_bound)
             outcome = None
             alert = None
             for _attempt in range(config.max_location_retries):
@@ -900,11 +902,10 @@ def _run_compass_inner(
                         hints=static_suspects,
                     )
                     sp.set(location=location.name)
-                stats.t_bt += sp.elapsed
                 try:
                     outcome = apply_refinement(
                         task.circuit, task.sources, scheme, design,
-                        location, cex,
+                        location, cex, tracer=tracer,
                     )
                     break
                 except CorrelationImprecisionAlert as caught:
@@ -914,23 +915,9 @@ def _run_compass_inner(
                     alert = caught
                     failed_locations.add(location.name)
             if outcome is None:
-                return CegarResult(CegarStatus.CORRELATION_ALERT, task,
-                                   scheme, design, prop, stats,
-                                   bound=last_bound, alert=alert)
-            stats.t_gen += outcome.gen_time
-            stats.t_simu += outcome.sim_time
-            if tracer.enabled:
-                # The refinement machinery measures its own generate /
-                # simulate split; fold it into the trace as backdated
-                # spans so category totals keep matching the stats.
-                tracer.add_span("cegar.refine-gen", "gen",
-                                outcome.gen_time, iteration=iteration,
-                                location=location.name)
-                tracer.add_span("cegar.refine-sim", "simu",
-                                outcome.sim_time, iteration=iteration,
-                                location=location.name)
-                tracer.count("cegar.refinements")
-            stats.refinements += 1
+                return finish(CegarStatus.CORRELATION_ALERT, bound=last_bound,
+                              alert=alert)
+            tracer.count("cegar.refinements")
             stats.refinement_log.append(f"{location}: {outcome.description}")
             # Keep the design and waveform the flip test already built:
             # attaching the monitors leaves both as a fresh
@@ -940,7 +927,6 @@ def _run_compass_inner(
             prop = attach_property(task, design)
             taint_wf = outcome.waveform
             sink = _tainted_sink(design, taint_wf, task.sinks, final_cycle)
-        stats.counterexamples_eliminated += 1
         stats.eliminated.append(cex)
         tracer.count("cegar.counterexamples_eliminated")
         pruned_candidates |= failed_locations
@@ -949,7 +935,5 @@ def _run_compass_inner(
         # at k + 1.
         write_checkpoint(iteration + 1)
         if out_of_time():
-            return CegarResult(CegarStatus.BUDGET_EXHAUSTED, task, scheme,
-                               design, prop, stats, bound=last_bound)
-    return CegarResult(CegarStatus.BUDGET_EXHAUSTED, task, scheme, design,
-                       prop, stats, bound=last_bound)
+            return finish(CegarStatus.BUDGET_EXHAUSTED, bound=last_bound)
+    return finish(CegarStatus.BUDGET_EXHAUSTED, bound=last_bound)

@@ -10,16 +10,16 @@ raised for the user (Section 3.2: beyond Compass's scope).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.hdl.circuit import Circuit
 from repro.formal.counterexample import Counterexample
+from repro.obs import NULL_TRACER
 from repro.sim.waveform import Waveform
 from repro.taint.instrument import InstrumentedDesign, TaintSources, instrument
-from repro.taint.policies import distinct_complexities, effective_complexity
-from repro.taint.space import Complexity, Granularity, TaintOption, TaintScheme, refinement_ladder
+from repro.taint.policies import effective_complexity
+from repro.taint.space import Granularity, TaintOption, TaintScheme, refinement_ladder
 from repro.cegar.backtrace import LocationKind, RefinementLocation
 
 
@@ -49,8 +49,6 @@ class RefinementOutcome:
     waveform: Waveform
     location: RefinementLocation
     description: str
-    gen_time: float = 0.0
-    sim_time: float = 0.0
 
 
 def _reinstrument(
@@ -58,14 +56,18 @@ def _reinstrument(
     sources: TaintSources,
     scheme: TaintScheme,
     cex: Counterexample,
-) -> Tuple[InstrumentedDesign, Waveform, float, float]:
-    t0 = time.monotonic()
-    design = instrument(circuit, scheme, sources)
-    gen_time = time.monotonic() - t0
-    t0 = time.monotonic()
-    waveform = cex.replay(design.circuit)
-    sim_time = time.monotonic() - t0
-    return design, waveform, gen_time, sim_time
+    tracer,
+    location: RefinementLocation,
+    option: str,
+) -> Tuple[InstrumentedDesign, Waveform]:
+    """Instrument one ladder option and replay the counterexample on it:
+    a ``cegar.refine-gen`` and a ``cegar.refine-sim`` span."""
+    args = {"location": location.name, "option": option}
+    with tracer.span("cegar.refine-gen", cat="gen", **args):
+        design = instrument(circuit, scheme, sources)
+    with tracer.span("cegar.refine-sim", cat="simu", **args):
+        waveform = cex.replay(design.circuit)
+    return design, waveform
 
 
 def _taint_value(design: InstrumentedDesign, waveform: Waveform, name: str, cycle: int) -> int:
@@ -82,19 +84,23 @@ def apply_refinement(
     design: InstrumentedDesign,
     location: RefinementLocation,
     cex: Counterexample,
+    tracer=None,
 ) -> RefinementOutcome:
     """Refine ``scheme`` at ``location``; returns the new scheme/design.
 
+    Every option tried is timed by ``tracer`` (see :func:`_reinstrument`).
     Raises :class:`CorrelationImprecisionAlert` when every candidate
     fails the local flip test at a CELL location.
     """
+    tracer = tracer or NULL_TRACER
     if location.kind is LocationKind.MODULE:
         new_scheme = scheme.copy()
         new_scheme.open_blackbox(location.name)
-        new_design, waveform, t_gen, t_sim = _reinstrument(circuit, sources, new_scheme, cex)
+        new_design, waveform = _reinstrument(circuit, sources, new_scheme, cex,
+                                             tracer, location, "open")
         return RefinementOutcome(
             new_scheme, new_design, waveform, location,
-            f"open blackbox {location.name}", t_gen, t_sim,
+            f"open blackbox {location.name}",
         )
 
     if location.kind is LocationKind.REGISTER:
@@ -103,10 +109,11 @@ def apply_refinement(
             raise CorrelationImprecisionAlert(location)
         new_scheme = scheme.copy()
         new_scheme.refine_register(location.name, Granularity.BIT)
-        new_design, waveform, t_gen, t_sim = _reinstrument(circuit, sources, new_scheme, cex)
+        new_design, waveform = _reinstrument(circuit, sources, new_scheme, cex,
+                                             tracer, location, "bit")
         return RefinementOutcome(
             new_scheme, new_design, waveform, location,
-            f"register {location.name}: word -> bit granularity", t_gen, t_sim,
+            f"register {location.name}: word -> bit granularity",
         )
 
     if location.kind is LocationKind.SOURCE:
@@ -119,8 +126,6 @@ def apply_refinement(
     if cell is None:
         raise CorrelationImprecisionAlert(location)
     current = design.applied_options.get(location.name, scheme.option_for_cell(location.name))
-    gen_time = 0.0
-    sim_time = 0.0
     tried: set = {(current.granularity, effective_complexity(cell.op, current))}
     for option in refinement_ladder(current):
         effective = effective_complexity(cell.op, option)
@@ -130,13 +135,12 @@ def apply_refinement(
         tried.add(key)
         candidate = scheme.copy()
         candidate.refine_cell(location.name, TaintOption(option.granularity, effective))
-        new_design, waveform, t_gen, t_sim = _reinstrument(circuit, sources, candidate, cex)
-        gen_time += t_gen
-        sim_time += t_sim
+        label = f"{option.granularity.value}/{effective.value}"
+        new_design, waveform = _reinstrument(circuit, sources, candidate, cex,
+                                             tracer, location, label)
         if _taint_value(new_design, waveform, location.signal, location.cycle) == 0:
             return RefinementOutcome(
                 candidate, new_design, waveform, location,
-                f"cell {location.name}: {current} -> {option.granularity.value}/{effective.value}",
-                gen_time, sim_time,
+                f"cell {location.name}: {current} -> {label}",
             )
     raise CorrelationImprecisionAlert(location)

@@ -107,32 +107,32 @@ def render_report(result, task=None, tracer=None) -> str:
     )
     lines.append("")
 
-    if stats.static_prescreens:
+    prescreen = stats.analyze_rows()
+    if prescreen:
         lines.append("## Static pre-screen")
         lines.append("")
-        for row in stats.analyze_rows():
-            lines.append(f"- {row}")
+        lines.extend(f"- {row}" for row in prescreen)
         lines.append("")
 
-    if stats.portfolio_calls:
+    calls = stats.count("portfolio.calls")
+    if calls:
         lines.append("## Verification portfolio")
         lines.append("")
-        lines.append(f"{stats.portfolio_calls} model-checking call(s) dispatched "
+        lines.append(f"{calls} model-checking call(s) dispatched "
                      "to the engine portfolio.")
         lines.append("")
         lines.append("| engine | total time | winning verdicts |")
         lines.append("|---|---|---|")
-        for engine in sorted(stats.engine_times):
-            lines.append(
-                f"| {engine} | {stats.engine_times[engine]:.2f}s "
-                f"| {stats.engine_wins.get(engine, 0)} |"
-            )
+        for engine, seconds, wins in stats.engines():
+            lines.append(f"| {engine} | {seconds:.2f}s | {wins} |")
         lines.append("")
-        if stats.certificates_checked:
+        checked = stats.count("portfolio.certificates_checked")
+        if checked:
             lines.append(
-                f"Proof certificates: {stats.certificates_checked} "
+                f"Proof certificates: {checked} "
                 f"inductive-invariant certificate(s) validated by the "
-                f"independent checker, {stats.certificates_failed} "
+                f"independent checker, "
+                f"{stats.count('portfolio.certificate_failures')} "
                 f"rejected."
             )
             lines.append("")
@@ -148,15 +148,15 @@ def render_report(result, task=None, tracer=None) -> str:
             )
             lines.append("")
 
-    if stats.checkpoints_written or stats.resumed_from is not None:
+    checkpoints = stats.count("cegar.checkpoints")
+    if checkpoints or stats.resumed_from is not None:
         lines.append("## Robustness")
         lines.append("")
         if stats.resumed_from is not None:
             lines.append(f"- resumed from a checkpoint at iteration "
                          f"{stats.resumed_from}")
-        if stats.checkpoints_written:
-            lines.append(f"- checkpoints written this run: "
-                         f"{stats.checkpoints_written}")
+        if checkpoints:
+            lines.append(f"- checkpoints written this run: {checkpoints}")
         lines.append("")
 
     if tracer is not None and len(tracer):
@@ -169,7 +169,7 @@ def render_report(result, task=None, tracer=None) -> str:
             lines.append(f"1. {entry}")
         lines.append("")
 
-    design, _prop = instrument_task(task, result.scheme)
+    design = result.design
     compass = instrumentation_overhead(design)
     cellift = cellift_scheme()
     cellift.module_defaults = dict(result.scheme.module_defaults)

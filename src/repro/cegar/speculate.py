@@ -3,8 +3,9 @@
 :func:`verify_candidate` verifies one candidate taint scheme —
 instrument, static pre-screen, engine dispatch, counterexample
 extraction — with **no loop state**.  The loop calls it once per
-iteration on the scheme its sequential walk has reached, and folds the
-returned :class:`CandidateVerdict` into its statistics and trajectory.
+iteration on the scheme its sequential walk has reached and follows the
+returned :class:`CandidateVerdict`; what the call did is counted on the
+tracer it is given.
 :func:`scheme_digest` is a content digest of a scheme, used to
 fingerprint trajectories.  The module keeps its name because callers
 outside the package import both from here.
@@ -23,7 +24,6 @@ from repro.formal.counterexample import Counterexample
 from repro.formal.induction import InductionStatus, k_induction
 from repro.formal.portfolio import (
     PortfolioConfig,
-    PortfolioResult,
     PortfolioStatus,
     verify_portfolio,
 )
@@ -54,12 +54,7 @@ class CandidateVerdict:
     #: Raw engine status for the parent's ``cegar.model-check`` span.
     engine_status: str = ""
     winner: Optional[str] = None  # portfolio winner engine
-    static_prescreens: int = 0
-    static_proofs: int = 0
-    static_cex: int = 0
-    static_skipped_bounds: int = 0
     suspects: Tuple[str, ...] = ()
-    portfolio: Optional[PortfolioResult] = None
 
 
 def verify_candidate(
@@ -112,14 +107,13 @@ def verify_candidate(
                 max_frames=config.static_max_frames, tracer=tracer,
             )
             asp.set(status=sres.status, bound=sres.bound)
-        verdict.static_prescreens = 1
         tracer.count("analyze.prescreens")
         if sres.proved:
-            verdict.static_proofs = 1
+            tracer.count("analyze.prescreen_proofs")
             verdict.status = "proved"
             return verdict
         if sres.status == "violation":
-            verdict.static_cex = 1
+            tracer.count("analyze.prescreen_violations")
             verdict.status = "counterexample"
             verdict.counterexample = sres.counterexample
             return verdict
@@ -127,7 +121,6 @@ def verify_candidate(
         verdict.static_bound = sres.bound
         if sres.bound >= 0:
             start_bound = sres.bound + 1
-            verdict.static_skipped_bounds = start_bound
             tracer.count("analyze.skipped_bounds", start_bound)
 
     if not config.mc_enabled or config.engine == "static":
@@ -148,9 +141,8 @@ def verify_candidate(
                 certify=config.certify,
             ),
             cache=cache,
-            tracer=tracer if tracer is not NULL_TRACER else None,
+            tracer=tracer,
         )
-        verdict.portfolio = pres
         verdict.engine_status = pres.status.value
         verdict.winner = pres.winner
         if pres.status is PortfolioStatus.PROVED:
@@ -166,7 +158,7 @@ def verify_candidate(
             time_limit=time_limit,
             unique_states=config.unique_states,
             cache=cache,
-            tracer=tracer if tracer is not NULL_TRACER else None,
+            tracer=tracer,
         )
         verdict.engine_status = ind.status.value
         if ind.status is InductionStatus.PROVED:
@@ -182,7 +174,7 @@ def verify_candidate(
                 max_bound=config.max_bound, time_limit=time_limit,
                 start_bound=start_bound,
                 cache=cache,
-                tracer=tracer if tracer is not NULL_TRACER else None,
+                tracer=tracer,
             )
             if bmc.status is BmcStatus.COUNTEREXAMPLE:
                 verdict.status = "counterexample"
@@ -194,7 +186,7 @@ def verify_candidate(
             max_bound=config.max_bound, time_limit=time_limit,
             start_bound=start_bound,
             cache=cache,
-            tracer=tracer if tracer is not NULL_TRACER else None,
+            tracer=tracer,
         )
         verdict.engine_status = bmc.status.value
         if bmc.status is BmcStatus.COUNTEREXAMPLE:

@@ -175,7 +175,7 @@ def cmd_verify(args) -> int:
         return 2
     print(f"status: {result.status.value} (bound {result.bound})")
     print(result.stats.row(core.name))
-    if args.engine == "portfolio" and (args.cache_stats or result.stats.portfolio_calls):
+    if args.engine == "portfolio":
         for line in result.stats.portfolio_rows():
             print(line)
     elif args.cache_stats and result.stats.cache is not None:

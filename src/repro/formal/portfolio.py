@@ -229,9 +229,12 @@ def _run_engine(
 # Result assembly
 # ---------------------------------------------------------------------------
 
+#: Every knob that can change the verdict, including ``certify``: a
+#: proof accepted unchecked must not answer a call that requires a
+#: checked certificate.
 _PROOF_KEY_PARAMS = ("max_bound", "induction_max_k", "unique_states",
                      "pdr_max_frames", "max_conflicts", "start_bound",
-                     "static_max_frames")
+                     "static_max_frames", "certify")
 
 
 def _portfolio_key(lowered: LoweredCircuit, prop: SafetyProperty,
@@ -276,6 +279,18 @@ def _memoize(cache: Optional[SolveCache], key: Optional[str],
         counterexample=result.counterexample,
         detail={"winner": result.winner},
     ))
+
+
+def _count_call(tracer, result: PortfolioResult) -> None:
+    """Count one call per engine of its lineup, whether it ran or not:
+    ``portfolio.lineup.<engine>`` calls, ``portfolio.seconds.<engine>``
+    and ``portfolio.wins.<engine>``."""
+    tracer.count("portfolio.calls")
+    for report in result.reports:
+        tracer.count(f"portfolio.lineup.{report.engine}")
+        tracer.count(f"portfolio.seconds.{report.engine}", report.elapsed)
+    if result.winner is not None:
+        tracer.count(f"portfolio.wins.{result.winner}")
 
 
 def _from_memo(entry: CachedVerdict, order: Tuple[str, ...]) -> PortfolioResult:
@@ -352,7 +367,8 @@ def verify_portfolio(
         tracer: optional :class:`~repro.obs.Tracer`; one
             ``portfolio.engine`` span per engine that ran, engine frames
             and SAT counters are recorded along with solve-cache
-            hit/miss counters for this call.
+            hit/miss counters and the per-engine ``portfolio.*``
+            counters of :func:`_count_call`.
 
     Returns a :class:`PortfolioResult`; ``reports`` lists what every
     engine did (status, time, partial bound) for observability.
@@ -374,7 +390,9 @@ def verify_portfolio(
         entry = cache.get(key)
         if entry is not None:
             tracer.count("solve_cache.memo_hits")
-            return _from_memo(entry, config.engines)
+            result = _from_memo(entry, config.engines)
+            _count_call(tracer, result)
+            return result
 
     stats_before = replace(cache.stats) if cache is not None else None
     result = _run_sequential(lowered, prop, config, cache, started,
@@ -401,4 +419,5 @@ def verify_portfolio(
         tracer.count("solve_cache.hits", cache.stats.hits - stats_before.hits)
         tracer.count("solve_cache.misses", cache.stats.misses - stats_before.misses)
         tracer.count("solve_cache.stores", cache.stats.stores - stats_before.stores)
+    _count_call(tracer, result)
     return result

@@ -9,12 +9,14 @@ conflicts a frame cost.  This module provides the primitives:
 - :class:`Tracer` — records hierarchical *spans* (named wall-clock
   intervals, nestable via context manager, thread-safe) plus *counter*
   and *gauge* metrics.  Events are plain dicts.
-- :data:`NULL_TRACER` — the disabled singleton.  Its spans still
-  measure wall clock (the CEGAR loop feeds span elapsed times into the
-  Table-3 statistics either way) but record nothing, so tracing
-  disabled costs two ``time.monotonic()`` calls per span and zero
-  allocations beyond a tiny stopwatch object.  Inner simulator and SAT
-  propagation loops are never instrumented at all.
+- :class:`NullTracer` — records no events.  Both keep running counter
+  totals and the seconds per span category (outermost span of each
+  category), so an untraced CEGAR run, given a fresh ``NullTracer()``,
+  derives its Table-3 statistics from the same books as a traced one.
+- :data:`NULL_TRACER` — the shared disabled instance.  Its spans only
+  measure wall clock and it keeps nothing, so code called without a
+  tracer pays two ``time.monotonic()`` calls per span.  Inner simulator
+  and SAT propagation loops are never instrumented at all.
 
 Exporters live in :mod:`repro.obs.export` (JSONL and Chrome
 trace-event JSON, loadable in Perfetto / ``about:tracing``);
@@ -38,7 +40,7 @@ class Span:
 
     __slots__ = ("_tracer", "name", "cat", "args", "start", "end", "_child_dur")
 
-    def __init__(self, tracer: "Tracer", name: str, cat: Optional[str],
+    def __init__(self, tracer: "_Books", name: str, cat: Optional[str],
                  args: Dict[str, Any]) -> None:
         self._tracer = tracer
         self.name = name
@@ -68,35 +70,14 @@ class Span:
         return False
 
 
-class _Stopwatch:
-    """The disabled tracer's span: measures wall clock, records nothing."""
+class _Books:
+    """Running counter totals and per-category span seconds, plus the
+    event log when :attr:`enabled`.
 
-    __slots__ = ("start", "end")
-
-    @property
-    def elapsed(self) -> float:
-        if self.end:
-            return self.end - self.start
-        return time.monotonic() - self.start
-
-    def set(self, **args: Any) -> None:
-        pass
-
-    def __enter__(self) -> "_Stopwatch":
-        self.start = time.monotonic()
-        self.end = 0.0
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.end = time.monotonic()
-        return False
-
-
-class Tracer:
-    """Thread-safe span/counter/gauge recorder.
-
-    Events are stored as plain dicts with *absolute* ``time.monotonic()``
-    timestamps; exporters rebase them against :attr:`epoch`.
+    A span counts toward its category only when no enclosing span on
+    the same thread has that category: the rule
+    :meth:`repro.obs.summarize.TraceSummary.category_totals` applies to
+    trace files, so a run's live totals equal those of its trace.
 
     Event shapes::
 
@@ -109,11 +90,11 @@ class Tracer:
     enabled = True
 
     def __init__(self) -> None:
-        self.epoch = time.monotonic()
-        self._events: List[Dict[str, Any]] = []
         self._lock = threading.Lock()
         self._stacks = threading.local()
         self._counters: Dict[str, float] = {}
+        self._categories: Dict[str, float] = {}
+        self._events: List[Dict[str, Any]] = []
 
     # -- spans ----------------------------------------------------------
     def span(self, name: str, cat: Optional[str] = None, **args: Any) -> Span:
@@ -133,36 +114,23 @@ class Tracer:
         stack = self._stack()
         if stack and stack[-1] is span:
             stack.pop()
-        if stack:
-            stack[-1]._child_dur += span.end - span.start
         dur = span.end - span.start
-        event = {
-            "type": "span", "name": span.name, "cat": span.cat,
-            "ts": span.start, "dur": dur,
-            "self": max(0.0, dur - span._child_dur),
-            "pid": os.getpid(), "tid": threading.get_ident(),
-            "args": span.args,
-        }
+        if stack:
+            stack[-1]._child_dur += dur
+        outermost = span.cat is not None and all(
+            outer.cat != span.cat for outer in stack)
         with self._lock:
-            self._events.append(event)
-
-    def add_span(self, name: str, cat: Optional[str], duration: float,
-                 **args: Any) -> None:
-        """Record a span whose duration was measured externally.
-
-        Used to fold sub-phase timings that another component already
-        measured (e.g. a refinement's generate/simulate split) into the
-        trace; the span is backdated to end *now*.
-        """
-        now = time.monotonic()
-        event = {
-            "type": "span", "name": name, "cat": cat,
-            "ts": now - duration, "dur": duration, "self": duration,
-            "pid": os.getpid(), "tid": threading.get_ident(),
-            "args": dict(args),
-        }
-        with self._lock:
-            self._events.append(event)
+            if outermost:
+                self._categories[span.cat] = (
+                    self._categories.get(span.cat, 0.0) + dur)
+            if self.enabled:
+                self._events.append({
+                    "type": "span", "name": span.name, "cat": span.cat,
+                    "ts": span.start, "dur": dur,
+                    "self": max(0.0, dur - span._child_dur),
+                    "pid": os.getpid(), "tid": threading.get_ident(),
+                    "args": span.args,
+                })
 
     # -- metrics --------------------------------------------------------
     def count(self, name: str, value: float = 1) -> None:
@@ -171,14 +139,17 @@ class Tracer:
             return
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
-            self._events.append({
-                "type": "counter", "name": name, "ts": time.monotonic(),
-                "value": value, "pid": os.getpid(),
-                "tid": threading.get_ident(),
-            })
+            if self.enabled:
+                self._events.append({
+                    "type": "counter", "name": name, "ts": time.monotonic(),
+                    "value": value, "pid": os.getpid(),
+                    "tid": threading.get_ident(),
+                })
 
     def gauge(self, name: str, value: float) -> None:
         """Record an instantaneous measurement (last value wins)."""
+        if not self.enabled:
+            return
         with self._lock:
             self._events.append({
                 "type": "gauge", "name": name, "ts": time.monotonic(),
@@ -189,6 +160,11 @@ class Tracer:
     def counter_totals(self) -> Dict[str, float]:
         with self._lock:
             return dict(self._counters)
+
+    def category_totals(self) -> Dict[str, float]:
+        """Seconds per span category, outermost spans only."""
+        with self._lock:
+            return dict(self._categories)
 
     def snapshot_events(self) -> List[Dict[str, Any]]:
         """A copy of the recorded events (plain data, pickles cleanly)."""
@@ -201,9 +177,21 @@ class Tracer:
 
     def __bool__(self) -> bool:
         # An empty tracer is still a tracer: the ``config.trace or
-        # NULL_TRACER`` idiom must not fall back to the null tracer
-        # just because nothing has been recorded yet.
+        # NULL_TRACER`` idiom must not fall back to the shared null
+        # tracer just because nothing has been recorded yet.
         return True
+
+
+class Tracer(_Books):
+    """Thread-safe span/counter/gauge recorder.
+
+    Events are stored as plain dicts with *absolute* ``time.monotonic()``
+    timestamps; exporters rebase them against :attr:`epoch`.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.epoch = time.monotonic()
 
     # -- export convenience --------------------------------------------
     def export_jsonl(self, stream) -> None:
@@ -217,35 +205,31 @@ class Tracer:
         write_chrome_trace(self, stream)
 
 
-class NullTracer:
-    """Disabled tracer: spans only measure, nothing is recorded."""
+class NullTracer(_Books):
+    """Disabled tracer: records no events, keeps the run's totals.
+
+    A fresh instance per run gives an untraced run the same counter
+    totals and category seconds a :class:`Tracer` would keep.
+    """
 
     enabled = False
     epoch = 0.0
 
-    def span(self, name: str, cat: Optional[str] = None, **args: Any) -> _Stopwatch:
-        return _Stopwatch()
 
-    def add_span(self, name: str, cat: Optional[str], duration: float,
-                 **args: Any) -> None:
+class _SharedNullTracer(NullTracer):
+    """:data:`NULL_TRACER`: spans only measure and nothing is kept, so
+    the one instance every untraced caller shares holds no run's state."""
+
+    def _push(self, span: Span) -> None:
+        pass
+
+    def _pop(self, span: Span) -> None:
         pass
 
     def count(self, name: str, value: float = 1) -> None:
         pass
 
-    def gauge(self, name: str, value: float) -> None:
-        pass
 
-    def counter_totals(self) -> Dict[str, float]:
-        return {}
-
-    def snapshot_events(self) -> List[Dict[str, Any]]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-
-#: The shared disabled tracer; ``config.trace or NULL_TRACER`` is the
-#: idiom instrumented code uses.
-NULL_TRACER = NullTracer()
+#: The shared disabled tracer; ``tracer or NULL_TRACER`` is the idiom
+#: instrumented code uses when its caller passes no tracer.
+NULL_TRACER = _SharedNullTracer()

@@ -35,7 +35,7 @@ class TestPortfolioAcceptance:
     def test_cache_hits_across_engines(self, both_runs):
         _, por = both_runs
         stats = por.stats
-        assert stats.portfolio_calls >= 1
+        assert stats.counters["portfolio.calls"] >= 1
         assert stats.cache is not None
         # the loop eliminated counterexamples before the final call, so
         # these hits happened on a CEGAR iteration past the first
@@ -45,8 +45,10 @@ class TestPortfolioAcceptance:
 
     def test_engine_times_recorded(self, both_runs):
         _, por = both_runs
-        assert por.stats.engine_times
-        assert all(t >= 0.0 for t in por.stats.engine_times.values())
+        engine_times = {name: seconds
+                        for name, seconds, _wins in por.stats.engines()}
+        assert engine_times
+        assert all(t >= 0.0 for t in engine_times.values())
         assert por.stats.portfolio_rows()
 
     def test_report_includes_portfolio_section(self, both_runs):

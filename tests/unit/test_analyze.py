@@ -417,8 +417,8 @@ class TestCegarPrescreen:
                              max_bound=6, trace=tracer)
         result = run_compass(task, config)
         assert result.status is CegarStatus.PROVED
-        assert result.stats.static_prescreens == 1
-        assert result.stats.static_proofs == 1
+        assert result.stats.counters["analyze.prescreens"] == 1
+        assert result.stats.counters["analyze.prescreen_proofs"] == 1
         assert _frame_solves(tracer) == 0
 
     def _toy_task(self):
@@ -467,8 +467,8 @@ class TestCegarPrescreen:
         pre, pre_frames = run(True)
         assert pre.status is base.status
         assert pre.bound == base.bound
-        assert pre.stats.static_prescreens >= 1
-        if pre.stats.static_skipped_bounds:
+        assert pre.stats.counters["analyze.prescreens"] >= 1
+        if pre.stats.counters.get("analyze.skipped_bounds"):
             assert pre_frames < base_frames
 
     def test_prune_static_accept(self):

@@ -54,8 +54,9 @@ class TestResultHelpers:
     def test_refinement_stats_row(self):
         from repro.cegar import RefinementStats
 
-        stats = RefinementStats(counterexamples_eliminated=3, refinements=7,
-                                t_mc=1.0, t_simu=2.0, t_bt=0.5, t_gen=0.25)
+        stats = RefinementStats(counters={
+            "cegar.counterexamples_eliminated": 3, "cegar.refinements": 7,
+            "time.mc": 1.0, "time.simu": 2.0, "time.bt": 0.5, "time.gen": 0.25})
         row = stats.row("Core")
         assert "CEX=3" in row and "refinements=7" in row
         assert stats.total == pytest.approx(3.75)

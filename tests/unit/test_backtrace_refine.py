@@ -173,8 +173,10 @@ class TestRefinementReuse:
         kinds = []
         real = loop.apply_refinement
 
-        def checked(circuit, sources, scheme, design, location, cex):
-            outcome = real(circuit, sources, scheme, design, location, cex)
+        def checked(circuit, sources, scheme, design, location, cex,
+                    **kwargs):
+            outcome = real(circuit, sources, scheme, design, location, cex,
+                           **kwargs)
             # The loop attaches the property to outcome.design in place;
             # check on a copy so the run itself is left untouched.
             kept = replace(outcome.design,

@@ -31,7 +31,7 @@ def _checkpoint(iteration=3, digest="d" * 8):
         config_digest=digest,
         iteration=iteration,
         scheme=TaintScheme("blackbox"),
-        stats=RefinementStats(refinements=2),
+        stats=RefinementStats(counters={"cegar.refinements": 2.0}),
         last_bound=5,
         rng_state=None,
         cache_entries={},
@@ -105,7 +105,7 @@ class TestEncoding:
         doc.update(version=2, speculation=None)
         path = str(tmp_path / "journal-000000.ckpt")
         write_segment(path, [dumps(doc)])
-        with pytest.raises(CheckpointError, match="format version 2 != 4"):
+        with pytest.raises(CheckpointError, match="format version 2 != 5"):
             _read(path)
 
     def test_v3_entry_is_refused(self, tmp_path):
@@ -117,7 +117,23 @@ class TestEncoding:
         doc["stats"].update(worker_crashes=0, worker_retries=0)
         path = str(tmp_path / "journal-000000.ckpt")
         write_segment(path, [dumps(doc)])
-        with pytest.raises(CheckpointError, match="format version 3 != 4"):
+        with pytest.raises(CheckpointError, match="format version 3 != 5"):
+            _read(path)
+
+    def test_v4_entry_is_refused(self, tmp_path):
+        """Version 4 kept the Table-3 statistics as separate fields."""
+        from repro.codec import dumps, to_doc
+        from repro.store.segment import write_segment
+
+        doc = to_doc(_checkpoint())
+        doc["version"] = 4
+        del doc["stats"]["counters"]
+        doc["stats"].update(counterexamples_eliminated=0, refinements=2,
+                            t_mc=0.0, t_simu=0.0, t_bt=0.0, t_gen=0.0,
+                            checkpoints_written=1)
+        path = str(tmp_path / "journal-000000.ckpt")
+        write_segment(path, [dumps(doc)])
+        with pytest.raises(CheckpointError, match="format version 4 != 5"):
             _read(path)
 
     def test_sequential_checkpoint_round_trips(self):
@@ -246,7 +262,7 @@ class TestResume:
         result = run_compass(_fig2_task(), CegarConfig(**_KNOBS),
                              checkpoint_dir=str(tmp_path))
         assert result.status is CegarStatus.PROVED
-        assert result.stats.checkpoints_written >= 2
+        assert result.stats.counters["cegar.checkpoints"] >= 2
         assert len(CheckpointJournal(str(tmp_path))) >= 2
 
     def test_resume_requires_checkpoint_dir(self):
@@ -303,6 +319,17 @@ class TestResume:
             run_compass(
                 _fig2_task(),
                 CegarConfig(max_bound=5, induction_max_k=6, seed=0),
+                checkpoint_dir=str(tmp_path), resume=True)
+
+    def test_resume_refuses_flipped_certify(self, tmp_path):
+        """``certify`` decides whether a proof is accepted unchecked, so
+        a resume must not flip it."""
+        run_compass(_fig2_task(), CegarConfig(**_KNOBS, engine="portfolio"),
+                    checkpoint_dir=str(tmp_path))
+        with pytest.raises(CheckpointError, match="different configuration"):
+            run_compass(
+                _fig2_task(),
+                CegarConfig(**_KNOBS, engine="portfolio", certify=False),
                 checkpoint_dir=str(tmp_path), resume=True)
 
     def test_resume_allows_fresh_time_budget(self, tmp_path):

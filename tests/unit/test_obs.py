@@ -50,30 +50,54 @@ class TestSpans:
         assert parent["self"] <= parent["dur"] - child["dur"] + 1e-3
         assert child["self"] == pytest.approx(child["dur"])
 
-    def test_add_span_backdated(self):
-        tracer = Tracer()
-        tracer.add_span("ext", "gen", 0.5, k=1)
-        (event,) = tracer.snapshot_events()
-        assert event["dur"] == pytest.approx(0.5)
-        assert event["ts"] <= time.monotonic() - 0.5 + 1e-3
-        assert event["args"] == {"k": 1}
-
     def test_thread_safety(self):
         tracer = Tracer()
 
         def worker():
             for _ in range(50):
-                with tracer.span("t"):
+                with tracer.span("t", cat="simu"):
                     tracer.count("n")
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=30)
+            assert not t.is_alive()
         assert tracer.counter_totals()["n"] == 200
-        assert sum(1 for e in tracer.snapshot_events()
-                   if e["type"] == "span") == 200
+        spans = [e for e in tracer.snapshot_events() if e["type"] == "span"]
+        assert len(spans) == 200
+        assert tracer.category_totals()["simu"] == pytest.approx(
+            sum(e["dur"] for e in spans))
+
+
+class TestBooks:
+    def test_category_totals_match_the_trace_summary(self):
+        tracer = _sample_tracer()
+        with tracer.span("cegar.validate", cat="mc"):
+            with tracer.span("cegar.analyze", cat="mc"):
+                time.sleep(0.002)
+        summary = summary_from_events(tracer.snapshot_events())
+        assert tracer.category_totals() == summary.category_totals()
+        assert tracer.counter_totals() == summary.counters
+
+    def test_category_totals_per_thread(self):
+        tracer = Tracer()
+
+        def worker():
+            with tracer.span("w", cat="simu"):
+                time.sleep(0.002)
+
+        with tracer.span("main", cat="simu"):
+            threads = [threading.Thread(target=worker) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        spans = [e for e in tracer.snapshot_events() if e["type"] == "span"]
+        # The workers' spans are outermost on their own threads.
+        assert tracer.category_totals()["simu"] == pytest.approx(
+            sum(e["dur"] for e in spans))
 
 
 class TestMetrics:
@@ -112,10 +136,26 @@ class TestNullTracer:
             pass
         NULL_TRACER.count("n", 5)
         NULL_TRACER.gauge("g", 1)
-        NULL_TRACER.add_span("y", None, 0.1)
         assert len(NULL_TRACER) == 0
         assert NULL_TRACER.counter_totals() == {}
+        assert NULL_TRACER.category_totals() == {}
         assert NULL_TRACER.snapshot_events() == []
+
+    def test_fresh_instance_keeps_books_without_events(self):
+        tracer = NullTracer()
+        with tracer.span("outer", cat="mc") as outer:
+            with tracer.span("inner", cat="mc"):
+                pass
+            with tracer.span("frame", cat="engine") as frame:
+                pass
+        tracer.count("n", 5)
+        tracer.count("n", 0)
+        assert tracer.counter_totals() == {"n": 5}
+        assert tracer.category_totals() == {"mc": outer.elapsed,
+                                             "engine": frame.elapsed}
+        assert len(tracer) == 0 and tracer.snapshot_events() == []
+        assert tracer and not tracer.enabled
+        assert (tracer or NULL_TRACER) is tracer
 
     def test_empty_tracer_is_truthy(self):
         # `config.trace or NULL_TRACER` must keep a fresh (empty) Tracer.

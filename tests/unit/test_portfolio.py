@@ -186,6 +186,27 @@ class TestCertification:
         assert res.certificate is not None
         assert res.certificate_ok is None
 
+    def test_memo_hit_never_skips_a_required_certificate(self):
+        """A proof memoized with ``certify=False`` must not answer a
+        call that asks for a checked certificate."""
+        b = ModuleBuilder("wrap")
+        en = b.input("en", 1)
+        c = b.reg("cnt", 4)
+        c.drive(b.mux(c.eq(3), b.const(0, 4), c + 1), en=en)
+        b.output("bad", c.eq(9))
+        wrap = b.build()
+        cache = SolveCache()
+        knobs = dict(engines=("bmc", "pdr"), max_bound=4, pdr_max_frames=30)
+        unchecked = verify_portfolio(
+            wrap, PROP, PortfolioConfig(**knobs, certify=False), cache=cache)
+        assert unchecked.status is PortfolioStatus.PROVED
+        assert unchecked.certificate_ok is None
+        checked = verify_portfolio(
+            wrap, PROP, PortfolioConfig(**knobs, certify=True), cache=cache)
+        assert checked.status is PortfolioStatus.PROVED
+        assert not checked.cache_hit
+        assert checked.certificate_ok is True
+
     def test_rejected_certificate_downgrades_verdict(self, monkeypatch):
         """A PROVED verdict whose invariant fails the independent check
         must not leave the portfolio as a proof."""
