@@ -8,14 +8,9 @@ Commands:
 - ``leak-check`` — directed formal leak check with a gadget program.
 - ``overhead``   — Figure-5-style instrumentation overhead comparison.
 - ``simulate``   — run a benchmark kernel on a core (optionally tainted).
-- ``serve``      — run the verification job daemon on a unix socket.
 - ``export``     — emit a core's circuit as Verilog or JSON netlist.
 - ``trace``      — summarize a performance trace from ``verify --trace``.
 - ``tables``     — print the static tables (Table 1 and Table 5).
-
-``verify``, ``lint``, ``analyze`` and ``simulate`` accept ``--remote
-SOCKET`` to submit their job to a running daemon (``repro serve``);
-an unreachable daemon degrades to local execution with a warning.
 """
 
 from __future__ import annotations
@@ -55,78 +50,6 @@ def _add_core_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--secret-words", type=int, default=2)
 
 
-def _add_remote_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--remote", metavar="SOCKET", default=None,
-                        help="submit the job to the daemon listening on "
-                             "this unix socket (repro serve); falls back "
-                             "to local execution with a warning when the "
-                             "daemon is unreachable")
-
-
-def _core_doc(args) -> dict:
-    """The job document's ``core`` object for the current CLI args."""
-    return {
-        "name": args.core, "xlen": args.xlen, "imem": args.imem,
-        "dmem": args.dmem, "secret_words": args.secret_words,
-    }
-
-
-def _remote_submit(socket_path: str, job: dict,
-                   deadline: Optional[float] = None) -> Optional[dict]:
-    """Submit one job to the daemon; None means "run locally instead".
-
-    Transport failures (no daemon, daemon died mid-job) degrade to
-    local execution; a job the daemon *rejected* exits with an error,
-    because retrying the same document locally would fail identically.
-    """
-    from repro.serve import ServeJobError, ServeUnavailable, connect
-
-    try:
-        client = connect(socket_path)
-    except ServeUnavailable as exc:
-        print(f"warning: {exc}; running locally", file=sys.stderr)
-        return None
-    try:
-        return client.submit(job, deadline=deadline)
-    except ServeUnavailable as exc:
-        print(f"warning: {exc}; running locally", file=sys.stderr)
-        return None
-    except ServeJobError as exc:
-        print(f"error: daemon rejected the job: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    finally:
-        client.close()
-
-
-#: Options the daemon's reply cannot honour: ``(dest, flag)``.  The
-#: remote verify returns rows and the refined scheme only, and the
-#: remote simulate runs untainted and untraced.
-_VERIFY_LOCAL_ONLY = (
-    ("prune", "--prune"), ("trace", "--trace"), ("report", "--report"),
-    ("checkpoint", "--checkpoint"), ("resume", "--resume"),
-    ("store", "--store"), ("cache_stats", "--cache-stats"),
-)
-_SIMULATE_LOCAL_ONLY = (("taint", "--taint"), ("trace", "--trace"))
-
-
-def _remote_allowed(args, local_only) -> bool:
-    """False, with a one-line notice, when a set option needs a local run."""
-    used = [flag for dest, flag in local_only if getattr(args, dest)]
-    if used:
-        print(f"note: {', '.join(used)} needs a local run; ignoring --remote",
-              file=sys.stderr)
-    return not used
-
-
-def _remote_analyze(args) -> Optional[dict]:
-    job = {"kind": "analyze", "core": _core_doc(args),
-           "max_frames": args.max_frames}
-    reply = _remote_submit(args.remote, job)
-    if reply is None:
-        return None
-    return reply["result"]["document"]
-
-
 def cmd_verify(args) -> int:
     from repro.contracts import make_contract_task
     from repro.cegar import (
@@ -136,11 +59,6 @@ def cmd_verify(args) -> int:
         prune_refinements,
         run_compass,
     )
-
-    if args.remote and _remote_allowed(args, _VERIFY_LOCAL_ONLY):
-        outcome = _remote_verify(args)
-        if outcome is not None:
-            return outcome
 
     tracer = None
     if args.trace:
@@ -218,51 +136,8 @@ def cmd_verify(args) -> int:
     return 0 if result.secure else 1
 
 
-def _remote_verify(args) -> Optional[int]:
-    """Serve ``repro verify --remote`` from the daemon; None = fallback."""
-    import json as _json
-
-    job = {
-        "kind": "verify",
-        "core": _core_doc(args),
-        "config": {
-            "max_bound": args.max_bound,
-            "use_induction": False,
-            "mc_enabled": not args.testing_only,
-            "mc_time_limit": args.budget / 3 if args.budget else None,
-            "total_time_limit": args.budget,
-            "max_refinements": args.max_refinements,
-            "seed": args.seed,
-            "engine": args.engine,
-            "static_prescreen": args.static_prescreen,
-            "certify": args.certify,
-        },
-    }
-    reply = _remote_submit(args.remote, job, deadline=args.budget)
-    if reply is None:
-        return None
-    result = reply["result"]
-    dedup = " [served from a deduplicated in-flight job]" \
-        if reply.get("dedup") else ""
-    print(f"status: {result['status']} (bound {result['bound']}) "
-          f"[remote, {reply.get('elapsed', 0.0):.2f}s]{dedup}")
-    for line in result["rows"]:
-        print(line)
-    if args.save_scheme:
-        from repro.ioutil import atomic_write
-
-        with atomic_write(args.save_scheme) as handle:
-            _json.dump(result["scheme"], handle, indent=1)
-        print(f"saved refined scheme to {args.save_scheme}")
-    return 0 if result["secure"] else 1
-
-
 def analyze_document(core, max_frames: int = 64) -> dict:
-    """The ``repro-analyze/v1`` summary document for one core.
-
-    Shared between ``repro analyze`` and the job daemon's ``analyze``
-    handler so both surfaces emit the identical schema.
-    """
+    """The ``repro-analyze/v1`` summary document for one core."""
     from repro.analyze import (
         constant_fixpoint,
         static_verify,
@@ -374,13 +249,7 @@ def cmd_analyze(args) -> int:
     """SAT-free dataflow summary of a core's contract task."""
     import json as _json
 
-    if getattr(args, "remote", None):
-        doc = _remote_analyze(args)
-        if doc is None:
-            doc = analyze_document(_build_core(args),
-                                   max_frames=args.max_frames)
-    else:
-        doc = analyze_document(_build_core(args), max_frames=args.max_frames)
+    doc = analyze_document(_build_core(args), max_frames=args.max_frames)
     if args.json:
         print(_json.dumps(doc, indent=1))
         return 0
@@ -466,25 +335,6 @@ def cmd_overhead(args) -> int:
 def cmd_simulate(args) -> int:
     from repro.bench.workloads import WORKLOADS, run_workload_batch
     from repro.taint import TaintSources, cellift_scheme, instrument
-
-    if args.remote and _remote_allowed(args, _SIMULATE_LOCAL_ONLY):
-        job = {"kind": "simulate", "core": args.core,
-               "workload": args.workload, "seed": args.seed,
-               "lanes": args.lanes}
-        reply = _remote_submit(args.remote, job)
-        if reply is not None:
-            result = reply["result"]
-            cycles = result["cycles"]
-            if result["lanes"] > 1:
-                print(f"{result['workload']} on {result['core']}: "
-                      f"{result['lanes']} lanes, "
-                      f"{min(cycles)}-{max(cycles)} cycles/lane, "
-                      f"{result['elapsed']:.3f}s [remote]")
-            else:
-                print(f"{result['workload']} on {result['core']}: "
-                      f"{cycles[0]} cycles, {result['elapsed']:.3f}s "
-                      "[remote]")
-            return 0
 
     tracer = None
     if args.trace:
@@ -572,24 +422,6 @@ def cmd_lint(args) -> int:
         print("error: a design (core name or netlist file) is required "
               "unless --selftest is given", file=sys.stderr)
         return 2
-    if args.remote and args.design in core_registry():
-        # Remote linting covers registered cores (netlist files stay
-        # local: the daemon has no access to the client's filesystem).
-        job = {
-            "kind": "lint",
-            "core": {"name": args.design, "xlen": args.xlen,
-                     "imem": args.imem, "dmem": args.dmem,
-                     "secret_words": args.secret_words,
-                     "with_shadow": not args.no_shadow},
-            "no_semantic": args.no_semantic,
-            "disable": sorted(args.disable or ()),
-        }
-        reply = _remote_submit(args.remote, job)
-        if reply is not None:
-            result = reply["result"]
-            print(_json.dumps(result["report"], indent=1))
-            return 0 if result["ok"] else 1
-
     scheme = None
     if args.scheme:
         from repro.taint.scheme_io import load_scheme
@@ -734,27 +566,6 @@ def cmd_trace(args) -> int:
     raise AssertionError(f"unhandled trace action {args.action!r}")
 
 
-def cmd_serve(args) -> int:
-    """Run the verification job daemon on a local unix socket."""
-    from repro.serve import JobServer
-
-    server = JobServer(
-        args.socket,
-        store_dir=args.store,
-        workers=args.workers,
-        default_deadline=args.deadline,
-        progress_interval=args.progress_interval,
-    )
-    suffix = f" (store: {args.store})" if args.store else ""
-    print(f"repro job daemon listening on {args.socket}{suffix}")
-    try:
-        server.run()
-    except KeyboardInterrupt:
-        pass
-    print(server.stats.row())
-    return 0
-
-
 def cmd_tables(_args) -> int:
     from repro.cores.configs import format_table1
     from repro.taint import PRESETS
@@ -769,6 +580,8 @@ def cmd_tables(_args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.bench.workloads import WORKLOADS
+
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -828,7 +641,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "from DIR and persist every new verdict there "
                         "(crash-safe; a locked or corrupt store degrades "
                         "to an in-memory cache with a warning)")
-    _add_remote_option(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("analyze",
@@ -838,7 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="frame budget of the bounded ternary pass")
     p.add_argument("--json", action="store_true",
                    help="emit the summary as JSON (repro-analyze/v1)")
-    _add_remote_option(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("leak-check", help="directed formal leak check")
@@ -859,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a workload on a core")
     p.add_argument("--core", choices=_core_names(), default="Rocket")
-    p.add_argument("--workload", default="median")
+    p.add_argument("--workload", choices=sorted(WORKLOADS), default="median")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lanes", type=_lane_count, default=1, metavar="K",
                    help="run K data seeds bit-parallel (one lane per seed, "
@@ -870,7 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record a performance trace (sim.lanes / "
                         "sim.steps_per_sec counters; repro trace summarize "
                         "reads it)")
-    _add_remote_option(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("export", help="emit a core as Verilog or JSON")
@@ -911,7 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="info", help="lowest severity to print")
     p.add_argument("--selftest", action="store_true",
                    help="check the linter catches known-bad designs")
-    _add_remote_option(p)
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser("trace", help="inspect performance traces")
@@ -922,26 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--top", type=int, default=15,
                     help="number of span names to list")
     ps.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser("serve",
-                       help="run the verification job daemon on a unix "
-                            "socket (verify/lint/analyze/simulate jobs, "
-                            "in-flight dedup, persistent solve store)")
-    p.add_argument("--socket", metavar="PATH", required=True,
-                   help="unix socket to listen on (replaced if stale)")
-    p.add_argument("--store", metavar="DIR", default=None,
-                   help="persistent solve store backing every job's "
-                        "cache; verdicts survive daemon restarts")
-    p.add_argument("--workers", type=int, default=2,
-                   help="concurrent job threads (each verification may "
-                        "itself fan out into portfolio processes)")
-    p.add_argument("--deadline", type=float, default=None,
-                   help="default per-job wall-clock cap in seconds "
-                        "(submissions may carry their own)")
-    p.add_argument("--progress-interval", type=float, default=0.25,
-                   help="seconds between progress samples streamed to "
-                        "subscribed clients")
-    p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("tables", help="print Table 1 and Table 5")
     p.set_defaults(func=cmd_tables)

@@ -1,10 +1,10 @@
-"""One strict JSON codec for every disk and socket boundary.
+"""One strict JSON codec for everything written to disk.
 
-Solve-store records, checkpoint journal entries and the job daemon's
-result documents all go through ``to_doc(value)`` and
-``from_doc(type, doc)``.  Decoding is strict: a missing field, an
-unknown one or a value of the wrong type raises :class:`CodecError`,
-and nothing read back can run code the way an unpickled payload can.
+Solve-store records and checkpoint journal entries go through
+``to_doc(value)`` and ``from_doc(type, doc)``.  Decoding is strict: a
+missing field, an unknown one or a value of the wrong type raises
+:class:`CodecError`, and nothing read back can run code the way an
+unpickled payload can.
 Dataclasses are coded field by field from their annotations; a few
 types keep their own document shape (registered at the bottom).
 """
@@ -175,17 +175,14 @@ _HINTS: Dict[type, Dict[str, Any]] = {}
 
 
 def _hints(cls: type) -> Dict[str, Any]:
-    """Field name -> type of a dataclass's document; fields marked
-    ``metadata={"codec": False}`` stay out of it (and keep their
-    default on decode)."""
+    """Field name -> type of a dataclass's document."""
     hints = _HINTS.get(cls)
     if hints is None:
         from repro.store.store import StoreStats
 
         resolved = typing.get_type_hints(cls, localns={"StoreStats": StoreStats})
         hints = _HINTS[cls] = {f.name: resolved[f.name]
-                               for f in dataclasses.fields(cls)
-                               if f.metadata.get("codec", True)}
+                               for f in dataclasses.fields(cls)}
     return hints
 
 

@@ -264,11 +264,11 @@ class ThreadSafeSolveCache(SolveCache):
     """A :class:`SolveCache` safe to share across threads.
 
     The base class is deliberately lock-free — the CLI is
-    single-threaded — but the job
-    daemon hands one cache to a pool of worker threads, where the
-    ``OrderedDict`` LRU bookkeeping (``move_to_end``, eviction) breaks
-    under concurrent mutation.  Every public operation here runs under
-    a reentrant mutex; subclasses composing multi-step operations (see
+    single-threaded — but a caller that hands one cache to several
+    threads would break the ``OrderedDict`` LRU bookkeeping
+    (``move_to_end``, eviction) under concurrent mutation.  Every
+    public operation here runs under a reentrant mutex; subclasses
+    composing multi-step operations (see
     :class:`repro.store.store.StoreBackedCache`) take the same
     ``self._mutex`` around them.
     """

@@ -662,10 +662,30 @@ def pdr_prove(
     if (
         result.status is PdrStatus.COUNTEREXAMPLE
         and prop.init_assumptions
-        and isinstance(circuit, Circuit)
+        and _breaks_init_assumptions(lowered, prop, result.counterexample)
     ):
-        waveform = result.counterexample.replay(circuit)
-        if any(waveform.value(name, 0) == 0 for name in prop.init_assumptions):
-            return PdrResult(PdrStatus.UNKNOWN, result.frames,
-                             elapsed=result.elapsed)
+        return PdrResult(PdrStatus.UNKNOWN, result.frames,
+                         elapsed=result.elapsed)
     return result
+
+
+def _breaks_init_assumptions(lowered: LoweredCircuit, prop: SafetyProperty,
+                             cex: Counterexample) -> bool:
+    """True when ``cex``'s first cycle violates an init assumption.
+
+    The check replays the first cycle on the gate-level netlist PDR
+    searched, so it runs whether the caller passed a ``Circuit`` or an
+    already lowered one (as the portfolio does).
+    """
+    def bits(values: Dict[str, int]) -> Dict[str, int]:
+        out: Dict[str, int] = {}
+        for name, value in values.items():
+            if name in lowered.bits:
+                out.update(lowered.unpack(name, value))
+        return out
+
+    first = Counterexample(1, [bits(cex.inputs[0]) if cex.inputs else {}],
+                           bits(cex.initial_state))
+    names = [lowered.bits[name][0].name for name in prop.init_assumptions]
+    waveform = first.replay(lowered.circuit, record=names)
+    return any(waveform.value(name, 0) == 0 for name in names)

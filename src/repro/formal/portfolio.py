@@ -132,10 +132,7 @@ class PortfolioResult:
     mode: str = "sequential"     # "sequential" | "cache"
     cache_hit: bool = False      # whole verdict answered from the cache
     #: PDR's inductive-invariant certificate when it won with a proof.
-    #: It stays in the process that checked it: codec documents (the
-    #: daemon's results) carry ``certificate_ok`` instead.
-    certificate: Optional[Certificate] = field(default=None,
-                                               metadata={"codec": False})
+    certificate: Optional[Certificate] = None
     #: True/False once the independent checker ran; None when there was
     #: no certificate to check (other winner, cache hit, certify off).
     certificate_ok: Optional[bool] = None

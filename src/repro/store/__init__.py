@@ -3,11 +3,11 @@
 The content-addressed :class:`~repro.formal.cache.SolveCache` memoizes
 verdicts for one process; this package makes those verdicts *durable*:
 an on-disk store of ``(solve key, CachedVerdict)`` entries that every
-run — CLI verifies, the job daemon (:mod:`repro.serve`), benchmark
+run — CLI verifies, ``run_compass(store_dir=...)``, benchmark
 reruns — opens, extends and shares, so the system never re-proves work
 it has already paid for.
 
-Layout and guarantees (see ``docs/serving.md`` for the format):
+Layout and guarantees (see ``docs/store.md`` for the format):
 
 - entries live in append-only, per-record checksummed **segment
   files**, each written atomically via

@@ -4,7 +4,7 @@ One writer at a time mutates a store directory; readers need no lock
 (segments are immutable once renamed into place and the manifest is
 replaced atomically).  The lock is a JSON file created with
 ``O_CREAT | O_EXCL`` — portable, inspectable, and recoverable: a lock
-whose owner pid is dead (crashed writer, SIGKILLed daemon) is *stale*
+whose owner pid is dead (crashed or SIGKILLed writer) is *stale*
 and taken over instead of wedging the store forever.  Takeover itself
 is serialized through an ``flock``-ed guard sidecar so two racers can
 never both replace the stale lock and believe they hold it.

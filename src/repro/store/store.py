@@ -4,8 +4,8 @@
 a JSON manifest and exposes a dict-like view of the validated entries;
 :class:`StoreBackedCache` adapts it to the
 :class:`~repro.formal.cache.SolveCache` interface the engines already
-consume, so plugging persistence into the portfolio, the CEGAR loop or
-the job daemon is a one-line cache swap.
+consume, so plugging persistence into the portfolio or the CEGAR loop
+is a one-line cache swap.
 
 Recovery invariants (each has a deterministic fault in
 :mod:`repro.faults` and a test exercising it):
@@ -22,11 +22,10 @@ Recovery invariants (each has a deterministic fault in
   touched, and the strict codec decodes them to a valid entry or not
   at all; malformed or hostile records are counted and dropped.
 
-:class:`SolveStore` is additionally thread-safe: the job daemon's
-worker threads write through a shared :class:`StoreBackedCache` while
-the event loop flushes after each completed job, so every method that
-touches the pending buffer, the entry map or the segment list holds an
-internal mutex.
+:class:`SolveStore` is additionally thread-safe: threads may write
+through a shared :class:`StoreBackedCache` while another thread
+flushes, so every method that touches the pending buffer, the entry
+map or the segment list holds an internal mutex.
 """
 
 from __future__ import annotations
@@ -141,11 +140,11 @@ class SolveStore:
         self.compact_threshold = compact_threshold
         self.stats = StoreStats()
         self.generation = 0
-        # One writer thread is the common case, but the job daemon
-        # shares this store between its worker pool (appending through
-        # a StoreBackedCache) and the event loop (flushing after each
-        # job), so every method touching the maps below takes the
-        # mutex.  Reentrant because append() auto-flushes.
+        # One writer thread is the common case, but a store may be
+        # shared between threads appending through a StoreBackedCache
+        # and a thread flushing, so every method touching the maps
+        # below takes the mutex.  Reentrant because append()
+        # auto-flushes.
         self._mutex = threading.RLock()
         self._entries: Dict[str, CachedVerdict] = {}
         self._pending: Dict[str, CachedVerdict] = {}
@@ -462,13 +461,11 @@ class StoreBackedCache(ThreadSafeSolveCache):
     from a checkpoint via ``merge_entries`` — is written through to the
     store's pending buffer.  Hits answered by an entry
     that came from disk additionally count in ``store.stats.hits``,
-    which is what the serve-smoke "served from the persistent store"
-    assertion reads.
+    which is what "served from the persistent store" checks read.
 
-    Thread safety comes from :class:`ThreadSafeSolveCache` (the job
-    daemon shares one cache across its worker pool); the store has its
-    own internal mutex, so flushing the store from a thread that does
-    not hold this cache's mutex — the daemon's event loop — is safe.
+    Thread safety comes from :class:`ThreadSafeSolveCache`; the store
+    has its own internal mutex, so flushing the store from a thread
+    that does not hold this cache's mutex is safe.
     """
 
     def __init__(self, store: SolveStore, max_entries: int = 4096) -> None:

@@ -58,3 +58,38 @@ class TestPortfolioAcceptance:
         text = render_report(por)
         assert "## Verification portfolio" in text
         assert "Solve cache:" in text
+
+
+def test_init_assumption_is_not_a_correlation_alert():
+    """A mux that routes the secret only when ``r1 != r2``, with the
+    init assumption ``r1 == r2``: secure.  PDR ignores the assumption
+    while searching, so its counterexample must not reach the loop."""
+    from repro.cegar import CegarStatus, TaintVerificationTask
+    from repro.hdl import ModuleBuilder
+    from repro.taint import TaintSources
+
+    b = ModuleBuilder("eqinit")
+    with b.scope("m"):
+        secret = b.reg("secret", 4)
+        secret.drive(secret)
+        pub = b.reg("pub", 4)
+        pub.drive(pub)
+        r1 = b.reg("r1", 4)
+        r1.drive(r1)
+        r2 = b.reg("r2", 4)
+        r2.drive(r2)
+        sel = b.reg("sel", 1)
+        sel.drive(r1.ne(r2))
+        out = b.named("o", b.mux(sel, secret, pub))
+    b.output("eq", r1.eq(r2))
+    b.output("sink", out)
+    task = TaintVerificationTask(
+        name="eqinit", circuit=b.build(),
+        sources=TaintSources(registers={"m.secret": -1}), sinks=("sink",),
+        init_assumption_outputs=("eq",),
+        symbolic_registers=frozenset({"m.secret", "m.pub", "m.r1", "m.r2"}),
+    )
+    result = run_compass(task, CegarConfig(engine="portfolio", max_bound=4,
+                                           seed=0))
+    assert result.status is not CegarStatus.CORRELATION_ALERT
+    assert result.status is CegarStatus.PROVED

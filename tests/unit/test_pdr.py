@@ -216,6 +216,66 @@ class TestCounterexamples:
                 (pdr.status is PdrStatus.COUNTEREXAMPLE), seed
 
 
+def equal_at_init(bad_at=None):
+    """Two held symbolic registers assumed equal at the initial state.
+
+    ``bad`` is a reset-0 register of ``r1 != r2``, which no execution
+    allowed by the init assumption reaches; with ``bad_at`` it is
+    ``r1 == r2 == bad_at`` instead, which one does."""
+    b = ModuleBuilder("eqinit")
+    r1 = b.reg("r1", 4)
+    r1.drive(r1)
+    r2 = b.reg("r2", 4)
+    r2.drive(r2)
+    b.output("eq", r1.eq(r2))
+    if bad_at is None:
+        ne = b.reg("ne", 1)
+        ne.drive(r1.ne(r2))
+        b.output("bad", ne)
+    else:
+        b.output("bad", r1.eq(bad_at) & r2.eq(bad_at))
+    prop = SafetyProperty("p", "bad", init_assumptions=("eq",),
+                          symbolic_registers=frozenset({"r1", "r2"}))
+    return b.build(), prop
+
+
+class TestInitAssumptions:
+    """PDR over-approximates the initial states, so a counterexample
+    whose first state breaks an init assumption must come back UNKNOWN,
+    however the circuit was handed over."""
+
+    def test_circuit_and_lowered_both_downgrade(self):
+        from repro.formal.bmc import _as_lowered
+
+        circ, prop = equal_at_init()
+        for given_circuit in (circ, _as_lowered(circ, prop)):
+            res = pdr_prove(given_circuit, prop, time_limit=30)
+            assert res.status is PdrStatus.UNKNOWN
+            assert res.counterexample is None
+
+    def test_portfolio_engines_agree(self):
+        from repro.formal import (PortfolioConfig, PortfolioStatus,
+                                  verify_portfolio)
+
+        circ, prop = equal_at_init()
+        status = {
+            engine: verify_portfolio(circ, prop, PortfolioConfig(
+                engines=(engine,), max_bound=4, time_limit=60)).status
+            for engine in ("bmc", "kind", "pdr")
+        }
+        assert status == {"bmc": PortfolioStatus.BOUND_REACHED,
+                          "kind": PortfolioStatus.PROVED,
+                          "pdr": PortfolioStatus.UNKNOWN}
+
+    def test_genuine_counterexample_is_kept(self):
+        circ, prop = equal_at_init(bad_at=3)
+        res = pdr_prove(circ, prop, time_limit=30)
+        assert res.status is PdrStatus.COUNTEREXAMPLE
+        wf = res.counterexample.replay(circ)
+        assert wf.value("eq", 0) == 1
+        assert any(v == 1 for v in wf.trace("bad"))
+
+
 class TestGeneralizationInvariants:
     """Core-seeded generalization must stay sound: no blocking clause
     may exclude an initial state (that is the init-intersection repair's

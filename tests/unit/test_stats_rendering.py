@@ -1,8 +1,7 @@
 """Golden output of everything that renders the Table-3 statistics.
 
-Three surfaces print a CEGAR run's statistics: ``repro verify`` on
-stdout (with and without ``--cache-stats``), the job daemon's
-``verify`` result rows, and the Markdown report of
+Two surfaces print a CEGAR run's statistics: ``repro verify`` on
+stdout (with and without ``--cache-stats``) and the Markdown report of
 :func:`repro.cegar.report.render_report`.  This test runs them on three
 small tasks and compares the text with ``tests/data/stats_rendering.json``,
 with only the ``\\d+\\.\\d+s`` times masked:
@@ -109,11 +108,10 @@ def guarded_task():
 
 
 @contextlib.contextmanager
-def _serving(task):
-    """Make the CLI and the daemon build ``task`` instead of a core."""
+def _building(task):
+    """Make the CLI build ``task`` instead of a core."""
     core = types.SimpleNamespace(name=task.name, circuit=task.circuit)
     with mock.patch("repro.cli._build_core", lambda args, **kw: core), \
-            mock.patch("repro.serve.jobs._core_from_doc", lambda doc: core), \
             mock.patch("repro.contracts.make_contract_task", lambda c: task):
         yield
 
@@ -122,20 +120,9 @@ def _cli(task, *argv: str) -> str:
     from repro.cli import main
 
     out = io.StringIO()
-    with _serving(task), contextlib.redirect_stdout(out):
+    with _building(task), contextlib.redirect_stdout(out):
         code = main(["verify", "--max-bound", "6", *argv])
     return f"exit {code}\n{out.getvalue()}"
-
-
-def _serve(task, cache, **config) -> str:
-    from repro.obs import Tracer
-    from repro.serve.jobs import run_job
-
-    job = {"kind": "verify", "core": {"name": task.name},
-           "config": {"max_bound": 6, **config}}
-    with _serving(task):
-        doc = run_job(job, cache=cache, tracer=Tracer())
-    return "\n".join(doc["rows"]) + "\n"
 
 
 def _report(task, checkpoint_dir=None, resume=False, **config) -> str:
@@ -149,8 +136,6 @@ def _report(task, checkpoint_dir=None, resume=False, **config) -> str:
 
 
 def all_cases() -> Dict[str, str]:
-    from repro.formal.cache import SolveCache
-
     fig2, leaky, guarded = fig2_task(False), fig2_task(True), guarded_task()
     cases: Dict[str, str] = {}
     for flags in ((), ("--cache-stats",)):
@@ -171,13 +156,6 @@ def all_cases() -> Dict[str, str]:
             cases[f"cli/guarded-warm{suffix}"] = _cli(guarded, *run)
             cases[f"cli/guarded-sequential-checkpoint{suffix}"] = _cli(
                 guarded, "--checkpoint", os.path.join(tmp, "seq"), *flags)
-
-    cases["serve/fig2"] = _serve(fig2, None)
-    cases["serve/fig2-leaky"] = _serve(leaky, None)
-    shared = SolveCache()
-    for visit in ("cold", "warm"):
-        cases[f"serve/guarded-{visit}"] = _serve(
-            guarded, shared, engine="portfolio", static_prescreen=True)
 
     cases["report/fig2"] = _report(fig2)
     cases["report/fig2-leaky"] = _report(leaky)

@@ -415,9 +415,9 @@ class TestStoreBackedCache:
 
 class TestConcurrentStoreAccess:
     def test_concurrent_put_and_flush_lose_nothing(self, tmp_path):
-        """The daemon's event loop flushes while worker threads write
-        through the shared cache: the store's internal mutex must keep
-        the pending buffer consistent and every entry durable."""
+        """One thread flushes while writer threads put through the
+        shared cache: the store's internal mutex must keep the pending
+        buffer consistent and every entry durable."""
         writers, per_writer = 4, 200
         with SolveStore(str(tmp_path), flush_every=10**9) as store:
             cache = store.cache()
@@ -450,7 +450,56 @@ class TestConcurrentStoreAccess:
             assert store.stats.rejected == 0
 
 
+def _guarded_task():
+    """A mux whose select ``r1 != r2`` stays 0: the two registers add
+    the same input each cycle.  Secure, proved by the portfolio."""
+    from repro.cegar.loop import TaintVerificationTask
+    from repro.hdl import ModuleBuilder
+    from repro.taint.instrument import TaintSources
+
+    b = ModuleBuilder("guarded")
+    with b.scope("m"):
+        secret = b.reg("secret", 4)
+        secret.drive(secret)
+        pub = b.reg("pub", 4)
+        pub.drive(pub)
+        inc = b.input("inc", 4)
+        r1 = b.reg("r1", 4)
+        r1.drive(r1 + inc)
+        r2 = b.reg("r2", 4)
+        r2.drive(r2 + inc)
+        sel = b.reg("sel", 1)
+        sel.drive(r1.ne(r2))
+        out = b.named("o", b.mux(sel, secret, pub))
+    b.output("sink", out)
+    return TaintVerificationTask(
+        name="guarded", circuit=b.build(),
+        sources=TaintSources(registers={"m.secret": -1}),
+        sinks=("sink",), symbolic_registers=frozenset({"m.secret", "m.pub"}),
+    )
+
+
 class TestRunCompassStoreDir:
+    def test_warm_rerun_is_served_from_disk(self, tmp_path):
+        """A rerun on a reopened store reaches the cold run's verdict,
+        scheme and refinements, answering >= 90% of its solves from the
+        verdicts the cold run persisted."""
+        from repro.cegar import CegarConfig, CegarStatus, run_compass
+        from repro.taint.scheme_io import scheme_to_dict
+
+        config = CegarConfig(engine="portfolio", max_bound=4, seed=0,
+                             store_dir=str(tmp_path))
+        cold = run_compass(_guarded_task(), config)
+        assert cold.status is CegarStatus.PROVED
+        assert cold.stats.store.appended > 0
+        warm = run_compass(_guarded_task(), config)
+        assert warm.status is cold.status
+        assert scheme_to_dict(warm.scheme) == scheme_to_dict(cold.scheme)
+        assert warm.stats.refinement_log == cold.stats.refinement_log
+        hits, misses = warm.stats.store.hits, warm.stats.cache.misses
+        assert hits > 0
+        assert hits / (hits + misses) >= 0.9
+
     def test_graceful_fallback_when_locked(self, tmp_path):
         """A held store must not fail the verify — warn and run."""
         from repro.cegar import CegarConfig, run_compass
