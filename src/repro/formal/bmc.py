@@ -99,6 +99,11 @@ def _as_lowered(
     logic the property cannot observe never reaches the encoder, and
     duplicated shadow logic collapses.
 
+    The result is flat: its ``netlist`` is the last pass's output, and
+    no ``Circuit`` is built or validated here.  The frame compiler
+    checks the netlist's structure once, in its topological pass;
+    ``LoweredCircuit.circuit`` is built only when something reads it.
+
     Results are memoized in a digest-keyed LRU shared across engines:
     the portfolio's BMC and induction engines, the induction base case,
     and successive CEGAR verify calls all re-lower the same content
@@ -119,17 +124,15 @@ def _as_lowered(
         return cached
     from repro.hdl.optimize import cone_of_influence, simplify, strash
 
-    # The passes rewrite the flat netlist in turn; the one Circuit is
-    # built, and validated once, at the end (inside strash).
     lowered = lower_to_gates(circuit)
     gates = simplify(lowered.netlist)
     if prop is None:
-        result = LoweredCircuit(gates.to_circuit(), lowered.bits)
+        result = LoweredCircuit(None, lowered.bits, netlist=gates)
     else:
         reduced = strash(cone_of_influence(gates, _property_roots(lowered, prop)))
-        kept = {reg.q.name for reg in reduced.registers}
+        kept = {q for q, _d, _reset in reduced.registers}
         pruned = {q: reset & 1 for q, _d, reset in gates.registers if q not in kept}
-        result = LoweredCircuit(reduced, lowered.bits, pruned)
+        result = LoweredCircuit(None, lowered.bits, pruned, netlist=reduced)
     _LOWERED_CACHE[key] = result
     while len(_LOWERED_CACHE) > _LOWERED_CACHE_MAX:
         _LOWERED_CACHE.popitem(last=False)
@@ -162,13 +165,13 @@ def extract_counterexample(
 ) -> Counterexample:
     """Read a word-level stimulus (inputs + initial state) from a model."""
     lowered = unroller.lowered
-    input_names = {sig.name for sig in lowered.circuit.inputs}
+    input_names = set(lowered.input_names())
     original_inputs = [
         name for name, bit_sigs in lowered.bits.items()
         if bit_sigs and bit_sigs[0].name in input_names
     ]
     original_regs: List[str] = []
-    reg_names = {reg.q.name for reg in lowered.circuit.registers}
+    reg_names = {q for q, _d, _reset in lowered.register_entries()}
     for name, bit_sigs in lowered.bits.items():
         if bit_sigs and bit_sigs[0].name in reg_names:
             original_regs.append(name)
@@ -199,7 +202,7 @@ def _frame_key(
         "init": dict(initial_values) if initial_values else None,
         "pins": pins,
     }
-    return solve_key(lowered.circuit, prop, "bmc-frame", params)
+    return solve_key(lowered, prop, "bmc-frame", params)
 
 
 def bounded_model_check(

@@ -42,19 +42,25 @@ def circuit_fingerprint(circuit: Union[Circuit, LoweredCircuit]) -> str:
     Uses the canonical serialized document, which sorts signals by name
     and preserves cell order, so structurally identical circuits — in
     particular ``serialize`` round-trips — produce identical digests.
-    The digest is memoized on the circuit object; every mutation
-    (``add_signal``, ``add_cell``, ``add_register``) drops the memo, so
-    a circuit grown after hashing (a product that gains a difference
-    monitor) hashes afresh.
+    A flat lowering hashes its netlist into the same document, so its
+    digest is the one its ``circuit`` would have, and the circuit is
+    not built.  The digest is memoized on the circuit or lowering
+    object; every mutation of a circuit (``add_signal``, ``add_cell``,
+    ``add_register``) drops the memo, so a circuit grown after hashing
+    (a product that gains a difference monitor) hashes afresh.  A
+    lowering is never mutated after construction.
     """
+    target = circuit
     if isinstance(circuit, LoweredCircuit):
-        circuit = circuit.circuit
+        if circuit.netlist is None:
+            return circuit_fingerprint(circuit.circuit)
+        target = circuit.netlist
     cached = circuit._content_fingerprint
     if cached is not None:
         return cached
     from repro.hdl.serialize import circuit_to_dict
 
-    doc = circuit_to_dict(circuit)
+    doc = circuit_to_dict(target)
     doc.pop("version", None)  # format revisions must not shift keys
     digest = hashlib.sha256(
         json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()

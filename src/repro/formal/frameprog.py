@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.hdl.cells import Cell, CellOp
+from repro.hdl.cells import CellOp
 from repro.hdl.lowering import LoweredCircuit
 from repro.formal.encode import EncodingError, FrameEncoder
 from repro.formal.sat.solver import Solver
@@ -61,11 +61,11 @@ OP_OR = 4
 OP_XOR = 5
 
 _OPCODE_OF = {
-    CellOp.BUF: OP_BUF,
-    CellOp.NOT: OP_NOT,
-    CellOp.AND: OP_AND,
-    CellOp.OR: OP_OR,
-    CellOp.XOR: OP_XOR,
+    "buf": OP_BUF,
+    "not": OP_NOT,
+    "and": OP_AND,
+    "or": OP_OR,
+    "xor": OP_XOR,
 }
 
 
@@ -86,9 +86,9 @@ class FrameProgram:
     n_slots: int
     #: Gate-signal name -> op-program slot (every signal of the frame).
     slot_of_name: Dict[str, int]
-    #: Slot of each register's ``q`` (``circuit.registers`` order).
+    #: Slot of each register's ``q`` (``register_entries()`` order).
     boundary_slots: Tuple[int, ...]
-    #: Slot of each frame input (``circuit.inputs`` order).
+    #: Slot of each frame input (``input_names()`` order).
     input_slots: Tuple[int, ...]
 
     # -- clause template (stamped path) --------------------------------
@@ -281,31 +281,26 @@ class _TemplateBuilder:
             self.mixed.append(tuple(tvals))
 
     # -- cell encoding (mirrors FrameEncoder.encode_cell exactly) -------
-    def encode_cell(self, cell: Cell) -> None:
-        op = cell.op
-        out_name = cell.out.name
-        if op is CellOp.CONST:
-            self.tval_of[out_name] = (
-                TRUE_TVAL if cell.param("value") & 1 else -TRUE_TVAL
-            )
+    def encode_cell(self, op: str, out_name: str, ins: Sequence[str], params) -> None:
+        """Encode one flat cell ``(op, out, ins, params, ...)``."""
+        tval_of = self.tval_of
+        if op == "const":
+            tval_of[out_name] = TRUE_TVAL if dict(params)["value"] & 1 else -TRUE_TVAL
             return
-        ins = [self.tval_of[s.name] for s in cell.ins]
-        if op is CellOp.BUF:
-            self.tval_of[out_name] = ins[0]
-            return
-        if op is CellOp.NOT:
-            self.tval_of[out_name] = -ins[0]
-            return
-        if op is CellOp.AND:
-            self.tval_of[out_name] = self._encode_and(ins)
-            return
-        if op is CellOp.OR:
-            self.tval_of[out_name] = -self._encode_and([-tv for tv in ins])
-            return
-        if op is CellOp.XOR:
-            self.tval_of[out_name] = self._encode_xor(ins)
-            return
-        raise EncodingError(f"cell op {op} is not gate-level; lower the circuit first")
+        tvals = [tval_of[name] for name in ins]
+        if op == "buf":
+            tval_of[out_name] = tvals[0]
+        elif op == "not":
+            tval_of[out_name] = -tvals[0]
+        elif op == "and":
+            tval_of[out_name] = self._encode_and(tvals)
+        elif op == "or":
+            tval_of[out_name] = -self._encode_and([-tv for tv in tvals])
+        elif op == "xor":
+            tval_of[out_name] = self._encode_xor(tvals)
+        else:
+            raise EncodingError(
+                f"cell op {CellOp(op)} is not gate-level; lower the circuit first")
 
     def _encode_and(self, ins: Sequence[int]) -> int:
         live: List[int] = []
@@ -363,15 +358,21 @@ class _TemplateBuilder:
 def compile_frame_program(lowered: LoweredCircuit) -> FrameProgram:
     """Compile the combinational logic of one frame into a template.
 
-    Register ``q`` signals become boundary slots (in ``registers``
-    order) and inputs become the first fresh slots (in ``inputs``
-    order).  The clause template folds the netlist exactly as
-    ``FrameEncoder`` would fold a frame whose boundary literals are all
-    opaque; the op program preserves the unfolded structure for frames
-    where constants make folding worthwhile.
+    Register ``q`` signals become boundary slots (in register order)
+    and inputs become the first fresh slots (in input order).  The
+    clause template folds the netlist exactly as ``FrameEncoder`` would
+    fold a frame whose boundary literals are all opaque; the op program
+    preserves the unfolded structure for frames where constants make
+    folding worthwhile.
+
+    A flat lowering is compiled from its ``netlist``, whose structure
+    is checked in the same topological pass
+    (:meth:`LoweredCircuit.topo_cells`); no ``Circuit`` is built.
     """
-    circuit = lowered.circuit
-    builder = _TemplateBuilder(len(circuit.registers))
+    cells = lowered.topo_cells()
+    registers = lowered.register_entries()
+    builder = _TemplateBuilder(len(registers))
+    tval_of = builder.tval_of
     slot_of: Dict[str, int] = {}
 
     def slot(name: str) -> int:
@@ -382,24 +383,22 @@ def compile_frame_program(lowered: LoweredCircuit) -> FrameProgram:
         return s
 
     boundary_slots: List[int] = []
-    for index, reg in enumerate(circuit.registers):
-        builder.tval_of[reg.q.name] = 2 + index
-        boundary_slots.append(slot(reg.q.name))
+    for index, (q, _d, _reset) in enumerate(registers):
+        tval_of[q] = 2 + index
+        boundary_slots.append(slot(q))
     input_slots: List[int] = []
-    for sig in circuit.inputs:
-        builder.tval_of[sig.name] = builder.fresh()
-        input_slots.append(slot(sig.name))
+    for name in lowered.input_names():
+        tval_of[name] = builder.fresh()
+        input_slots.append(slot(name))
     ops: List[Tuple[int, ...]] = []
-    for cell in circuit.topo_cells():
-        builder.encode_cell(cell)
-        out_slot = slot(cell.out.name)
-        if cell.op is CellOp.CONST:
-            ops.append((OP_CONST, out_slot, cell.param("value") & 1))
+    encode_cell = builder.encode_cell
+    for op, out, ins, params, _module in cells:
+        encode_cell(op, out, ins, params)
+        out_slot = slot(out)
+        if op == "const":
+            ops.append((OP_CONST, out_slot, dict(params)["value"] & 1))
         else:
-            ops.append(
-                (_OPCODE_OF[cell.op], out_slot)
-                + tuple(slot_of[s.name] for s in cell.ins)
-            )
+            ops.append((_OPCODE_OF[op], out_slot) + tuple([slot_of[n] for n in ins]))
     return FrameProgram(
         ops=tuple(ops),
         n_slots=len(slot_of),

@@ -238,7 +238,7 @@ def _portfolio_key(lowered: LoweredCircuit, prop: SafetyProperty,
                    config: PortfolioConfig) -> str:
     params = {name: getattr(config, name) for name in _PROOF_KEY_PARAMS}
     params["engines"] = sorted(config.engines)
-    return solve_key(lowered.circuit, prop, "portfolio", params)
+    return solve_key(lowered, prop, "portfolio", params)
 
 
 def _finalize(

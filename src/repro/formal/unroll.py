@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Set, Union
 
-from repro.hdl.circuit import Circuit
 from repro.hdl.lowering import LoweredCircuit
 from repro.formal.encode import FrameEncoder
 from repro.formal.frameprog import (
@@ -59,7 +58,9 @@ class Unroller:
         use_templates: bool = True,
     ) -> None:
         self.lowered = lowered
-        self.circuit = lowered.circuit
+        self._inputs = lowered.input_names()
+        #: ``(q, d, reset)`` per register, in the frame program's order.
+        self._registers = lowered.register_entries()
         self.solver = solver or Solver()
         self.true_lit = self.solver.new_var()
         self.solver.add_clause((self.true_lit,))
@@ -87,14 +88,14 @@ class Unroller:
             return self._stamp_frame()
         frame = FrameEncoder(self.solver, self.true_lit)
         previous = self.frames[-1] if self.frames else None
-        for sig in self.circuit.inputs:
-            frame.fresh(sig.name)
-        for reg in self.circuit.registers:
+        for name in self._inputs:
+            frame.fresh(name)
+        for q, d, reset in self._registers:
             if previous is None:
-                frame.define(reg.q.name, self._initial_lit(reg))
+                frame.define(q, self._initial_lit(q, reset))
             else:
-                frame.define(reg.q.name, previous.lit(reg.d.name))
-        frame.encode_combinational(self.circuit)
+                frame.define(q, previous.lit(d))
+        frame.encode_combinational(self.lowered.circuit)
         self.frames.append(frame)
         return frame
 
@@ -114,9 +115,9 @@ class Unroller:
         true_lit = self.true_lit
         previous = self.frames[-1] if self.frames else None
         if previous is None:
-            boundary = [self._initial_lit(reg) for reg in self.circuit.registers]
+            boundary = [self._initial_lit(q, reset) for q, _d, reset in self._registers]
         else:
-            boundary = [previous.lit(reg.d.name) for reg in self.circuit.registers]
+            boundary = [previous.lit(d) for _q, d, _reset in self._registers]
         if any(lit == true_lit or lit == -true_lit for lit in boundary):
             inputs = [solver.new_var() for _ in program.input_slots]
             frame: Frame = execute_ops(program, solver, true_lit, boundary, inputs)
@@ -137,14 +138,14 @@ class Unroller:
         while self.depth < depth:
             self.add_frame()
 
-    def _initial_lit(self, reg) -> int:
-        orig_name, bit_index = self._orig_of_gate_reg.get(reg.q.name, (reg.q.name, 0))
-        if self._symbolic_all or orig_name in self._symbolic or reg.q.name in self._symbolic:
+    def _initial_lit(self, q: str, reset: int) -> int:
+        orig_name, bit_index = self._orig_of_gate_reg.get(q, (q, 0))
+        if self._symbolic_all or orig_name in self._symbolic or q in self._symbolic:
             return self.solver.new_var()
         if orig_name in self._initial_values:
             value = self._initial_values[orig_name]
             return self.true_lit if (value >> bit_index) & 1 else -self.true_lit
-        return self.true_lit if reg.reset_value & 1 else -self.true_lit
+        return self.true_lit if reset & 1 else -self.true_lit
 
     # ------------------------------------------------------------------
     # convenience lookups on original (word-level) names
@@ -198,9 +199,9 @@ class Unroller:
         """
         diff_lits: List[int] = []
         encoder = FrameEncoder(self.solver, self.true_lit)
-        for reg in self.circuit.registers:
-            la = self.frames[frame_a].lit(reg.q.name)
-            lb = self.frames[frame_b].lit(reg.q.name)
+        for q, _d, _reset in self._registers:
+            la = self.frames[frame_a].lit(q)
+            lb = self.frames[frame_b].lit(q)
             diff_lits.append(encoder._xor2(la, lb))
         live = [l for l in diff_lits if l != -self.true_lit]
         if any(l == self.true_lit for l in live):

@@ -127,6 +127,10 @@ class Circuit:
         self._content_fingerprint: Optional[str] = None
         #: True once :meth:`validate` passed on the current structure.
         self._validated = False
+        #: Length of the prefix of ``cells`` that went through
+        #: :meth:`add_cell`'s checks; a cell put into ``cells`` any
+        #: other way leaves it short, and :meth:`validate` lints in full.
+        self._checked = 0
 
     def _changed(self) -> None:
         """Drop the memos that describe the structure before a mutation."""
@@ -161,6 +165,8 @@ class Circuit:
         for sig in cell.ins:
             if sig.name not in self.signals:
                 raise CircuitError(f"cell {cell.out.name!r} references unknown signal {sig.name!r}")
+        if self._checked == len(self.cells):
+            self._checked += 1
         self.cells.append(cell)
         self._producer[cell.out.name] = cell
         self._changed()
@@ -179,11 +185,16 @@ class Circuit:
 
     @classmethod
     def _assemble(cls, name: str, signals: Dict[str, Signal],
-                  registers: List[Register], cells: List[Cell]) -> "Circuit":
+                  registers: List[Register], cells: List[Cell],
+                  order: Optional[Sequence[int]] = None) -> "Circuit":
         """Trusted bulk construction from a finished signal table.
 
         Nothing is checked per element; :meth:`validate` runs every
         check ``add_signal``/``add_cell``/``add_register`` would have.
+        ``order`` is a topological order of ``cells`` by index from a
+        check that already ran every :meth:`validate` invariant on this
+        structure (:meth:`repro.hdl.netlist.Netlist.checked_order`):
+        the circuit then starts validated, with that order cached.
         """
         circuit = cls(name)
         circuit.signals = signals
@@ -193,6 +204,9 @@ class Circuit:
         circuit.cells = cells
         circuit._register_of = {reg.q.name: reg for reg in registers}
         circuit._producer = {cell.out.name: cell for cell in cells}
+        if order is not None:
+            circuit._topo_cache = [cells[i] for i in order]
+            circuit._validated = True
         return circuit
 
     # ------------------------------------------------------------------
@@ -269,9 +283,18 @@ class Circuit:
     def validate(self) -> None:
         """Check all structural invariants; raise :class:`CircuitError`.
 
-        Delegates to the invariant subset of the lint rules
-        (:func:`repro.lint.structural.invariant_diagnostics`) and
-        collects *every* violation before raising — the exception
+        When every cell went through :meth:`add_cell`, which already
+        checked its widths, its driver and its input names, only what
+        ``add_cell`` cannot see is checked here: undriven WIRE/OUTPUT
+        signals, REG signals without a register, register ``d`` names,
+        and combinational loops (from the Kahn order
+        :meth:`topo_cells` computes anyway).  A circuit changed any
+        other way (``_assemble``, a direct ``cells.append``) gets the
+        full lint.
+
+        Either way a violation is reported by the invariant subset of
+        the lint rules (:func:`repro.lint.structural.invariant_diagnostics`),
+        which collects *every* violation before raising — the exception
         message lists them all.  When the only violations are
         combinational cycles, :class:`CombinationalLoopError` is raised
         for compatibility with loop-specific handlers.
@@ -280,6 +303,9 @@ class Circuit:
         ``add_*`` call (or ``_changed()``) alters it.
         """
         if self._validated:
+            return
+        if self._checked == len(self.cells) and self._wiring_ok():
+            self._validated = True
             return
         from repro.lint.structural import invariant_diagnostics
 
@@ -303,6 +329,26 @@ class Circuit:
             raise CombinationalLoopError(summary)
         raise CircuitError(summary)
 
+    def _wiring_ok(self) -> bool:
+        """The invariants :meth:`add_cell` cannot check, as one verdict."""
+        producer = self._producer
+        registered = {reg.q.name for reg in self.registers}
+        for name, sig in self.signals.items():
+            kind = sig.kind
+            if kind is SignalKind.WIRE or kind is SignalKind.OUTPUT:
+                if name not in producer:
+                    return False
+            elif kind is SignalKind.REG and name not in registered:
+                return False
+        signals = self.signals
+        if any(reg.d.name not in signals for reg in self.registers):
+            return False
+        try:
+            self.topo_cells()
+        except CombinationalLoopError:
+            return False
+        return True
+
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------
@@ -310,10 +356,13 @@ class Circuit:
         """Shallow structural copy (signals/cells are immutable, safe to share).
 
         Every element already passed its ``add_*`` check here, so the
-        copy goes through :meth:`_assemble` without re-checking them.
+        copy goes through :meth:`_assemble` without re-checking them,
+        and keeps the count of cells ``add_cell`` checked.
         """
-        return Circuit._assemble(name or self.name, dict(self.signals),
+        copy = Circuit._assemble(name or self.name, dict(self.signals),
                                  list(self.registers), list(self.cells))
+        copy._checked = self._checked
+        return copy
 
     def state_bits(self) -> int:
         return sum(r.q.width for r in self.registers)

@@ -13,11 +13,11 @@ suite cross-simulates against the original).
 Every pass here works on the flat :class:`~repro.hdl.netlist.Netlist`,
 so the SAT pipeline (lowering, :func:`simplify`,
 :func:`cone_of_influence`, :func:`strash`) allocates no ``Cell`` or
-``Signal`` per gate and builds one :class:`Circuit` at its end.  Given
-a netlist, ``simplify`` and ``cone_of_influence`` return a netlist;
-``strash``, the last pass, returns the validated ``Circuit``.  Given a
-``Circuit``, every pass returns a ``Circuit`` (the same code, through
-:meth:`Netlist.from_circuit` and :meth:`Netlist.to_circuit`).
+``Signal`` per gate and builds no :class:`Circuit`: given a netlist,
+every pass returns a netlist, and the frame compiler checks and reads
+the last one.  Given a ``Circuit``, every pass returns a validated
+``Circuit`` (the same code, through :meth:`Netlist.from_circuit` and
+:meth:`Netlist.to_circuit`).
 """
 
 from __future__ import annotations
@@ -512,15 +512,15 @@ class _Strasher:
         return (node, parity)
 
 
-def strash(netlist: Union[Netlist, Circuit]) -> Circuit:
+def strash(netlist: Union[Netlist, Circuit]) -> Union[Netlist, Circuit]:
     """Hash-cons structurally identical 1-bit gates (see :class:`_Strasher`).
 
-    The last pass of the SAT pipeline: whatever it is given, it returns
-    the validated ``Circuit``.
+    A ``Netlist`` argument gives a ``Netlist``; a ``Circuit`` gives a
+    validated ``Circuit``.
     """
     if isinstance(netlist, Circuit):
-        netlist = Netlist.from_circuit(netlist)
-    return _Strasher(netlist).run().to_circuit()
+        return _Strasher(Netlist.from_circuit(netlist)).run().to_circuit()
+    return _Strasher(netlist).run()
 
 
 def _eliminate_dead(netlist: Netlist) -> Netlist:

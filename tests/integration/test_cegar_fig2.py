@@ -70,6 +70,18 @@ class TestFigure2:
         final = wf.length - 1
         assert wf.value("sink", final) != changed.value("sink", final)
 
+    @pytest.mark.parametrize("leaky, status", [(False, CegarStatus.PROVED),
+                                               (True, CegarStatus.REAL_LEAK)])
+    def test_model_checker_counterexamples_without_the_prefilter(self, leaky, status):
+        """Counterexamples come from BMC on the cone-reduced netlist,
+        which leaves out ``m.secret`` whenever the property cannot read
+        it; the fast false-taint test must still flip it."""
+        result = run_compass(_task(build_fig2(leaky), "fig2"),
+                             CegarConfig(max_bound=4, seed=0, sim_prefilter=False))
+        assert result.status is status
+        assert not any("register m.secret" in entry
+                       for entry in result.stats.refinement_log)
+
     def test_deterministic_given_seed(self):
         r1 = run_compass(_task(build_fig2(False), "fig2"),
                          CegarConfig(max_bound=6, induction_max_k=6, seed=7))

@@ -18,6 +18,11 @@ Sodor with its initial scheme and property, the ProSpeCT bug1 x
 Spectre directed netlist, its exact-check product and the
 ``ExactValidator`` product.
 
+The encoder reads the last netlist without building a ``Circuit``;
+``test_flat_frame_program_and_fingerprint`` checks, on every flat
+lowering of the corpus, that this gives the frame program and the
+content fingerprint the built ``Circuit`` gives.
+
 To re-record the golden file after a deliberate netlist change::
 
     PYTHONPATH=src python tests/property/test_netlist_identity.py --record
@@ -112,15 +117,20 @@ def _load_perfbench_workloads():
 
 # -- the corpus ---------------------------------------------------------------
 
-def _machine_cases(size: str) -> Iterator[Tuple[str, Callable[[], str]]]:
+def _machine(size: str, seed: int):
     from repro.bench.fuzz import random_machine
+
+    width, regs, ops = MACHINE_SIZES[size]
+    return random_machine(seed, width=width, max_regs=regs, max_ops=ops)
+
+
+def _machine_cases(size: str) -> Iterator[Tuple[str, Callable[[], str]]]:
     from repro.hdl.lowering import lower_to_gates
     from repro.hdl.optimize import simplify, strash
 
-    width, regs, ops = MACHINE_SIZES[size]
     for seed in range(100):
         def case(seed=seed):
-            circuit = random_machine(seed, width=width, max_regs=regs, max_ops=ops)
+            circuit = _machine(size, seed)
             parts = [
                 netlist_digest(_fresh_lowered(circuit, _bad_property())),
                 netlist_digest(_fresh_lowered(circuit)),
@@ -152,28 +162,25 @@ def _cell_circuit_cases() -> Iterator[Tuple[str, Callable[[], str]]]:
         yield f"cells-{seed}", case
 
 
-def _stream_cases() -> Iterator[Tuple[str, Callable[[], str]]]:
+def _stream_lowering(index, stages, width, leaky):
     from repro.cegar import loop
 
-    for index, stages, width, leaky in STREAM_TASKS:
-        def case(index=index, stages=stages, width=width, leaky=leaky):
-            task = _load_perfbench_workloads().mux_chain_task(index, stages, width, leaky)
-            design, prop = loop.instrument_task(task, task.initial_scheme())
-            return netlist_digest(_fresh_lowered(design.circuit, prop))
-        yield f"stream-{index}", case
+    task = _load_perfbench_workloads().mux_chain_task(index, stages, width, leaky)
+    design, prop = loop.instrument_task(task, task.initial_scheme())
+    return _fresh_lowered(design.circuit, prop)
 
 
-def _sodor_case() -> str:
+def _sodor_lowering():
     from repro.cegar import loop
     from repro.contracts import make_contract_task
     from repro.cores import CoreConfig, build_sodor
 
     task = make_contract_task(build_sodor(CoreConfig(**TINY)))
     design, prop = loop.instrument_task(task, task.initial_scheme())
-    return netlist_digest(_fresh_lowered(design.circuit, prop))
+    return _fresh_lowered(design.circuit, prop)
 
 
-def _exact_validator_case() -> str:
+def _exact_validator_lowering():
     from repro.cegar.falsetaint import ExactValidator
     from repro.contracts import make_contract_task
     from repro.cores import CoreConfig, build_sodor
@@ -181,54 +188,75 @@ def _exact_validator_case() -> str:
     task = make_contract_task(build_sodor(CoreConfig(**TINY)))
     validator = ExactValidator(task.circuit, task.secret_registers(), task.sinks,
                                init_assumption_outputs=task.init_assumption_outputs)
-    return netlist_digest(validator.lowered)
+    return validator.lowered
 
 
-def _prospect_cases() -> Iterator[Tuple[str, Callable[[], str]]]:
-    def build():
-        from repro.cores import CoreConfig, build_prospect
+def _prospect_core():
+    from repro.cores import CoreConfig, build_prospect
 
-        return build_prospect(CoreConfig.formal(), bug1=True, bug2=False)
+    return build_prospect(CoreConfig.formal(), bug1=True, bug2=False)
 
-    def directed():
-        from repro.cegar import loop
-        from repro.contracts import make_contract_task
-        from repro.formal.properties import SafetyProperty
-        from repro.taint import cellift_scheme
 
-        core = build()
-        task = make_contract_task(core)
-        scheme = cellift_scheme()
-        for module in core.precise_modules:
-            scheme.module_defaults[module] = scheme.default
-        design, prop = loop.instrument_task(task, scheme)
-        free = frozenset(set(task.symbolic_registers) - set(core.imem_words))
-        directed_prop = SafetyProperty(prop.name, prop.bad, prop.assumptions,
-                                       prop.init_assumptions, free)
-        return netlist_digest(_fresh_lowered(design.circuit, directed_prop))
+def _prospect_directed_lowering():
+    from repro.cegar import loop
+    from repro.contracts import make_contract_task
+    from repro.formal.properties import SafetyProperty
+    from repro.taint import cellift_scheme
 
-    def exact_product():
-        from repro.contracts import make_contract_task
-        from repro.formal.product import self_composition
-        from repro.formal.properties import SafetyProperty
+    core = _prospect_core()
+    task = make_contract_task(core)
+    scheme = cellift_scheme()
+    for module in core.precise_modules:
+        scheme.module_defaults[module] = scheme.default
+    design, prop = loop.instrument_task(task, scheme)
+    free = frozenset(set(task.symbolic_registers) - set(core.imem_words))
+    directed_prop = SafetyProperty(prop.name, prop.bad, prop.assumptions,
+                                   prop.init_assumptions, free)
+    return _fresh_lowered(design.circuit, directed_prop)
 
-        core = build()
-        task = make_contract_task(core)
-        secrets = set(task.secret_registers())
-        product = self_composition(core.circuit,
-                                   shared_inputs={s.name for s in core.circuit.inputs})
-        bad = product.differs(PROSPECT_SINK)
-        symbolic = frozenset(product.c2(reg.q.name) for reg in core.circuit.registers
-                             if reg.q.name in secrets)
-        prop = SafetyProperty(
-            name=f"false-taint:{PROSPECT_SINK}", bad=bad,
-            init_assumptions=tuple(product.c2(n) for n in core.init_assumption_outputs),
-            symbolic_registers=symbolic,
-        )
-        return netlist_digest(_fresh_lowered(product.circuit, prop))
 
-    yield "prospect-bug1-spectre", directed
-    yield "prospect-exact-product", exact_product
+def _prospect_product_lowering():
+    from repro.contracts import make_contract_task
+    from repro.formal.product import self_composition
+    from repro.formal.properties import SafetyProperty
+
+    core = _prospect_core()
+    task = make_contract_task(core)
+    secrets = set(task.secret_registers())
+    product = self_composition(core.circuit,
+                               shared_inputs={s.name for s in core.circuit.inputs})
+    bad = product.differs(PROSPECT_SINK)
+    symbolic = frozenset(product.c2(reg.q.name) for reg in core.circuit.registers
+                         if reg.q.name in secrets)
+    prop = SafetyProperty(
+        name=f"false-taint:{PROSPECT_SINK}", bad=bad,
+        init_assumptions=tuple(product.c2(n) for n in core.init_assumption_outputs),
+        symbolic_registers=symbolic,
+    )
+    return _fresh_lowered(product.circuit, prop)
+
+
+def flat_lowerings() -> Dict[str, Callable[[], object]]:
+    """The corpus's flat lowerings: every case with a property, and the
+    ``ExactValidator`` product (simplified, no property)."""
+    cases: Dict[str, Callable[[], object]] = {}
+    for size in MACHINE_SIZES:
+        for seed in range(100):
+            cases[f"machine-{size}-{seed}"] = (
+                lambda size=size, seed=seed:
+                _fresh_lowered(_machine(size, seed), _bad_property()))
+    for task in STREAM_TASKS:
+        cases[f"stream-{task[0]}"] = lambda task=task: _stream_lowering(*task)
+    cases["sodor-initial"] = _sodor_lowering
+    cases["sodor-exact-validator"] = _exact_validator_lowering
+    cases["prospect-bug1-spectre"] = _prospect_directed_lowering
+    cases["prospect-exact-product"] = _prospect_product_lowering
+    return cases
+
+
+def _stream_cases() -> Iterator[Tuple[str, Callable[[], str]]]:
+    for task in STREAM_TASKS:
+        yield f"stream-{task[0]}", lambda task=task: netlist_digest(_stream_lowering(*task))
 
 
 def all_cases() -> Dict[str, Callable[[], str]]:
@@ -237,9 +265,9 @@ def all_cases() -> Dict[str, Callable[[], str]]:
         cases.update(_machine_cases(size))
     cases.update(_cell_circuit_cases())
     cases.update(_stream_cases())
-    cases["sodor-initial"] = _sodor_case
-    cases["sodor-exact-validator"] = _exact_validator_case
-    cases.update(_prospect_cases())
+    for name in ("sodor-initial", "sodor-exact-validator",
+                 "prospect-bug1-spectre", "prospect-exact-product"):
+        cases[name] = lambda build=flat_lowerings()[name]: netlist_digest(build())
     return cases
 
 
@@ -267,6 +295,36 @@ def test_netlist_identity(family):
 
 def test_golden_covers_the_corpus():
     assert set(_golden()) == set(all_cases())
+
+
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f != "cells"])
+def test_flat_frame_program_and_fingerprint(family):
+    """The encoder reads the flat netlist: same program, same cache keys.
+
+    For every flat lowering of the corpus, the ``FrameProgram`` compiled
+    from the netlist equals, field by field, the one compiled from the
+    ``Circuit`` that ``to_circuit()`` builds (with its own topological
+    order, inputs and registers), and the netlist hashes to the circuit's
+    content fingerprint, so solve-cache and store keys do not move.
+    """
+    from repro.formal.cache import circuit_fingerprint
+    from repro.formal.frameprog import compile_frame_program
+    from repro.hdl.lowering import LoweredCircuit
+
+    cases = {name: build for name, build in flat_lowerings().items()
+             if name == family or name.startswith(family + "-")}
+    assert cases, family
+    for name, build in cases.items():
+        lowered = build()
+        assert lowered.netlist is not None, name
+        flat = compile_frame_program(lowered)
+        # Validated on its own, so its topological order is its own.
+        circuit = lowered.netlist.to_circuit(validate=False)
+        circuit.validate()
+        via_circuit = compile_frame_program(
+            LoweredCircuit(circuit, lowered.bits, lowered.pruned_resets))
+        assert flat == via_circuit, name
+        assert circuit_fingerprint(lowered) == circuit_fingerprint(lowered.circuit), name
 
 
 if __name__ == "__main__":

@@ -82,21 +82,51 @@ class TestTopologicalOrder:
 
 class TestValidateOnce:
     def test_unchanged_circuit_is_checked_once(self, monkeypatch):
+        """One structural pass per structure, and no lint on add_cell's cells.
+
+        Every cell went through ``add_cell``, so ``validate`` runs only
+        the Kahn pass (which finds loops) beside its wiring checks; a
+        second ``validate()`` does nothing, and a mutation re-checks.
+        """
+        import repro.hdl.circuit as circuit_module
         import repro.lint.structural as structural
 
         circ = Circuit("t")
         a = circ.add_signal(Signal("a", 4, SignalKind.INPUT))
         circ.add_cell(Cell(CellOp.BUF, Signal("o", 4, SignalKind.OUTPUT), (a,)))
-        calls = []
-        real = structural.invariant_diagnostics
+        passes, lints = [], []
+        real_topo = circuit_module.topo_order
+        monkeypatch.setattr(circuit_module, "topo_order",
+                            lambda *args: passes.append(args[0]) or real_topo(*args))
+        real_lint = structural.invariant_diagnostics
         monkeypatch.setattr(structural, "invariant_diagnostics",
-                            lambda c: calls.append(c) or real(c))
+                            lambda c: lints.append(c) or real_lint(c))
         circ.validate()
         circ.validate()
-        assert len(calls) == 1
+        assert passes == ["t"]
         circ.add_cell(Cell(CellOp.NOT, _wire("n", 4), (a,)))
         circ.validate()
-        assert len(calls) == 2
+        assert passes == ["t", "t"]
+        assert lints == []
+
+    def test_cell_appended_outside_add_cell_gets_the_full_lint(self, monkeypatch):
+        import repro.lint.structural as structural
+
+        circ = Circuit("t")
+        a = circ.add_signal(Signal("a", 4, SignalKind.INPUT))
+        circ.add_cell(Cell(CellOp.BUF, Signal("o", 4, SignalKind.OUTPUT), (a,)))
+        lints = []
+        real_lint = structural.invariant_diagnostics
+        monkeypatch.setattr(structural, "invariant_diagnostics",
+                            lambda c: lints.append(c) or real_lint(c))
+        good = Cell(CellOp.NOT, _wire("n", 4), (a,))
+        circ.cells.append(good)
+        circ._producer["n"] = good
+        circ.add_signal(good.out)
+        circ.add_cell(Cell(CellOp.NOT, _wire("m", 4), (a,)))
+        circ.validate()
+        assert lints == [circ]
+        assert circ.clone()._checked < len(circ.cells)
 
     def test_loop_added_after_validate_is_caught(self):
         c = Circuit("grow")
