@@ -121,7 +121,7 @@ def initial_state(
     symbolic_registers: FrozenSet[str] = frozenset(),
     symbolic_all: bool = False,
 ) -> List[int]:
-    """Per-register ternary reset state, in ``circuit.registers`` order.
+    """Per-register ternary reset state, in ``register_entries()`` order.
 
     ``symbolic_registers`` holds *original* (word-level) names; the
     per-bit register names they lower to are looked up through the
@@ -135,11 +135,11 @@ def initial_state(
                 symbolic_bits.add(sig.name)
             symbolic_bits.add(name)  # width-1 registers keep their name
     state = []
-    for reg in lowered.circuit.registers:
-        if symbolic_all or reg.q.name in symbolic_bits:
+    for q, _d, reset in lowered.register_entries():
+        if symbolic_all or q in symbolic_bits:
             state.append(TOP)
         else:
-            state.append(reg.reset_value & 1)
+            state.append(reset & 1)
     return state
 
 
@@ -210,8 +210,8 @@ def constant_fixpoint(
         op_of[out] = op
         deps[out] = () if op[0] == OP_CONST else tuple(op[2:])
     d_slot_of_boundary: Dict[int, int] = {}
-    for slot, reg in zip(program.boundary_slots, lowered.circuit.registers):
-        d_slot = program.slot_of_name.get(reg.d.name)
+    for slot, (_q, d, _reset) in zip(program.boundary_slots, lowered.register_entries()):
+        d_slot = program.slot_of_name.get(d)
         if d_slot is None:
             deps[slot] = ()
         else:
@@ -283,8 +283,8 @@ def ternary_frames(
     """
     program = frame_program_for(lowered)
     state = initial_state(lowered, symbolic_registers, symbolic_all)
-    d_slots = [program.slot_of_name.get(reg.d.name)
-               for reg in lowered.circuit.registers]
+    d_slots = [program.slot_of_name.get(d)
+               for _q, d, _reset in lowered.register_entries()]
     seen = set()
     frames: List[List[int]] = []
     closed = False

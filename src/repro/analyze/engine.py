@@ -87,8 +87,8 @@ def _suspects(
 ) -> Tuple[str, ...]:
     """Unpinned signals in ``bad``'s cone, nearest first, as original
     (word-level) names."""
-    producer = {cell.out.name: cell for cell in lowered.circuit.cells}
-    d_of = {reg.q.name: reg.d.name for reg in lowered.circuit.registers}
+    fanins = {cell[1]: cell[2] for cell in lowered.topo_cells()}
+    d_of = {q: d for q, d, _reset in lowered.register_entries()}
     orig_of: Dict[str, str] = {}
     for orig, sigs in lowered.bits.items():
         for sig in sigs:
@@ -98,9 +98,7 @@ def _suspects(
     while queue:
         name = queue.popleft()
         nexts: List[str] = []
-        cell = producer.get(name)
-        if cell is not None:
-            nexts.extend(sig.name for sig in cell.ins)
+        nexts.extend(fanins.get(name, ()))
         if name in d_of:
             nexts.append(d_of[name])
         for dep in nexts:

@@ -108,7 +108,7 @@ class ExactValidator:
         init_assumption_outputs: Sequence[str] = (),
     ) -> None:
         from repro.hdl.lowering import LoweredCircuit, lower_to_gates
-        from repro.hdl.optimize import simplify
+        from repro.hdl.optimize import eliminate_dead
 
         self.circuit = circuit
         self.secret_registers = set(secret_registers)
@@ -119,10 +119,11 @@ class ExactValidator:
             self.product.c2(name) for name in init_assumption_outputs
         )
         self.product.circuit.validate()
-        # The product's gates are lowered and simplified flat, and stay
-        # flat: the frame compiler checks the simplified netlist once.
-        lowered = lower_to_gates(self.product.circuit)
-        self.lowered = LoweredCircuit(None, lowered.bits, netlist=simplify(lowered.netlist))
+        # The product's gates are folded and hashed as they are lowered,
+        # and stay flat: the frame compiler checks the netlist once.
+        lowered = lower_to_gates(self.product.circuit, hashed=True)
+        self.lowered = LoweredCircuit(None, lowered.bits,
+                                      netlist=eliminate_dead(lowered.netlist))
 
     def is_falsely_tainted(
         self, cex: Counterexample, signal_name: str,

@@ -9,6 +9,7 @@ the depth reached within the compute budget.
 from __future__ import annotations
 
 import enum
+import hashlib
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
@@ -16,6 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.hdl.circuit import Circuit
 from repro.hdl.lowering import LoweredCircuit, lower_to_gates
+from repro.hdl.netlist import Netlist
 from repro.formal.cache import CachedVerdict, SolveCache, solve_key
 from repro.formal.counterexample import Counterexample
 from repro.formal.properties import SafetyProperty
@@ -64,12 +66,27 @@ class BmcResult:
         return self.status is BmcStatus.COUNTEREXAMPLE
 
 
-#: Digest-keyed LRU of lowered/simplified/reduced netlists, shared by
+#: Digest-keyed LRU of lowered and reduced netlists, shared by
 #: every engine in the process (BMC, k-induction, PDR, portfolio
-#: dispatch, CEGAR iterations).  Keyed on content fingerprints, so a
-#: re-instrumented but structurally identical circuit still hits.
+#: dispatch, CEGAR iterations).  Keyed on content digests
+#: (:func:`_content_key`), so a re-instrumented but structurally
+#: identical circuit still hits.
 _LOWERED_CACHE: "OrderedDict[tuple, LoweredCircuit]" = OrderedDict()
 _LOWERED_CACHE_MAX = 32
+
+
+def _content_key(circuit: Circuit) -> str:
+    """Digest of a circuit's content, in construction order.
+
+    The key of :data:`_LOWERED_CACHE`, which never leaves the process:
+    ``repr`` of the flat netlist's tuples of names and numbers is
+    unambiguous, and hashing it costs about a quarter of
+    :func:`repro.formal.cache.circuit_fingerprint`, whose canonical
+    JSON document is the solve-cache and store key.
+    """
+    net = Netlist.from_circuit(circuit)
+    text = repr((net.name, net.signals, net.registers, net.cells))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _property_roots(lowered: LoweredCircuit, prop: SafetyProperty) -> List[str]:
@@ -88,16 +105,21 @@ def _as_lowered(
     circuit: Union[Circuit, LoweredCircuit],
     prop: Optional[SafetyProperty] = None,
 ) -> LoweredCircuit:
-    """Lower, simplify and property-reduce a circuit for SAT encoding.
+    """Lower and property-reduce a circuit for SAT encoding.
 
-    The simplification pass preserves inputs, registers and outputs by
-    name — everything BMC needs to extract counterexamples and locate
-    property/assumption signals.  When ``prop`` is given, the netlist
-    is additionally restricted to the cone of influence of the
-    property's ``bad``/assumption signals and structurally hashed
-    (:func:`repro.hdl.optimize.cone_of_influence` / :func:`strash`) —
-    logic the property cannot observe never reaches the encoder, and
-    duplicated shadow logic collapses.
+    The circuit is lowered hashed (``lower_to_gates(circuit,
+    hashed=True)``): every gate is folded and hash-consed as it is
+    emitted, by the rules :func:`repro.hdl.optimize.strash` applies,
+    so duplicated shadow logic collapses while it is built.  Inputs,
+    registers and outputs keep their names, which is everything BMC
+    needs to extract counterexamples and locate property/assumption
+    signals.  When ``prop`` is given, the netlist is then restricted to
+    the cone of influence of the property's ``bad``/assumption signals
+    (:func:`repro.hdl.optimize.cone_of_influence`), so logic the
+    property cannot observe never reaches the encoder; without one,
+    dead logic is dropped (:func:`repro.hdl.optimize.eliminate_dead`).
+    ``strash(cone_of_influence(simplify(raw lowering)))`` is this
+    pipeline's reference, kept for tests.
 
     The result is flat: its ``netlist`` is the last pass's output, and
     no ``Circuit`` is built or validated here.  The frame compiler
@@ -112,24 +134,24 @@ def _as_lowered(
     """
     if isinstance(circuit, LoweredCircuit):
         return circuit
-    from repro.formal.cache import circuit_fingerprint, property_fingerprint
+    from repro.formal.cache import property_fingerprint
 
     key = (
-        circuit_fingerprint(circuit),
+        _content_key(circuit),
         property_fingerprint(prop) if prop is not None else None,
     )
     cached = _LOWERED_CACHE.get(key)
     if cached is not None:
         _LOWERED_CACHE.move_to_end(key)
         return cached
-    from repro.hdl.optimize import cone_of_influence, simplify, strash
+    from repro.hdl.optimize import cone_of_influence, eliminate_dead
 
-    lowered = lower_to_gates(circuit)
-    gates = simplify(lowered.netlist)
+    lowered = lower_to_gates(circuit, hashed=True)
+    gates = lowered.netlist
     if prop is None:
-        result = LoweredCircuit(None, lowered.bits, netlist=gates)
+        result = LoweredCircuit(None, lowered.bits, netlist=eliminate_dead(gates))
     else:
-        reduced = strash(cone_of_influence(gates, _property_roots(lowered, prop)))
+        reduced = cone_of_influence(gates, _property_roots(lowered, prop))
         kept = {q for q, _d, _reset in reduced.registers}
         pruned = {q: reset & 1 for q, _d, reset in gates.registers if q not in kept}
         result = LoweredCircuit(None, lowered.bits, pruned, netlist=reduced)

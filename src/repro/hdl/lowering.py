@@ -16,11 +16,25 @@ Multi-bit signal ``x`` of width *n* becomes gate signals ``x[0]`` …
 and counterexamples remain readable.
 
 Gates are emitted as plain tuples into a flat
-:class:`~repro.hdl.netlist.Netlist`.  The SAT pipeline
-(:func:`repro.formal.bmc._as_lowered`) hands that netlist straight to
-:mod:`repro.hdl.optimize` and the optimized netlist straight to the
-frame compiler; a lowering's ``Circuit`` is built only for callers
-that read ``LoweredCircuit.circuit``.
+:class:`~repro.hdl.netlist.Netlist`; a lowering's ``Circuit`` is built
+only for callers that read ``LoweredCircuit.circuit``.  The lowering
+rules below are written once, over abstract bits, for two gate sinks:
+
+- the raw lowering (the default) emits every gate a rule requests,
+  named, and drives each word's bits through a ``BUF``: the paper's
+  gate vocabulary, which gate-level taint instrumentation, lint and
+  the statistics count;
+- the hashed lowering (``hashed=True``) is the SAT path
+  (:func:`repro.formal.bmc._as_lowered`,
+  :class:`repro.cegar.falsetaint.ExactValidator`): each gate goes
+  through :class:`repro.hdl.optimize.EdgeHasher`, the rules
+  :func:`~repro.hdl.optimize.strash` applies, as it is requested, so
+  constants fold, ``NOT`` flips an edge's phase, a word's bits alias
+  the edges that compute them, and the un-hashed intermediate netlist
+  is never built.  The caller cuts the result to the property's cone
+  (or drops dead logic) and hands it straight to the frame compiler.
+  ``simplify``, ``cone_of_influence`` and ``strash`` over the raw
+  lowering stay as its reference, in the tests.
 """
 
 from __future__ import annotations
@@ -29,7 +43,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hdl.cells import Cell, CellOp
 from repro.hdl.circuit import Circuit, CircuitError
-from repro.hdl.netlist import WIRE, FlatCell, Netlist
+from repro.hdl.netlist import OUTPUT, WIRE, FlatCell, Netlist
+from repro.hdl.optimize import Edge, EdgeHasher
 from repro.hdl.signals import Signal, SignalKind
 
 
@@ -41,8 +56,8 @@ class LoweredCircuit:
             lowering builds it only when something reads it (PDR,
             certificates, a replay on the lowering, serialization).
         netlist: The flat :class:`~repro.hdl.netlist.Netlist` the
-            lowering and the SAT pipeline's passes emitted (``None``
-            when given a ``circuit``).  The frame compiler reads it
+            lowering, and on the SAT path the cone cut after it,
+            emitted (``None`` when given a ``circuit``).  The frame compiler reads it
             through :meth:`topo_cells`, :meth:`input_names` and
             :meth:`register_entries`, and never builds ``circuit``.
         bits: ``original signal name -> [gate signal per bit]`` (LSB first).
@@ -129,7 +144,13 @@ _CONST_PARAMS = ((("value", 0),), (("value", 1),))
 
 
 class _Lowerer:
-    """Bit-blasts a circuit into a flat netlist, gate names as strings."""
+    """Bit-blasts a circuit into a flat netlist, gate names as strings.
+
+    The lowering rules handle bits only through the gate primitives
+    (``_const``, ``g_not``, ``g_and``, ``g_or``, ``g_xor``) and
+    ``_assign``: here a bit is a gate name, in :class:`_HashedLowerer`
+    a signed edge.
+    """
 
     def __init__(self, source: Circuit) -> None:
         self.source = source
@@ -210,9 +231,12 @@ class _Lowerer:
         for cell in src.topo_cells():
             self._lower_cell(cell)
         if len(self.out.signals) != declared + len(self.out.cells):
-            raise CircuitError(
-                f"gate names of circuit {src.name!r} collide with its signal names")
+            self._collision()
         return LoweredCircuit(None, self.bits, netlist=self.out, validate=validate)
+
+    def _collision(self) -> None:
+        raise CircuitError(
+            f"gate names of circuit {self.source.name!r} collide with its signal names")
 
     def _lower_cell(self, cell: Cell) -> None:
         m = cell.module
@@ -321,11 +345,100 @@ class _Lowerer:
         return cur
 
 
-def lower_to_gates(circuit: Circuit, validate: bool = True) -> LoweredCircuit:
+class _HashingSink(EdgeHasher):
+    """Strash's rules, naming new gates the way the raw lowering does."""
+
+    def __init__(self, out: Netlist) -> None:
+        super().__init__(out)
+        self._tmp = 0
+
+    def _fresh_name(self, prefix: str, module: str) -> str:
+        self._tmp += 1
+        return f"{module}._g{self._tmp}" if module else f"_g{self._tmp}"
+
+
+class _HashedLowerer(_Lowerer):
+    """The lowering rules above, with every gate sent through a hashing sink.
+
+    A bit is a signed edge (:data:`repro.hdl.optimize.Edge`), not a
+    name: each gate a rule requests is folded and hash-consed on the
+    spot by :class:`repro.hdl.optimize.EdgeHasher` (the rules
+    :func:`repro.hdl.optimize.strash` applies), ``NOT`` only flips the
+    phase, and a word's bits alias the edges that compute them, so no
+    ``BUF`` and no un-hashed gate is ever emitted.  INPUT bits and
+    register ``q`` bits keep their names; register ``d`` bits and
+    OUTPUT bits are materialized at the end.  Gates that end up driving
+    nothing stay in the netlist: the caller cuts it to a cone.
+    """
+
+    def __init__(self, source: Circuit) -> None:
+        super().__init__(source)
+        self.sink = _HashingSink(self.out)
+
+    def _const(self, value: int, module: str) -> Edge:
+        return self.sink.const(value)
+
+    def g_not(self, a: Edge, module: str) -> Edge:
+        return self.sink.negate(a)
+
+    def g_and(self, a: Edge, b: Edge, module: str) -> Edge:
+        return self.sink.and_or("and", (a, b), None, module)
+
+    def g_or(self, a: Edge, b: Edge, module: str) -> Edge:
+        return self.sink.and_or("or", (a, b), None, module)
+
+    def g_xor(self, a: Edge, b: Edge, module: str) -> Edge:
+        return self.sink.xor((a, b), None, module)
+
+    def _assign(self, word: str, sources: List[Edge], module: str) -> None:
+        self.names[word] = sources
+
+    def run(self, validate: bool = True) -> LoweredCircuit:
+        src, out, names = self.source, self.out, self.names
+        for sig in src.signals.values():
+            self._declare(sig)
+            if sig.kind is SignalKind.INPUT:
+                names[sig.name] = [(name, False) for name in names[sig.name]]
+        for reg in src.registers:
+            bits = self.bits[reg.q.name]
+            for qb in bits:
+                out.signals.setdefault(qb.name, (1, qb.kind.value, qb.module))
+            names[reg.q.name] = [(qb.name, False) for qb in bits]
+        for cell in src.topo_cells():
+            self._lower_cell(cell)
+        materialize = self.sink.materialize
+        for reg in src.registers:
+            for i, (qb, d) in enumerate(zip(self.bits[reg.q.name], names[reg.d.name])):
+                out.registers.append((qb.name, materialize(d), (reg.reset_value >> i) & 1))
+        # A gate name is "<module>._g<n>" or "_g<n>": only a 1-bit signal
+        # of the source can take it.
+        taken = {name for name, sig in src.signals.items() if sig.width == 1}
+        if any(cell[1] in taken for cell in out.cells):
+            self._collision()
+        for sig in src.signals.values():
+            if sig.kind is SignalKind.OUTPUT:
+                for bit, source in zip(self.bits[sig.name], names[sig.name]):
+                    self.sink.drive(bit.name, source, (1, OUTPUT, bit.module))
+        return LoweredCircuit(None, self.bits, netlist=out, validate=validate)
+
+
+def lower_to_gates(circuit: Circuit, validate: bool = True, *,
+                   hashed: bool = False) -> LoweredCircuit:
     """Lower a cell-level circuit to the 1-bit gate vocabulary.
 
     The lowering is built flat; its ``circuit`` is built, and validated
     unless ``validate=False``, when first read.  The SAT pipeline reads
     only ``netlist`` and never builds it.
+
+    By default every gate the lowering rules request is emitted, named
+    and in the paper's gate vocabulary (gate-level taint
+    instrumentation, lint and the statistics count them).  With
+    ``hashed=True`` each gate is folded and hash-consed as it is
+    requested (:class:`_HashedLowerer`), which is what the SAT pipeline
+    lowers with: the result equals, up to names and order, ``strash``
+    of ``simplify`` of the raw lowering, plus dead gates that the
+    caller's cone or :func:`~repro.hdl.optimize.eliminate_dead` pass
+    removes.
     """
-    return _Lowerer(circuit).run(validate=validate)
+    lowerer = _HashedLowerer(circuit) if hashed else _Lowerer(circuit)
+    return lowerer.run(validate=validate)

@@ -18,10 +18,13 @@ hundred thousand cells of an instrumented core on each full collection.
 
 Gate lowering (:func:`repro.hdl.lowering.lower_to_gates`) emits into
 one, and :func:`~repro.hdl.optimize.simplify`,
-:func:`~repro.hdl.optimize.cone_of_influence` and
-:func:`~repro.hdl.optimize.strash` rewrite one into the next.  Nothing
-is checked while the passes run, and the pipeline builds no
-``Circuit``: the frame compiler
+:func:`~repro.hdl.optimize.cone_of_influence`,
+:func:`~repro.hdl.optimize.strash` and
+:func:`~repro.hdl.optimize.eliminate_dead` rewrite one into the next.
+The SAT pipeline lowers hashed, folding and hash-consing each gate as
+it is emitted, and then cuts the property's cone.  Nothing is checked
+while the passes run, and the pipeline builds no ``Circuit``: the
+frame compiler
 (:func:`repro.formal.frameprog.compile_frame_program`) reads the last
 netlist, and its one topological pass (:meth:`Netlist.checked_order`)
 runs every check ``Circuit.validate`` and ``Circuit.add_cell`` would

@@ -10,19 +10,25 @@ and reset value), and all OUTPUT signals.  Everything else may be
 renamed, merged or removed.  Semantics are preserved exactly (the test
 suite cross-simulates against the original).
 
-Every pass here works on the flat :class:`~repro.hdl.netlist.Netlist`,
-so the SAT pipeline (lowering, :func:`simplify`,
-:func:`cone_of_influence`, :func:`strash`) allocates no ``Cell`` or
-``Signal`` per gate and builds no :class:`Circuit`: given a netlist,
-every pass returns a netlist, and the frame compiler checks and reads
-the last one.  Given a ``Circuit``, every pass returns a validated
-``Circuit`` (the same code, through :meth:`Netlist.from_circuit` and
-:meth:`Netlist.to_circuit`).
+Every pass here works on the flat :class:`~repro.hdl.netlist.Netlist`
+and allocates no ``Cell`` or ``Signal`` per gate: given a netlist,
+every pass returns a netlist.  Given a ``Circuit``, every pass returns
+a validated ``Circuit`` (the same code, through
+:meth:`Netlist.from_circuit` and :meth:`Netlist.to_circuit`).
+
+The SAT pipeline does not run :func:`simplify` or :func:`strash`: the
+hashed gate lowering applies :class:`EdgeHasher`, the rules
+:func:`strash` applies, to each gate as it is emitted, and the
+pipeline then runs one :func:`cone_of_influence` (or
+:func:`eliminate_dead`) and hands the netlist to the frame compiler,
+which checks and reads it.  ``strash(cone_of_influence(simplify(raw
+lowering)))`` is that pipeline's reference implementation, which the
+tests compare it against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.hdl.cells import Cell, CellOp, GATE_OPS, evaluate_cell
 from repro.hdl.circuit import Circuit, CircuitError
@@ -77,7 +83,7 @@ class _Simplifier:
             entry = src.signals[name]
             out.signals.setdefault(name, entry)
             out.cells.append(("buf", name, (source,), (), entry[2]))
-        return _eliminate_dead(out)
+        return eliminate_dead(out)
 
     # ------------------------------------------------------------------
     def _materialize(self, name: str) -> str:
@@ -320,39 +326,178 @@ def _restrict(netlist: Netlist, registers, live: Set[str]) -> Netlist:
     return out
 
 
-class _Strasher:
-    """Structural hashing over 1-bit gates with signed edges.
+#: A 1-bit signal as ``(node, negated)``: ``node`` names the output
+#: netlist signal holding it, or is ``None`` for a constant.
+Edge = Tuple[Optional[str], bool]
+FALSE: Edge = (None, False)
+TRUE: Edge = (None, True)
 
-    Every 1-bit signal is reduced to an *edge* ``(node, negated)``
-    where ``node`` is a canonical signal name in the output netlist (or
-    ``None`` for a constant).  ``BUF``/``NOT`` fold into the edge
-    phase, and ``AND``/``OR``/``XOR`` nodes are hash-consed on
-    ``(op, sorted signed inputs)``, so gates that differ only in
-    operand order, buffering or input polarity spelling hash to the
-    same node.  Taint instrumentation duplicates the host design's
-    logic as shadow logic — shared cones between original and shadow
-    collapse here.
+
+class EdgeHasher:
+    """Structural hashing of 1-bit gates over signed edges.
+
+    The one implementation of the folding and hashing rules, shared by
+    :func:`strash` (which applies them to a finished netlist) and the
+    hashed gate lowering (:func:`repro.hdl.lowering.lower_to_gates`
+    with ``hashed=True``, which applies them to each gate as it is
+    requested):
+
+    - ``BUF``/``NOT`` fold into the edge phase;
+    - constants fold: ``x AND 0``, ``x OR 1`` absorb, ``x AND 1``,
+      ``x OR 0`` drop the constant, and XOR folds a constant into the
+      phase;
+    - ``x AND ~x`` / ``x OR ~x`` absorb, duplicate AND/OR operands
+      merge, and duplicate XOR operands cancel in pairs;
+    - ``AND``/``OR``/``XOR`` nodes are hash-consed on
+      ``(op, sorted signed inputs)``, so gates that differ only in
+      operand order, buffering or input polarity spelling hash to the
+      same node.
+
+    Taint instrumentation duplicates the host design's logic as shadow
+    logic; shared cones between original and shadow collapse here.
 
     ``OR`` is deliberately *not* De-Morganed into ``AND``: doing so
     materialises a NOT wall at every phase boundary and restructures
     the CNF for no extra dedup on real netlists (the duplicates taint
     instrumentation creates are op-identical).
 
-    Cells that are not 1-bit gates pass through unchanged, which keeps
-    the pass safe on arbitrary circuits (it just does nothing for
-    them).
+    Nodes are emitted into ``out``; a subclass names them
+    (:meth:`_fresh_name`).
     """
 
-    _FALSE = (None, False)
-    _TRUE = (None, True)
-
-    def __init__(self, source: Netlist) -> None:
-        self.src = source
-        self.out = Netlist(source.name)
-        #: source signal name -> (canonical node name | None, negated)
-        self.edge: Dict[str, Tuple[Optional[str], bool]] = {}
+    def __init__(self, out: Netlist) -> None:
+        self.out = out
         #: structural key -> canonical node name
         self.nodes: Dict[Tuple, str] = {}
+
+    def _fresh_name(self, prefix: str, module: str) -> str:
+        raise NotImplementedError
+
+    @staticmethod
+    def const(value: int) -> Edge:
+        return TRUE if value & 1 else FALSE
+
+    @staticmethod
+    def negate(edge: Edge) -> Edge:
+        """``NOT`` flips the phase (and ``BUF`` is the edge itself)."""
+        return (edge[0], not edge[1])
+
+    def _add(self, op: str, name: str, ins: Tuple[str, ...], params,
+             entry: Tuple[int, str, str], module: str = "") -> None:
+        self.out.signals.setdefault(name, entry)
+        self.out.cells.append((op, name, ins, params, module))
+
+    def materialize(self, edge: Edge, width: int = 1) -> str:
+        """Name of an output-netlist signal carrying this edge's value."""
+        node, negated = edge
+        if node is None:
+            key = ("const", int(negated))
+            existing = self.nodes.get(key)
+            if existing is not None:
+                return existing
+            name = self._fresh_name("const", "")
+            self._add("const", name, (), (("value", int(negated)),), (width, WIRE, ""))
+            self.nodes[key] = name
+            return name
+        if not negated:
+            return node
+        key = ("not", node)
+        existing = self.nodes.get(key)
+        if existing is not None:
+            return existing
+        name = self._fresh_name("not", "")
+        self._add("not", name, (node,), (), (width, WIRE, ""))
+        self.nodes[key] = name
+        return name
+
+    def drive(self, name: str, edge: Edge, entry: Tuple[int, str, str]) -> None:
+        """Drive the named signal ``name`` (an OUTPUT) from an edge."""
+        node, negated = edge
+        if node == name and not negated:
+            return  # the canonical node *is* the signal
+        if node is None:
+            self._add("const", name, (), (("value", int(negated)),), entry)
+        elif negated:
+            self._add("not", name, (node,), (), entry)
+        else:
+            self._add("buf", name, (node,), (), entry)
+
+    def _node(self, key: Tuple, op: str, in_edges, name: Optional[str],
+              module: str) -> str:
+        """Hash-cons a gate node; returns its name.
+
+        ``name`` is the name to give a new node when it is free; a new
+        node is named by :meth:`_fresh_name` otherwise.
+        """
+        existing = self.nodes.get(key)
+        if existing is not None:
+            return existing
+        ins = tuple(self.materialize(edge, 1) for edge in in_edges)
+        if name is None or name in self.out.signals:
+            name = self._fresh_name("n", module)
+        self._add(op, name, ins, (), (1, WIRE, module), module)
+        self.nodes[key] = name
+        return name
+
+    def and_or(self, op: str, ins: Sequence[Edge], name: Optional[str] = None,
+               module: str = "") -> Edge:
+        """The edge of ``op`` (``"and"`` or ``"or"``) over ``ins``."""
+        is_and = op == "and"
+        absorbing = FALSE if is_and else TRUE
+        live: List[Tuple[str, bool]] = []
+        seen: Set[Tuple[str, bool]] = set()
+        for node, negated in ins:
+            if node is None:
+                if negated != is_and:
+                    return absorbing  # x AND 0 / x OR 1
+                continue  # identity constant
+            if (node, not negated) in seen:
+                return absorbing  # x AND ~x / x OR ~x
+            if (node, negated) not in seen:
+                seen.add((node, negated))
+                live.append((node, negated))
+        if not live:
+            return TRUE if is_and else FALSE
+        if len(live) == 1:
+            return live[0]
+        live.sort()
+        return (self._node((op, tuple(live)), op, live, name, module), False)
+
+    def xor(self, ins: Sequence[Edge], name: Optional[str] = None,
+            module: str = "") -> Edge:
+        """The edge of XOR over ``ins``."""
+        parity = False
+        counts: Dict[str, int] = {}
+        for node, negated in ins:
+            parity ^= negated  # XOR(~a, b) == ~XOR(a, b); consts fold too
+            if node is not None:
+                counts[node] = counts.get(node, 0) + 1
+        nodes = sorted(n for n, c in counts.items() if c % 2 == 1)
+        if not nodes:
+            return (None, parity)
+        if len(nodes) == 1:
+            return (nodes[0], parity)
+        key = ("xor", tuple(nodes))
+        return (self._node(key, "xor", [(n, False) for n in nodes], name, module),
+                parity)
+
+
+class _Strasher(EdgeHasher):
+    """:class:`EdgeHasher` over every cell of a netlist, in topological order.
+
+    Cells that are not 1-bit gates pass through unchanged, which keeps
+    the pass safe on arbitrary circuits (it just does nothing for
+    them).  A new node keeps its source cell's name when that is a free
+    WIRE name (preserves readability and lets outputs be their own
+    canonical node); OUTPUT-kind signals are re-driven separately so
+    the node itself stays a wire.
+    """
+
+    def __init__(self, source: Netlist) -> None:
+        super().__init__(Netlist(source.name))
+        self.src = source
+        #: source signal name -> its edge
+        self.edge: Dict[str, Edge] = {}
         self._tmp = 0
 
     def run(self) -> Netlist:
@@ -368,74 +513,15 @@ class _Strasher:
             hash_cell(cell)
         for q, d, reset in src.registers:
             out.registers.append(
-                (q, self._materialize(edge[d], src.signals[d][0]), reset))
+                (q, self.materialize(edge[d], src.signals[d][0]), reset))
         for name in src.outputs():
-            self._drive_output(name)
-        return _eliminate_dead(out)
+            width, _kind, module = src.signals[name]
+            self.drive(name, edge[name], (width, OUTPUT, module))
+        return eliminate_dead(out)
 
-    # ------------------------------------------------------------------
-    def _fresh_name(self, prefix: str) -> str:
+    def _fresh_name(self, prefix: str, module: str) -> str:
         self._tmp += 1
         return f"_st_{prefix}{self._tmp}"
-
-    def _add(self, op: str, name: str, ins: Tuple[str, ...], params,
-             entry: Tuple[int, str, str], module: str = "") -> None:
-        self.out.signals.setdefault(name, entry)
-        self.out.cells.append((op, name, ins, params, module))
-
-    def _materialize(self, edge: Tuple[Optional[str], bool], width: int) -> str:
-        """Name of an output-netlist signal carrying this edge's value."""
-        node, negated = edge
-        if node is None:
-            key = ("const", int(negated))
-            existing = self.nodes.get(key)
-            if existing is not None:
-                return existing
-            name = self._fresh_name("const")
-            self._add("const", name, (), (("value", int(negated)),), (width, WIRE, ""))
-            self.nodes[key] = name
-            return name
-        if not negated:
-            return node
-        key = ("not", node)
-        existing = self.nodes.get(key)
-        if existing is not None:
-            return existing
-        name = self._fresh_name("not")
-        self._add("not", name, (node,), (), (width, WIRE, ""))
-        self.nodes[key] = name
-        return name
-
-    def _drive_output(self, name: str) -> None:
-        """Re-create an OUTPUT signal, by name, from its canonical edge."""
-        node, negated = self.edge[name]
-        if node == name and not negated:
-            return  # the canonical node *is* the output signal
-        width, _kind, module = self.src.signals[name]
-        entry = (width, OUTPUT, module)
-        if node is None:
-            self._add("const", name, (), (("value", int(negated)),), entry)
-        elif negated:
-            self._add("not", name, (node,), (), entry)
-        else:
-            self._add("buf", name, (node,), (), entry)
-
-    def _emit_node(self, cell: FlatCell, key: Tuple, op: str,
-                   in_edges: List[Tuple[Optional[str], bool]]) -> Tuple[str, bool]:
-        """Hash-cons a gate node; returns its positive edge."""
-        existing = self.nodes.get(key)
-        if existing is not None:
-            return (existing, False)
-        ins = tuple(self._materialize(edge, 1) for edge in in_edges)
-        # Keep the source name when it is free (preserves readability and
-        # lets outputs be their own canonical node); OUTPUT-kind signals
-        # are re-driven separately so the node itself stays a wire.
-        name, module = cell[1], cell[4]
-        if self.src.signals[name][1] != WIRE or name in self.out.signals:
-            name = self._fresh_name("n")
-        self._add(op, name, ins, (), (1, WIRE, module), module)
-        self.nodes[key] = name
-        return (name, False)
 
     def _hash_cell(self, cell: FlatCell) -> None:
         op, out_name, ins, params, module = cell
@@ -444,72 +530,30 @@ class _Strasher:
         out_entry = signals[out_name]
         if out_entry[0] == 1 and op in _GATE_OPS:
             if op == "const":
-                edge[out_name] = self._TRUE if _param(params, "value") & 1 else self._FALSE
+                edge[out_name] = self.const(_param(params, "value"))
                 return
             in_edges = [edge[n] for n in ins]
             if op == "buf":
                 edge[out_name] = in_edges[0]
                 return
             if op == "not":
-                node, negated = in_edges[0]
-                edge[out_name] = (node, not negated)
+                edge[out_name] = self.negate(in_edges[0])
                 return
+            name = out_name if out_entry[1] == WIRE else None
             if op == "xor":
-                edge[out_name] = self._strash_xor(cell, in_edges)
+                edge[out_name] = self.xor(in_edges, name, module)
                 return
-            edge[out_name] = self._strash_andor(cell, op, in_edges)
+            edge[out_name] = self.and_or(op, in_edges, name, module)
             return
         # Generic pass-through for non-gate cells (word-level circuits).
-        in_names = tuple(self._materialize(edge[n], signals[n][0]) for n in ins)
+        in_names = tuple(self.materialize(edge[n], signals[n][0]) for n in ins)
         name = out_name
         existing = self.out.signals.get(name)
         if existing is not None and existing[:2] != out_entry[:2]:
-            name = self._fresh_name("w")
+            name = self._fresh_name("w", module)
             out_entry = (out_entry[0], out_entry[1], module)
         self._add(op, name, in_names, params, out_entry, module)
         edge[out_name] = (name, False)
-
-    def _strash_andor(self, cell: FlatCell, op: str,
-                      ins: List[Tuple[Optional[str], bool]]) -> Tuple[Optional[str], bool]:
-        is_and = op == "and"
-        absorbing = self._FALSE if is_and else self._TRUE
-        live: List[Tuple[str, bool]] = []
-        seen: Set[Tuple[str, bool]] = set()
-        for node, negated in ins:
-            if node is None:
-                if negated != is_and:
-                    return absorbing  # x AND 0 / x OR 1
-                continue  # identity constant
-            if (node, not negated) in seen:
-                return absorbing  # x AND ~x / x OR ~x
-            if (node, negated) not in seen:
-                seen.add((node, negated))
-                live.append((node, negated))
-        if not live:
-            return self._TRUE if is_and else self._FALSE
-        if len(live) == 1:
-            return live[0]
-        live.sort()
-        key = (op, tuple(live))
-        return self._emit_node(cell, key, op, live)
-
-    def _strash_xor(self, cell: FlatCell,
-                    ins: List[Tuple[Optional[str], bool]]) -> Tuple[Optional[str], bool]:
-        parity = False
-        counts: Dict[str, int] = {}
-        for node, negated in ins:
-            parity ^= negated  # XOR(~a, b) == ~XOR(a, b); consts fold too
-            if node is not None:
-                counts[node] = counts.get(node, 0) + 1
-        nodes = sorted(n for n, c in counts.items() if c % 2 == 1)
-        if not nodes:
-            return (None, parity)
-        if len(nodes) == 1:
-            return (nodes[0], parity)
-        key = ("xor", tuple(nodes))
-        node, _ = self._emit_node(
-            cell, key, "xor", [(n, False) for n in nodes])
-        return (node, parity)
 
 
 def strash(netlist: Union[Netlist, Circuit]) -> Union[Netlist, Circuit]:
@@ -523,7 +567,7 @@ def strash(netlist: Union[Netlist, Circuit]) -> Union[Netlist, Circuit]:
     return _Strasher(netlist).run()
 
 
-def _eliminate_dead(netlist: Netlist) -> Netlist:
+def eliminate_dead(netlist: Netlist) -> Netlist:
     """Drop cells not in the cone of any output or register next-value."""
     roots = netlist.outputs() + [d for _q, d, _reset in netlist.registers]
     return _restrict(netlist, netlist.registers, _cone(netlist, roots))

@@ -2,9 +2,12 @@
 
 The gate netlist that :func:`repro.formal.bmc._as_lowered` hands the
 encoder fixes SAT variable numbering, and with it counterexample
-models, CEGAR trajectories and solver effort.  A rewrite of lowering,
-``simplify``, ``cone_of_influence`` or ``strash`` must therefore
-return exactly the same :class:`~repro.hdl.lowering.LoweredCircuit`:
+models, CEGAR trajectories and solver effort.  The SAT path lowers
+hashed (``lower_to_gates(..., hashed=True)``) and cuts the property's
+cone; the raw lowering, ``simplify``, ``cone_of_influence`` and
+``strash`` stay as its reference (``test_hashed_lowering.py``).  A
+rewrite of any of them must therefore return exactly the same
+:class:`~repro.hdl.lowering.LoweredCircuit`:
 the content fingerprint, the order of inputs, outputs, registers and
 signals, the ``bits`` map (names, kinds, widths, modules), and
 ``pruned_resets``.  This test digests all of that for a fixed corpus
@@ -12,8 +15,8 @@ and compares it with ``tests/data/netlist_identity.json``.
 
 The corpus: ``random_machine`` seeds 0-99 at three sizes (property
 pipeline, plain pipeline, raw lowering, word-level ``simplify`` and
-``strash``), ``random_cell_circuit`` seeds 0-29 (word-level passes and
-raw lowering), three instrumented verify-stream mux-chain tasks, tiny
+``strash``), ``random_cell_circuit`` seeds 0-29 (word-level passes, raw
+lowering and the reference gate pipeline), three instrumented verify-stream mux-chain tasks, tiny
 Sodor with its initial scheme and property, the ProSpeCT bug1 x
 Spectre directed netlist, its exact-check product and the
 ``ExactValidator`` product.
@@ -162,33 +165,32 @@ def _cell_circuit_cases() -> Iterator[Tuple[str, Callable[[], str]]]:
         yield f"cells-{seed}", case
 
 
-def _stream_lowering(index, stages, width, leaky):
+def _stream_source(index, stages, width, leaky):
     from repro.cegar import loop
 
     task = _load_perfbench_workloads().mux_chain_task(index, stages, width, leaky)
     design, prop = loop.instrument_task(task, task.initial_scheme())
-    return _fresh_lowered(design.circuit, prop)
+    return design.circuit, prop
 
 
-def _sodor_lowering():
+def _sodor_source():
     from repro.cegar import loop
     from repro.contracts import make_contract_task
     from repro.cores import CoreConfig, build_sodor
 
     task = make_contract_task(build_sodor(CoreConfig(**TINY)))
     design, prop = loop.instrument_task(task, task.initial_scheme())
-    return _fresh_lowered(design.circuit, prop)
+    return design.circuit, prop
 
 
-def _exact_validator_lowering():
+def _exact_validator():
     from repro.cegar.falsetaint import ExactValidator
     from repro.contracts import make_contract_task
     from repro.cores import CoreConfig, build_sodor
 
     task = make_contract_task(build_sodor(CoreConfig(**TINY)))
-    validator = ExactValidator(task.circuit, task.secret_registers(), task.sinks,
-                               init_assumption_outputs=task.init_assumption_outputs)
-    return validator.lowered
+    return ExactValidator(task.circuit, task.secret_registers(), task.sinks,
+                          init_assumption_outputs=task.init_assumption_outputs)
 
 
 def _prospect_core():
@@ -197,7 +199,7 @@ def _prospect_core():
     return build_prospect(CoreConfig.formal(), bug1=True, bug2=False)
 
 
-def _prospect_directed_lowering():
+def _prospect_directed_source():
     from repro.cegar import loop
     from repro.contracts import make_contract_task
     from repro.formal.properties import SafetyProperty
@@ -212,10 +214,10 @@ def _prospect_directed_lowering():
     free = frozenset(set(task.symbolic_registers) - set(core.imem_words))
     directed_prop = SafetyProperty(prop.name, prop.bad, prop.assumptions,
                                    prop.init_assumptions, free)
-    return _fresh_lowered(design.circuit, directed_prop)
+    return design.circuit, directed_prop
 
 
-def _prospect_product_lowering():
+def _prospect_product_source():
     from repro.contracts import make_contract_task
     from repro.formal.product import self_composition
     from repro.formal.properties import SafetyProperty
@@ -233,30 +235,54 @@ def _prospect_product_lowering():
         init_assumptions=tuple(product.c2(n) for n in core.init_assumption_outputs),
         symbolic_registers=symbolic,
     )
-    return _fresh_lowered(product.circuit, prop)
+    return product.circuit, prop
+
+
+def _with_lowering(source):
+    """``source`` plus the SAT pipeline's lowering of it."""
+    def build():
+        circuit, prop = source()
+        return _fresh_lowered(circuit, prop), circuit, prop
+    return build
+
+
+def _exact_validator_case():
+    validator = _exact_validator()
+    return validator.lowered, validator.product.circuit, None
+
+
+def flat_cases() -> Dict[str, Callable[[], tuple]]:
+    """Every flat lowering of the corpus, with what it was lowered from.
+
+    A case builds ``(lowered, circuit, prop)``: the SAT pipeline's
+    lowering of ``circuit`` for ``prop`` (``_as_lowered``), or, for the
+    ``ExactValidator`` product, its lowering with no property."""
+    cases: Dict[str, Callable[[], tuple]] = {}
+    for size in MACHINE_SIZES:
+        for seed in range(100):
+            cases[f"machine-{size}-{seed}"] = _with_lowering(
+                lambda size=size, seed=seed: (_machine(size, seed), _bad_property()))
+    for task in STREAM_TASKS:
+        cases[f"stream-{task[0]}"] = _with_lowering(lambda task=task: _stream_source(*task))
+    cases["sodor-initial"] = _with_lowering(_sodor_source)
+    cases["sodor-exact-validator"] = _exact_validator_case
+    cases["prospect-bug1-spectre"] = _with_lowering(_prospect_directed_source)
+    cases["prospect-exact-product"] = _with_lowering(_prospect_product_source)
+    return cases
 
 
 def flat_lowerings() -> Dict[str, Callable[[], object]]:
     """The corpus's flat lowerings: every case with a property, and the
-    ``ExactValidator`` product (simplified, no property)."""
-    cases: Dict[str, Callable[[], object]] = {}
-    for size in MACHINE_SIZES:
-        for seed in range(100):
-            cases[f"machine-{size}-{seed}"] = (
-                lambda size=size, seed=seed:
-                _fresh_lowered(_machine(size, seed), _bad_property()))
-    for task in STREAM_TASKS:
-        cases[f"stream-{task[0]}"] = lambda task=task: _stream_lowering(*task)
-    cases["sodor-initial"] = _sodor_lowering
-    cases["sodor-exact-validator"] = _exact_validator_lowering
-    cases["prospect-bug1-spectre"] = _prospect_directed_lowering
-    cases["prospect-exact-product"] = _prospect_product_lowering
-    return cases
+    ``ExactValidator`` product (no property)."""
+    return {name: (lambda build=build: build()[0])
+            for name, build in flat_cases().items()}
 
 
 def _stream_cases() -> Iterator[Tuple[str, Callable[[], str]]]:
+    lowerings = flat_lowerings()
     for task in STREAM_TASKS:
-        yield f"stream-{task[0]}", lambda task=task: netlist_digest(_stream_lowering(*task))
+        name = f"stream-{task[0]}"
+        yield name, lambda build=lowerings[name]: netlist_digest(build())
 
 
 def all_cases() -> Dict[str, Callable[[], str]]:

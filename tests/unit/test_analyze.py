@@ -180,6 +180,52 @@ class TestStaticEngine:
         assert verdict.bound >= 0
         assert verdict.suspects
 
+    @staticmethod
+    def _sodor_initial():
+        from repro.cegar import loop
+        from repro.contracts import make_contract_task
+        from repro.cores import CoreConfig, build_sodor
+
+        task = make_contract_task(build_sodor(CoreConfig(
+            xlen=4, imem_depth=4, dmem_depth=4, secret_words=1)))
+        design, prop = loop.instrument_task(task, task.initial_scheme())
+        return design.circuit, prop
+
+    @pytest.mark.parametrize("build, expected", [
+        (lambda: (_safe_machine(), PROP), "verified"),
+        (lambda: (_unsafe_counter(bad_at=5), PROP), "violation"),
+        (lambda: (_input_gated(), PROP), "unknown"),
+        ("_sodor_initial", None),
+    ], ids=["verified", "violation", "unknown", "sodor-initial"])
+    def test_no_gate_circuit_before_the_replay(self, monkeypatch, build, expected):
+        """The analysis reads the flat lowering; only ``_confirm``'s
+        replay builds its ``Circuit``."""
+        from repro.analyze import engine
+        from repro.formal import bmc
+        from repro.hdl.netlist import Netlist
+
+        circuit, prop = getattr(self, build)() if isinstance(build, str) else build()
+        monkeypatch.setattr(bmc, "_LOWERED_CACHE", type(bmc._LOWERED_CACHE)())
+        built, at_confirm = [], []
+        original_to_circuit, original_confirm = Netlist.to_circuit, engine._confirm
+
+        def to_circuit(netlist, *args, **kwargs):
+            built.append(netlist.name)
+            return original_to_circuit(netlist, *args, **kwargs)
+
+        def confirm(*args):
+            at_confirm.append(len(built))
+            return original_confirm(*args)
+        monkeypatch.setattr(Netlist, "to_circuit", to_circuit)
+        monkeypatch.setattr(engine, "_confirm", confirm)
+
+        verdict = static_verify(circuit, prop)
+        if expected is not None:
+            assert verdict.status == expected
+        assert at_confirm == ([0] if verdict.status == "violation" else [])
+        if verdict.status != "violation":
+            assert built == []
+
     def test_unknown_property_signal_raises(self):
         # Same failure mode as the SAT engines: lowering has no such bit.
         with pytest.raises((KeyError, ValueError)):

@@ -82,3 +82,31 @@ class TestLowering:
         for value in (0, 5, 15):
             bits = lowered.unpack("in0", value)
             assert lowered.pack("in0", bits) == value
+
+
+class TestGateNameCollision:
+    """A source signal named like a gate the lowering emits is refused."""
+
+    @staticmethod
+    def _circuit():
+        from repro.hdl.cells import Cell, CellOp
+        from repro.hdl.circuit import Circuit
+        from repro.hdl.signals import Signal, SignalKind
+
+        circ = Circuit("clash")
+        a = circ.add_signal(Signal("a", 1, SignalKind.INPUT))
+        b = circ.add_signal(Signal("b", 1, SignalKind.INPUT))
+        # The first gate of module "" is named "_g1" by both lowerings.
+        g1 = circ.add_signal(Signal("_g1", 1, SignalKind.WIRE))
+        out = circ.add_signal(Signal("o", 1, SignalKind.OUTPUT))
+        circ.add_cell(Cell(CellOp.AND, g1, (a, b)))
+        circ.add_cell(Cell(CellOp.OR, out, (g1, a)))
+        circ.validate()
+        return circ
+
+    @pytest.mark.parametrize("hashed", [False, True])
+    def test_collision_raises(self, hashed):
+        from repro.hdl.circuit import CircuitError
+
+        with pytest.raises(CircuitError, match="collide with its signal names"):
+            lower_to_gates(self._circuit(), hashed=hashed)

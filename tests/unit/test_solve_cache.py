@@ -71,6 +71,17 @@ class TestFingerprints:
         assert second is not first
         assert monitor in second.bits
 
+    def test_lowered_cache_is_keyed_on_content(self, monkeypatch):
+        """An equal circuit built anew hits; a different one misses."""
+        from repro.bench.fuzz import random_machine
+        from repro.formal import bmc
+
+        monkeypatch.setattr(bmc, "_LOWERED_CACHE", type(bmc._LOWERED_CACHE)())
+        prop = SafetyProperty("p", "bad")
+        first = bmc._as_lowered(random_machine(3), prop)
+        assert bmc._as_lowered(random_machine(3), prop) is first
+        assert bmc._as_lowered(random_machine(4), prop) is not first
+
     def test_key_distinguishes_property(self):
         circ = _counter()
         other = SafetyProperty("p", "bad", assumptions=("en",))
