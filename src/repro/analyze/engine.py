@@ -86,7 +86,13 @@ def _suspects(
     limit: int = 24,
 ) -> Tuple[str, ...]:
     """Unpinned signals in ``bad``'s cone, nearest first, as original
-    (word-level) names."""
+    (word-level) names.
+
+    The walk passes through every gate, but only bits that
+    ``lowered.bits`` maps back to a word-level signal are ranked: the
+    SAT pipeline renames internal gates (``core._g2``), and such a name
+    is no signal of the source circuit.
+    """
     fanins = {cell[1]: cell[2] for cell in lowered.topo_cells()}
     d_of = {q: d for q, d, _reset in lowered.register_entries()}
     orig_of: Dict[str, str] = {}
@@ -110,8 +116,8 @@ def _suspects(
     for name in sorted(distance, key=lambda n: (distance[n], n)):
         if facts.value_of(name) != TOP:
             continue
-        orig = orig_of.get(name, name)
-        if orig in seen or orig.startswith("__compass"):
+        orig = orig_of.get(name)
+        if orig is None or orig in seen or orig.startswith("__compass"):
             continue
         seen.add(orig)
         ranked.append((distance[name], orig))

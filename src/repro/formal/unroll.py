@@ -5,10 +5,12 @@ frames.  Register values flow between frames by literal aliasing (frame
 ``t+1``'s ``q`` literal *is* frame ``t``'s ``d`` literal), so the CNF
 contains only real logic.
 
-By default frames are *stamped* from a pre-compiled
-:class:`~repro.formal.frameprog.FrameProgram` — the combinational
-logic is folded into a clause template once and each frame is added by
-offsetting variable indices (see :mod:`repro.formal.frameprog`).  Pass
+By default frames come from a compiled
+:class:`~repro.formal.frameprog.FrameProgram`: a frame whose boundary
+still carries constants is encoded by interpreting its op program, and
+a fully symbolic one is *stamped* from the clause template that the
+interpreter records the first time it is needed, by offsetting
+variable indices (see :mod:`repro.formal.frameprog`).  Pass
 ``use_templates=False`` to re-encode every frame through the reference
 :class:`FrameEncoder`; the property suite runs both paths and checks
 them equisatisfiable.
@@ -108,7 +110,8 @@ class Unroller:
         *interpreted* so the encoder's constant folding fires exactly
         as in the reference path.  Once the boundary is fully symbolic
         (always, for a free initial state) folding cannot trigger and
-        the pre-folded template is stamped by index offsetting.
+        the pre-folded template, recorded on the program's first stamp,
+        is stamped by index offsetting.
         """
         program = self._program
         solver = self.solver
@@ -123,13 +126,14 @@ class Unroller:
             frame: Frame = execute_ops(program, solver, true_lit, boundary, inputs)
         else:
             base = solver.num_vars + 1
-            solver.new_vars(program.n_fresh)
             frame = StampedFrame(program, true_lit, boundary, base)
-            if program.pure:
-                solver.stamp_clauses(program.pure, base)
+            template = frame.template
+            solver.new_vars(template.n_fresh)
+            if template.pure:
+                solver.stamp_clauses(template.pure, base)
             resolve = frame.resolve
             add = solver.add_clause
-            for clause in program.mixed:
+            for clause in template.mixed:
                 add([resolve(tv) for tv in clause])
         self.frames.append(frame)
         return frame

@@ -226,6 +226,14 @@ class TestStaticEngine:
         if verdict.status != "violation":
             assert built == []
 
+    def test_sodor_suspects_are_source_signals(self):
+        """Suspects name word-level signals, never pipeline gate names."""
+        circuit, prop = self._sodor_initial()
+        verdict = static_verify(circuit, prop)
+        assert verdict.status == "unknown"
+        assert verdict.suspects
+        assert set(verdict.suspects) <= set(circuit.signals)
+
     def test_unknown_property_signal_raises(self):
         # Same failure mode as the SAT engines: lowering has no such bit.
         with pytest.raises((KeyError, ValueError)):

@@ -35,35 +35,79 @@ class TestCompile:
     def test_boundary_matches_registers(self):
         lowered = _lowered(_counter_circuit())
         prog = compile_frame_program(lowered)
-        assert prog.n_boundary == len(lowered.circuit.registers)
-        assert len(prog.boundary_slots) == prog.n_boundary
+        n_boundary = prog.template().n_boundary
+        assert n_boundary == len(lowered.circuit.registers)
+        assert len(prog.boundary_slots) == n_boundary
         assert len(prog.input_slots) == len(lowered.circuit.inputs)
 
     def test_every_signal_has_slot_and_tval(self):
         lowered = _lowered(_counter_circuit())
         prog = compile_frame_program(lowered)
+        tvals = prog.template().tvals
         for name in lowered.circuit.signals:
             assert name in prog.slot_of_name
-            assert name in prog.tval_of_name
-            assert prog.tval_of_name[name] != 0
+            assert tvals[prog.slot_of_name[name]] != 0
 
     def test_pure_template_is_wellformed(self):
         """Pure clauses are flat size-prefixed runs of fresh-slot lits."""
         lowered = _lowered(_counter_circuit())
-        prog = compile_frame_program(lowered)
+        template = compile_frame_program(lowered).template()
         i = 0
-        while i < len(prog.pure):
-            size = prog.pure[i]
+        while i < len(template.pure):
+            size = template.pure[i]
             assert size >= 2
-            for lit in prog.pure[i + 1: i + 1 + size]:
+            for lit in template.pure[i + 1: i + 1 + size]:
                 slot = lit >> 1
-                assert 0 <= slot < prog.n_fresh
+                assert 0 <= slot < template.n_fresh
             i += 1 + size
-        assert prog.num_template_clauses >= len(prog.mixed)
+        assert template.num_clauses >= len(template.mixed)
 
     def test_memoized_per_lowered_circuit(self):
         lowered = _lowered(_counter_circuit())
         assert frame_program_for(lowered) is frame_program_for(lowered)
+
+
+class TestTemplateLaziness:
+    """The clause template is recorded only when a frame is stamped."""
+
+    @staticmethod
+    def _count_records(monkeypatch):
+        from repro.formal import frameprog
+
+        calls = []
+        original = frameprog.record_template
+
+        def record(program):
+            calls.append(program)
+            return original(program)
+        monkeypatch.setattr(frameprog, "record_template", record)
+        return calls
+
+    def test_concrete_reset_bmc_builds_no_template(self, monkeypatch):
+        """Count bit ``k`` folds to a constant until frame ``k + 1``,
+        so through bound 6 every frame of the 8-bit counter has a
+        constant on its boundary: all are interpreted, none stamped."""
+        from repro.formal import SafetyProperty, bounded_model_check
+
+        calls = self._count_records(monkeypatch)
+        b = ModuleBuilder("ctr")
+        inc = b.input("inc", 1)
+        count = b.reg("count", 8)
+        count.drive(count + inc.zext(8))
+        b.output("bad", count.eq(255))
+        result = bounded_model_check(b.build(), SafetyProperty("p", "bad"), 6)
+        assert not result.found_cex
+        assert calls == []
+
+    def test_symbolic_unrolling_records_once(self, monkeypatch):
+        calls = self._count_records(monkeypatch)
+        lowered = _lowered(_counter_circuit())
+        unroller = Unroller(lowered, symbolic_all=True)
+        for _ in range(3):
+            unroller.add_frame()
+        assert calls == [frame_program_for(lowered)]
+        templates = {id(frame.template) for frame in unroller.frames}
+        assert templates == {id(frame_program_for(lowered).template())}
 
 
 class TestStampedVsReference:
