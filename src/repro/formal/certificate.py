@@ -21,9 +21,11 @@ solver and a fresh encoding:
 
 Together these imply no assumption-respecting execution from an
 initial state ever reaches ``bad`` — the same statement the engines
-make.  The checker shares only the lowering pipeline and the reference
-:class:`~repro.formal.encode.FrameEncoder` with PDR; none of PDR's
-frames, activation literals or generalization logic is involved.
+make.  The checker shares only the lowering pipeline with PDR: it
+encodes the transition relation with the reference
+:class:`~repro.formal.encode.FrameEncoder`, where PDR interprets the
+lowering's op program, and none of PDR's frames, activation literals
+or generalization logic is involved.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from repro.hdl.lowering import LoweredCircuit
 from repro.formal.bmc import _as_lowered
 from repro.formal.certificate import Certificate
 from repro.formal.counterexample import Counterexample
-from repro.formal.encode import FrameEncoder
+from repro.formal.frameprog import execute_ops, frame_program_for
 from repro.formal.properties import SafetyProperty
 from repro.formal.sat.solver import Solver, SolveStatus
 from repro.obs import NULL_TRACER
@@ -73,6 +73,8 @@ class _TransitionSolver:
 
     Layout: state vars (register bits), input vars, combinational
     logic; exposes literals for bad, assumptions, and next-state bits.
+    The frame is the lowering's op program interpreted over fresh state
+    and input variables, so PDR builds no gate-level ``Circuit``.
     Frame clauses and blocked cubes are added over the *state* vars
     using activation literals per frame.
     """
@@ -81,22 +83,18 @@ class _TransitionSolver:
                  max_conflicts: Optional[int] = None) -> None:
         self.lowered = lowered
         self.max_conflicts = max_conflicts  # per-query conflict budget
-        circuit = lowered.circuit
         self.solver = Solver()
         true_lit = self.solver.new_var()
         self.solver.add_clause((true_lit,))
-        self.frame = FrameEncoder(self.solver, true_lit)
-        self.state_names: List[str] = [reg.q.name for reg in circuit.registers]
-        for name in self.state_names:
-            self.frame.fresh(name)
-        for sig in circuit.inputs:
-            self.frame.fresh(sig.name)
-        self.frame.encode_combinational(circuit)
-        self.state_lit: Dict[str, int] = {
-            name: self.frame.lit(name) for name in self.state_names
-        }
+        program = frame_program_for(lowered)
+        registers = lowered.register_entries()
+        state = [self.solver.new_var() for _ in program.boundary_slots]
+        inputs = [self.solver.new_var() for _ in program.input_slots]
+        self.frame = execute_ops(program, self.solver, true_lit, state, inputs)
+        self.state_names: List[str] = [q for q, _d, _reset in registers]
+        self.state_lit: Dict[str, int] = dict(zip(self.state_names, state))
         self.next_lit: Dict[str, int] = {
-            reg.q.name: self.frame.lit(reg.d.name) for reg in circuit.registers
+            q: self.frame.lit(d) for q, d, _reset in registers
         }
         self.bad_lit = self._signal_lit(prop.bad)
         self.assumption_lits = [self._signal_lit(n) for n in prop.assumptions]
@@ -107,7 +105,7 @@ class _TransitionSolver:
         # Word-level input name -> per-bit frame literals, hoisted out of
         # input_values (it used to rebuild the input-name set per signal,
         # O(inputs x signals) per extracted counterexample state).
-        input_names = {s.name for s in circuit.inputs}
+        input_names = set(lowered.input_names())
         self._input_bit_lits: List[Tuple[str, List[int]]] = [
             (name, [self.frame.lit(sig.name) for sig in bit_sigs])
             for name, bit_sigs in lowered.bits.items()
@@ -154,13 +152,8 @@ class _TransitionSolver:
         """Extract the current-state cube (as signed state literals)."""
         cube = []
         for name in self.state_names:
-            lit = self.state_lit[name]
-            if lit == self.frame.true_lit:
-                continue
-            if lit == -self.frame.true_lit:
-                continue
-            value = model[abs(lit)] ^ (lit < 0)
-            cube.append(lit if value else -lit)
+            lit = self.state_lit[name]  # a fresh variable, never a constant
+            cube.append(lit if model[lit] else -lit)
         return tuple(cube)
 
     def input_values(self, model) -> Dict[str, int]:
@@ -206,17 +199,15 @@ class _Pdr:
         for orig, bits in self.lowered.bits.items():
             for i, sig in enumerate(bits):
                 orig_of[sig.name] = (orig, i)
-        for reg in self.lowered.circuit.registers:
-            orig, bit_index = orig_of.get(reg.q.name, (reg.q.name, 0))
-            if sym_all or orig in symbolic or reg.q.name in symbolic:
+        for q, _d, reset in self.lowered.register_entries():
+            orig, bit_index = orig_of.get(q, (q, 0))
+            if sym_all or orig in symbolic or q in symbolic:
                 continue
             if orig in initial_values:
                 bit = (initial_values[orig] >> bit_index) & 1
             else:
-                bit = reg.reset_value & 1
-            lit = self.ts.state_lit[reg.q.name]
-            if abs(lit) == abs(self.ts.frame.true_lit):
-                continue
+                bit = reset & 1
+            lit = self.ts.state_lit[q]
             cube.append(lit if bit else -lit)
         return tuple(cube)
 

@@ -28,10 +28,6 @@ access and no watch relocation (a binary watch never moves).  A binary
 (arena references are ``>= 0``, ``-1`` means decision/assumption).
 Arena slot 0 is a reserved scratch clause used to hand binary
 conflicts to the analyzer in the uniform arena shape.
-
-Frames stamped by the frame-template encoder enter the solver through
-:meth:`Solver.stamp_clauses`, which offsets pre-encoded template
-literals without re-normalising them.
 """
 
 from __future__ import annotations
@@ -164,8 +160,7 @@ class Solver:
         """Bulk-allocate ``count`` fresh variables; returns the first one.
 
         Equivalent to ``count`` calls of :meth:`new_var` but without the
-        per-call overhead — the frame stamper allocates a whole frame's
-        variables at once.
+        per-call overhead; :meth:`ensure_vars` grows the solver with it.
         """
         if count <= 0:
             return self.num_vars + 1
@@ -280,57 +275,6 @@ class Solver:
             if not self.add_clause(clause):
                 return False
         return True
-
-    def stamp_clauses(self, template: Sequence[int], first_var: int) -> None:
-        """Bulk-add pre-encoded clauses by offsetting variable indices.
-
-        ``template`` is a flat ``[size, lit, lit, ..., size, lit, ...]``
-        stream whose literals are internal-encoded relative to variable
-        0 (literal ``(k << 1) | sign`` refers to the k-th variable of a
-        freshly allocated block).  ``first_var`` is the base returned by
-        :meth:`new_vars` for that block.
-
-        The caller guarantees every clause has >= 2 literals, no
-        duplicate/complementary literals, and only variables from the
-        fresh block — exactly what a pre-folded Tseitin frame template
-        produces — so normalisation, tautology checks and level-0
-        simplification are all skipped.  This is the frame-stamping
-        fast path: a couple of list appends per clause, with binary
-        clauses going straight into the watch lists.
-        """
-        ca = self._ca
-        watches = self._watches
-        bin_watches = self._bin_watches
-        offset = first_var << 1
-        refs = self._clause_refs
-        i = 0
-        n = len(template)
-        while i < n:
-            size = template[i]
-            if size == 2:
-                l0 = template[i + 1] + offset
-                l1 = template[i + 2] + offset
-                bin_watches[l0].append(l1)
-                bin_watches[l1].append(l0)
-                self._num_binaries += 1
-                i += 3
-                continue
-            ref = len(ca)
-            ca.append(size)
-            ca.append(0)
-            end = i + 1 + size
-            for j in range(i + 1, end):
-                ca.append(template[j] + offset)
-            l0 = ca[ref + 2]
-            l1 = ca[ref + 3]
-            w0 = watches[l0]
-            w0.append(l1)
-            w0.append(ref)
-            w1 = watches[l1]
-            w1.append(l0)
-            w1.append(ref)
-            refs.append(ref)
-            i = end
 
     # ------------------------------------------------------------------
     # assignment / propagation

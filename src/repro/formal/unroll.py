@@ -5,33 +5,19 @@ frames.  Register values flow between frames by literal aliasing (frame
 ``t+1``'s ``q`` literal *is* frame ``t``'s ``d`` literal), so the CNF
 contains only real logic.
 
-By default frames come from a compiled
-:class:`~repro.formal.frameprog.FrameProgram`: a frame whose boundary
-still carries constants is encoded by interpreting its op program, and
-a fully symbolic one is *stamped* from the clause template that the
-interpreter records the first time it is needed, by offsetting
-variable indices (see :mod:`repro.formal.frameprog`).  Pass
-``use_templates=False`` to re-encode every frame through the reference
-:class:`FrameEncoder`; the property suite runs both paths and checks
-them equisatisfiable.
+Every frame is encoded by interpreting the lowering's compiled
+:class:`~repro.formal.frameprog.FrameProgram` (see
+:mod:`repro.formal.frameprog`), with the constant folding that keeps a
+frame under a concrete reset small.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set, Union
+from typing import Dict, List, Mapping, Optional, Set
 
 from repro.hdl.lowering import LoweredCircuit
-from repro.formal.encode import FrameEncoder
-from repro.formal.frameprog import (
-    InterpretedFrame,
-    StampedFrame,
-    execute_ops,
-    frame_program_for,
-)
+from repro.formal.frameprog import InterpretedFrame, execute_ops, frame_program_for
 from repro.formal.sat.solver import Solver
-
-#: All frame kinds expose ``lit(name)`` / ``const_lit(value)`` / ``true_lit``.
-Frame = Union[FrameEncoder, StampedFrame, InterpretedFrame]
 
 
 class Unroller:
@@ -46,8 +32,6 @@ class Unroller:
         symbolic_registers: original register names whose initial
             values are free (universally quantified by the check).
         symbolic_all: make every register's initial value free.
-        use_templates: stamp frames from a compiled frame program
-            (default) instead of re-encoding via ``FrameEncoder``.
     """
 
     def __init__(
@@ -57,7 +41,6 @@ class Unroller:
         initial_values: Optional[Mapping[str, int]] = None,
         symbolic_registers: Optional[Set[str]] = None,
         symbolic_all: bool = False,
-        use_templates: bool = True,
     ) -> None:
         self.lowered = lowered
         self._inputs = lowered.input_names()
@@ -66,9 +49,8 @@ class Unroller:
         self.solver = solver or Solver()
         self.true_lit = self.solver.new_var()
         self.solver.add_clause((self.true_lit,))
-        self.frames: List[Frame] = []
-        self._use_templates = use_templates
-        self._program = frame_program_for(lowered) if use_templates else None
+        self.frames: List[InterpretedFrame] = []
+        self._program = frame_program_for(lowered)
         self._initial_values = dict(initial_values or {})
         self._symbolic = set(symbolic_registers or ())
         self._symbolic_all = symbolic_all
@@ -84,57 +66,21 @@ class Unroller:
         """Number of frames encoded so far."""
         return len(self.frames)
 
-    def add_frame(self) -> Frame:
-        """Encode one more time frame and return its encoder."""
-        if self._program is not None:
-            return self._stamp_frame()
-        frame = FrameEncoder(self.solver, self.true_lit)
-        previous = self.frames[-1] if self.frames else None
-        for name in self._inputs:
-            frame.fresh(name)
-        for q, d, reset in self._registers:
-            if previous is None:
-                frame.define(q, self._initial_lit(q, reset))
-            else:
-                frame.define(q, previous.lit(d))
-        frame.encode_combinational(self.lowered.circuit)
-        self.frames.append(frame)
-        return frame
+    def add_frame(self) -> InterpretedFrame:
+        """Encode one more time frame and return it.
 
-    def _stamp_frame(self) -> Frame:
-        """Add one frame from the compiled program.
-
-        While any boundary literal is still a constant — frame 0 under
-        a concrete reset, and succeeding frames for as long as constant
-        register values keep propagating — the op program is
-        *interpreted* so the encoder's constant folding fires exactly
-        as in the reference path.  Once the boundary is fully symbolic
-        (always, for a free initial state) folding cannot trigger and
-        the pre-folded template, recorded on the program's first stamp,
-        is stamped by index offsetting.
+        The boundary literals are the initial state for frame 0 and the
+        previous frame's register ``d`` literals after it; they are
+        allocated before the frame's inputs.
         """
-        program = self._program
-        solver = self.solver
-        true_lit = self.true_lit
         previous = self.frames[-1] if self.frames else None
         if previous is None:
             boundary = [self._initial_lit(q, reset) for q, _d, reset in self._registers]
         else:
             boundary = [previous.lit(d) for _q, d, _reset in self._registers]
-        if any(lit == true_lit or lit == -true_lit for lit in boundary):
-            inputs = [solver.new_var() for _ in program.input_slots]
-            frame: Frame = execute_ops(program, solver, true_lit, boundary, inputs)
-        else:
-            base = solver.num_vars + 1
-            frame = StampedFrame(program, true_lit, boundary, base)
-            template = frame.template
-            solver.new_vars(template.n_fresh)
-            if template.pure:
-                solver.stamp_clauses(template.pure, base)
-            resolve = frame.resolve
-            add = solver.add_clause
-            for clause in template.mixed:
-                add([resolve(tv) for tv in clause])
+        solver = self.solver
+        inputs = [solver.new_var() for _ in self._program.input_slots]
+        frame = execute_ops(self._program, solver, self.true_lit, boundary, inputs)
         self.frames.append(frame)
         return frame
 
@@ -202,12 +148,19 @@ class Unroller:
         Used for simple-path constraints that make k-induction complete.
         """
         diff_lits: List[int] = []
-        encoder = FrameEncoder(self.solver, self.true_lit)
+        differs = False
+        add = self.solver.add_clause
         for q, _d, _reset in self._registers:
-            la = self.frames[frame_a].lit(q)
-            lb = self.frames[frame_b].lit(q)
-            diff_lits.append(encoder._xor2(la, lb))
-        live = [l for l in diff_lits if l != -self.true_lit]
-        if any(l == self.true_lit for l in live):
-            return
-        self.solver.add_clause(tuple(live) if live else (-self.true_lit,))
+            a = self.frames[frame_a].lit(q)
+            b = self.frames[frame_b].lit(q)
+            if a == -b:
+                differs = True
+            elif a != b:
+                out = self.solver.new_var()  # out <-> a XOR b
+                add((-out, a, b))
+                add((-out, -a, -b))
+                add((out, -a, b))
+                add((out, a, -b))
+                diff_lits.append(out)
+        if not differs:
+            add(tuple(diff_lits) if diff_lits else (-self.true_lit,))

@@ -53,8 +53,8 @@ class LoweredCircuit:
 
     Attributes:
         circuit: The 1-bit gate netlist as a ``Circuit``.  A flat
-            lowering builds it only when something reads it (PDR,
-            certificates, a replay on the lowering, serialization).
+            lowering builds it only when something reads it
+            (certificates, a replay on the lowering, serialization).
         netlist: The flat :class:`~repro.hdl.netlist.Netlist` the
             lowering, and on the SAT path the cone cut after it,
             emitted (``None`` when given a ``circuit``).  The frame compiler reads it

@@ -8,6 +8,8 @@ import pytest
 
 from repro.hdl import ModuleBuilder
 from repro.hdl.cells import CellOp
+from repro.formal.encode import FrameEncoder
+from repro.formal.unroll import Unroller
 
 
 @pytest.fixture
@@ -107,3 +109,27 @@ def random_stimulus(seed: int, cycles: int, width: int = 4):
         {f"in{i}": rng.randrange(1 << width) for i in range(3)}
         for _ in range(cycles)
     ]
+
+
+class ReferenceUnroller(Unroller):
+    """An :class:`Unroller` whose frames the reference ``FrameEncoder``
+    encodes over ``lowered.circuit``.
+
+    Variables are allocated in the op program's order, register ``q``
+    first and then the inputs, so a frame leaves the solver exactly as
+    the interpreted frame does.
+    """
+
+    def add_frame(self):
+        frame = FrameEncoder(self.solver, self.true_lit)
+        previous = self.frames[-1] if self.frames else None
+        for q, d, reset in self._registers:
+            if previous is None:
+                frame.define(q, self._initial_lit(q, reset))
+            else:
+                frame.define(q, previous.lit(d))
+        for name in self._inputs:
+            frame.fresh(name)
+        frame.encode_combinational(self.lowered.circuit)
+        self.frames.append(frame)
+        return frame

@@ -14,6 +14,9 @@ force tests: four independent implementations of the same question
 cross-validate each other on dozens of circuits.
 """
 
+import os
+import sys
+
 import pytest
 
 from repro.bench.fuzz import random_machine
@@ -133,26 +136,25 @@ from repro.hdl.optimize import simplify  # noqa: E402
 from repro.formal.sat.solver import SolveStatus  # noqa: E402
 from repro.formal.unroll import Unroller  # noqa: E402
 
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
+from conftest import ReferenceUnroller  # noqa: E402
+
 
 @pytest.mark.parametrize("seed", range(25))
 @pytest.mark.parametrize("symbolic", [False, True])
 def test_stamped_frames_equisatisfiable_with_reference(seed, symbolic):
-    """Template-stamped frames answer every per-depth reachability
-    question exactly like the reference FrameEncoder path.
+    """Interpreted frames answer every per-depth reachability question
+    exactly like the reference FrameEncoder path.
 
-    This is the contract that lets the fast path replace the reference:
-    the same verdict for ``bad`` at every depth — with both a concrete
-    reset (interpreted constant folding) and a fully symbolic initial
-    state (pure stamping).  CNF sizes may differ: when two registers'
-    next-state literals coincide, the reference encoder folds across
-    the frame boundary while the template treats each boundary slot as
-    a distinct opaque symbol — a strictly weaker fold that preserves
-    equisatisfiability.
+    This is the contract that lets the op program replace the
+    reference: the same verdict for ``bad`` at every depth — with both
+    a concrete reset (constant folding) and a fully symbolic initial
+    state.
     """
     circuit = random_machine(seed)
     lowered = lower_to_gates(circuit)
-    ref = Unroller(lowered, symbolic_all=symbolic, use_templates=False)
-    fast = Unroller(lowered, symbolic_all=symbolic, use_templates=True)
+    ref = ReferenceUnroller(lowered, symbolic_all=symbolic)
+    fast = Unroller(lowered, symbolic_all=symbolic)
     for depth in range(5):
         ref.add_frame()
         fast.add_frame()

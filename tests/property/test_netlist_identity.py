@@ -25,10 +25,10 @@ The encoder reads the last netlist without building a ``Circuit``;
 ``test_flat_frame_program_and_fingerprint`` checks, on every flat
 lowering of the corpus, that this gives the frame program and the
 content fingerprint the built ``Circuit`` gives, and
-``test_stamped_template_matches_interpreter`` that stamping the clause
-template adds what interpreting the frame program adds, and
-``test_interpreted_frames_match_reference_encoder`` that interpreting
-it adds what ``FrameEncoder`` adds.
+``test_interpreted_frames_match_reference_encoder`` and
+``test_pdr_frame_matches_reference_encoder`` that interpreting the
+frame program adds what ``FrameEncoder`` adds, for BMC and k-induction
+unrollings and for PDR's transition frame.
 
 To re-record the golden file after a deliberate netlist change::
 
@@ -51,7 +51,7 @@ ROOT = os.path.dirname(os.path.dirname(HERE))
 GOLDEN = os.path.join(ROOT, "tests", "data", "netlist_identity.json")
 
 sys.path.insert(0, os.path.dirname(HERE))
-from conftest import random_cell_circuit  # noqa: E402
+from conftest import ReferenceUnroller, random_cell_circuit  # noqa: E402
 
 #: (width, max_regs, max_ops) of the three random-machine sizes.
 MACHINE_SIZES = {"small": (2, 2, 3), "default": (3, 3, 6), "large": (4, 4, 10)}
@@ -327,8 +327,8 @@ def test_golden_covers_the_corpus():
     assert set(_golden()) == set(all_cases())
 
 
-def _family_lowerings(family: str) -> Dict[str, Callable[[], object]]:
-    cases = {name: build for name, build in flat_lowerings().items()
+def _family_cases(family: str) -> Dict[str, Callable[[], tuple]]:
+    cases = {name: build for name, build in flat_cases().items()
              if name == family or name.startswith(family + "-")}
     assert cases, family
     return cases
@@ -348,9 +348,8 @@ def test_flat_frame_program_and_fingerprint(family):
     from repro.formal.frameprog import compile_frame_program
     from repro.hdl.lowering import LoweredCircuit
 
-    cases = _family_lowerings(family)
-    for name, build in cases.items():
-        lowered = build()
+    for name, build in _family_cases(family).items():
+        lowered = build()[0]
         assert lowered.netlist is not None, name
         flat = compile_frame_program(lowered)
         # Validated on its own, so its topological order is its own.
@@ -362,86 +361,87 @@ def test_flat_frame_program_and_fingerprint(family):
         assert circuit_fingerprint(lowered) == circuit_fingerprint(lowered.circuit), name
 
 
-def _solver_state(solver):
-    """Variables, arena clauses and binary watches, order-free: stamping
-    appends the pure clauses before the mixed ones."""
-    ca = solver._ca
-    clauses = sorted(tuple(ca[ref + 2: ref + 2 + ca[ref]]) for ref in solver._clause_refs)
-    return solver.num_vars, clauses, [sorted(w) for w in solver._bin_watches]
-
-
-@pytest.mark.parametrize("family", [f for f in FAMILIES if f != "cells"])
-def test_stamped_template_matches_interpreter(family):
-    """The template is what the interpreter emits on a symbolic boundary.
-
-    For every flat lowering of the corpus, stamping frame 0 of a
-    ``symbolic_all`` unrolling leaves the solver as ``execute_ops`` on
-    a fresh solver with the same TRUE, boundary and input variables
-    does: the same variables, arena clauses and binary watches.  Where
-    frame 1 is stamped too, on pairwise distinct boundary variables
-    that are no longer contiguous, interpreting it on frame 0's
-    register ``d`` literals must again give the same state.
-    """
-    from repro.formal.frameprog import (
-        StampedFrame, compile_frame_program, execute_ops)
-    from repro.formal.sat.solver import Solver
-    from repro.formal.unroll import Unroller
-
-    cases = _family_lowerings(family)
-    for name, build in cases.items():
-        lowered = build()
-        stamped = Unroller(lowered, symbolic_all=True)
-        stamped.add_frame()
-        program = compile_frame_program(lowered)
-        solver = Solver()
-        true_lit = solver.new_var()
-        solver.add_clause((true_lit,))
-        boundary = [solver.new_var() for _ in program.boundary_slots]
-        inputs = [solver.new_var() for _ in program.input_slots]
-        frame = execute_ops(program, solver, true_lit, boundary, inputs)
-        assert _solver_state(stamped.solver) == _solver_state(solver), name
-        second = stamped.add_frame()
-        if not isinstance(second, StampedFrame):
-            continue
-        boundary = [frame.lit(d) for _q, d, _reset in lowered.register_entries()]
-        if len({abs(lit) for lit in boundary}) < len(boundary):
-            continue
-        assert boundary == second.boundary_lits, name
-        inputs = [solver.new_var() for _ in program.input_slots]
-        execute_ops(program, solver, true_lit, boundary, inputs)
-        assert _solver_state(stamped.solver) == _solver_state(solver), name
-
-
 @pytest.mark.parametrize("family", [f for f in FAMILIES if f != "cells"])
 def test_interpreted_frames_match_reference_encoder(family):
     """Interpreting the op program folds as ``FrameEncoder`` does.
 
-    Where the frame program interprets all of three frames under the
-    concrete reset, they leave the solver as the reference encoder does:
-    the same variables, and the same clause arena and binary watches in
-    the same order, so SAT variable numbering cannot move.  (A stamped
-    frame skips the folds the reference makes on equal or complementary
-    boundary literals; the engine differential covers it.)
+    Every flat lowering, unrolled for three frames under the concrete
+    reset and under a fully symbolic initial state, leaves the solver
+    as the reference encoder does: the same variables, and the same
+    clause arena and binary watches in the same order, so SAT variable
+    numbering cannot move.
     """
-    from repro.formal.frameprog import InterpretedFrame
     from repro.formal.unroll import Unroller
 
-    cases = _family_lowerings(family)
-    compared = 0
-    for name, build in cases.items():
-        lowered = build()
-        fast = Unroller(lowered)
-        ref = Unroller(lowered, use_templates=False)
-        for _ in range(3):
-            fast.add_frame()
-            ref.add_frame()
-        if not all(isinstance(frame, InterpretedFrame) for frame in fast.frames):
-            continue
-        compared += 1
-        assert fast.solver.num_vars == ref.solver.num_vars, name
-        assert fast.solver._ca == ref.solver._ca, name
-        assert fast.solver._bin_watches == ref.solver._bin_watches, name
-    assert compared, family
+    for name, build in _family_cases(family).items():
+        lowered = build()[0]
+        for symbolic in (False, True):
+            fast = Unroller(lowered, symbolic_all=symbolic)
+            ref = ReferenceUnroller(lowered, symbolic_all=symbolic)
+            for _ in range(3):
+                fast.add_frame()
+                ref.add_frame()
+            assert fast.solver.num_vars == ref.solver.num_vars, (name, symbolic)
+            assert fast.solver._ca == ref.solver._ca, (name, symbolic)
+            assert fast.solver._bin_watches == ref.solver._bin_watches, (name, symbolic)
+
+
+def _reference_transition(lowered, prop):
+    """PDR's transition frame as ``FrameEncoder`` encodes it over
+    ``lowered.circuit``: state variables, then inputs, then the logic,
+    then the per-cycle assumptions as unit clauses."""
+    from repro.formal.encode import FrameEncoder
+    from repro.formal.sat.solver import Solver
+
+    circuit = lowered.circuit
+    solver = Solver()
+    true_lit = solver.new_var()
+    solver.add_clause((true_lit,))
+    frame = FrameEncoder(solver, true_lit)
+    for reg in circuit.registers:
+        frame.fresh(reg.q.name)
+    for sig in circuit.inputs:
+        frame.fresh(sig.name)
+    frame.encode_combinational(circuit)
+    for name in prop.assumptions:
+        solver.add_clause((frame.lit(lowered.bits[name][0].name),))
+    return solver, frame
+
+
+@pytest.mark.parametrize("family", [f for f in FAMILIES if f != "cells"])
+def test_pdr_frame_matches_reference_encoder(family):
+    """PDR's transition solver holds what ``FrameEncoder`` encodes.
+
+    On every flat lowering of the corpus, the op program interpreted
+    over fresh state and input variables leaves PDR's solver as the
+    reference encoding with state variables first does: the same
+    variables, clause arena and binary watches in order, and the same
+    state, next-state, bad and input literals.  A lowering with no
+    property takes the first word-level signal its frame encodes as
+    ``bad``.
+    """
+    from repro.formal.frameprog import frame_program_for
+    from repro.formal.pdr import _TransitionSolver
+
+    for name, build in _family_cases(family).items():
+        lowered, _circuit, prop = build()
+        if prop is None:
+            slots = frame_program_for(lowered).slot_of_name
+            prop = _bad_property(next(
+                word for word, sigs in lowered.bits.items() if sigs[0].name in slots))
+        ts = _TransitionSolver(lowered, prop)
+        solver, frame = _reference_transition(lowered, prop)
+        assert ts.solver.num_vars == solver.num_vars, name
+        assert ts.solver._ca == solver._ca, name
+        assert ts.solver._bin_watches == solver._bin_watches, name
+        registers = lowered.circuit.registers
+        assert ts.state_lit == {reg.q.name: frame.lit(reg.q.name) for reg in registers}, name
+        assert ts.next_lit == {reg.q.name: frame.lit(reg.d.name) for reg in registers}, name
+        assert ts.bad_lit == frame.lit(lowered.bits[prop.bad][0].name), name
+        assert ts._input_bit_lits == [
+            (word, [frame.lit(sig.name) for sig in sigs])
+            for word, sigs in lowered.bits.items()
+            if sigs and sigs[0].name in {s.name for s in lowered.circuit.inputs}], name
 
 
 if __name__ == "__main__":

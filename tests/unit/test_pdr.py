@@ -170,6 +170,22 @@ class TestCounterexamples:
         wf = res.counterexample.replay(circ)
         assert any(v == 1 for v in wf.trace("bad"))
 
+    @pytest.mark.parametrize("max_frames, status", [
+        (100, PdrStatus.COUNTEREXAMPLE), (2, PdrStatus.UNKNOWN)])
+    def test_flat_lowering_builds_no_circuit(self, max_frames, status):
+        """PDR encodes its frame from the op program: short of a proof
+        (whose certificate check builds it on purpose), a flat lowering
+        with no init assumptions never builds its gate-level Circuit."""
+        from repro.formal.bmc import _as_lowered
+
+        prop = SafetyProperty("p", "bad")
+        cached = _as_lowered(plain_counter(bad_at=5), prop)
+        lowered = type(cached)(None, cached.bits, cached.pruned_resets,
+                               netlist=cached.netlist)
+        res = pdr_prove(lowered, prop, max_frames=max_frames, time_limit=30)
+        assert res.status is status
+        assert lowered._circuit is None
+
     def test_bad_at_initial_state(self):
         b = ModuleBuilder("t")
         r = b.reg("r", 4, reset=7)

@@ -648,10 +648,10 @@ SEARCH_GOLDEN = {'3sat-60': [('sat', 50, 67, 3915, 50, 0, 'e52c9ac2c11db422')],
                            ('sat', 0, 40, 949, 0, 0, '57006d8cee84151d'),
                            ('sat', 3, 52, 2322, 3, 0, 'c9ad357b912b6f58'),
                            ('sat', 1, 66, 1866, 1, 0, '38524d8b51b7ad2e'),
-                           ('sat', 22, 177, 8166, 22, 0, 'ad559a5a5dbcf59b'),
-                           ('sat', 38, 210, 18258, 38, 0, '1b7c5c493baceccd'),
-                           ('sat', 103, 292, 32707, 103, 1, '1d41cfcf281924c9'),
-                           ('sat', 53, 244, 19921, 53, 0, '5c3b4b023fb82cb1')],
+                           ('sat', 22, 177, 8165, 22, 0, 'ad559a5a5dbcf59b'),
+                           ('sat', 38, 210, 18265, 38, 0, '1b7c5c493baceccd'),
+                           ('sat', 103, 292, 32702, 103, 1, '1d41cfcf281924c9'),
+                           ('sat', 53, 244, 19917, 53, 0, '5c3b4b023fb82cb1')],
                  'bmc-6': [('unsat', 2, 2, 119, 1, 0, 'c527d1a60907bd8b'),
                            ('unsat', 2, 10, 523, 1, 0, 'f6bf29e45ddf4f45'),
                            ('unsat', 2, 18, 851, 1, 0, '3af6c5fe1c562779'),
@@ -665,9 +665,9 @@ SEARCH_GOLDEN = {'3sat-60': [('sat', 50, 67, 3915, 50, 0, 'e52c9ac2c11db422')],
                             ('unsat', 3, 11, 451, 2, 0, '489df53deac34416'),
                             ('sat', 5, 24, 1882, 5, 0, '2d226ea453c159c0'),
                             ('sat', 31, 116, 7555, 31, 0, '40e101c31cb71fe6'),
-                            ('sat', 10, 151, 6631, 10, 0, '003d0b15c6552e5c'),
-                            ('sat', 21, 168, 9879, 21, 0, 'f0163379cf9035cc'),
-                            ('sat', 23, 217, 12827, 23, 0, 'fa6d4d1e2e646501')],
+                            ('sat', 10, 151, 6619, 10, 0, '003d0b15c6552e5c'),
+                            ('sat', 21, 168, 9877, 21, 0, 'f0163379cf9035cc'),
+                            ('sat', 23, 217, 12818, 23, 0, 'fa6d4d1e2e646501')],
                  'pdr': [('unsat', 1, 6, 100, 0, 0, '67d1b8081905fab3'),
                          ('sat', 0, 10, 149, 0, 0, '8b81e369cbf94690'),
                          ('unsat', 5, 11, 251, 4, 0, '6c507c3009532f32'),
