@@ -860,6 +860,7 @@ def _run_compass_inner(
             raise RuntimeError(
                 "model checker produced a trace with no tainted sink")
 
+        oracle = None
         if config.exact_validation:
             with tracer.span("cegar.validate", cat="mc",
                              iteration=iteration, sink=sink) as sp:
@@ -870,10 +871,10 @@ def _run_compass_inner(
         else:
             with tracer.span("cegar.validate-fast", cat="simu",
                              iteration=iteration, sink=sink) as sp:
-                quick = FastFalseTaintOracle(
+                oracle = FastFalseTaintOracle(
                     task.circuit, cex, SecretSpec.from_sources(task.sources)
                 )
-                spurious = quick.is_falsely_tainted(sink, final_cycle)
+                spurious = oracle.is_falsely_tainted(sink, final_cycle)
                 sp.set(spurious=spurious)
         if not spurious:
             write_checkpoint(iteration)
@@ -881,11 +882,13 @@ def _run_compass_inner(
                           verify_time=verify_time)
 
         # ---- Step 3: iterative refinement (Figure 3) ---------------
+        # The fast validation already replayed this counterexample.
         with tracer.span("cegar.oracle-build", cat="simu",
                          iteration=iteration):
-            oracle = FastFalseTaintOracle(
-                task.circuit, cex, SecretSpec.from_sources(task.sources)
-            )
+            if oracle is None:
+                oracle = FastFalseTaintOracle(
+                    task.circuit, cex, SecretSpec.from_sources(task.sources)
+                )
         failed_locations: set = set()
         while sink is not None:
             if (len(stats.refinement_log) >= config.max_refinements

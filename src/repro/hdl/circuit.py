@@ -127,6 +127,8 @@ class Circuit:
         self._content_fingerprint: Optional[str] = None
         #: True once :meth:`validate` passed on the current structure.
         self._validated = False
+        #: Memo of :func:`repro.sim.batch.batch_program_for`.
+        self._batch_program = None
         #: Length of the prefix of ``cells`` that went through
         #: :meth:`add_cell`'s checks; a cell put into ``cells`` any
         #: other way leaves it short, and :meth:`validate` lints in full.
@@ -137,6 +139,7 @@ class Circuit:
         self._topo_cache = None
         self._content_fingerprint = None
         self._validated = False
+        self._batch_program = None
 
     # ------------------------------------------------------------------
     # construction

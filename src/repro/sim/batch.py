@@ -10,13 +10,20 @@ value of design bit ``b``.  One pass over the plane program then
 simulates K concurrent testbenches (GLIFT-style bitslicing, K up to the
 native integer width and beyond).
 
-The netlist is compiled **once** into a flat plane program — the
-``FrameProgram`` idiom from :mod:`repro.formal.frameprog` applied to
-two-value simulation: wiring ops (``BUF``/``SLICE``/``CONCAT``/
-``ZEXT``/``SEXT``) become compile-time plane aliases that cost nothing
-at runtime, constants fold into the code, and arithmetic lowers to
-carry/borrow chains over planes.  The generated step function is plain
-Python over a flat list of plane integers.
+The netlist is compiled **once** into a flat op program over a list of
+plane integers — the ``(opcode, out_slot, in_slot, ...)`` shape of
+:mod:`repro.formal.frameprog` applied to two-value simulation: wiring
+ops (``BUF``/``SLICE``/``CONCAT``/``ZEXT``/``SEXT``) become compile-time
+plane aliases that cost nothing at runtime, constants fold away, and
+arithmetic lowers to carry/borrow chains over planes.
+
+A program runs in two tiers.  One interpreter loop executes the op
+tuples for its first :data:`HOT_STEPS` steps; most designs are stepped
+only a few dozen times (the CEGAR prefilter, counterexample replay) and
+never pay for generated code.  A program stepped more often turns its
+ops into one Python statement each, compiles them, and runs the
+compiled function from then on: about three times the interpreter's
+speed, for a compile that costs about four times the op program's build.
 
 Semantics are pinned to the scalar engines by the differential test
 battery (``tests/property/test_batch_differential.py``): bit-identical
@@ -40,47 +47,64 @@ from repro.sim.waveform import BatchWaveform, Waveform
 CONST0 = -1
 CONST1 = -2
 
-#: Statements per separately compiled chunk of the step body.  The
-#: compiler holds about 4 KB per statement while it runs: one
+#: Op program opcodes.  Every op is ``(opcode, out_slot, in_slot, ...)``
+#: over the plane array ``p`` and the all-lanes mask ``M``; the two
+#: constant ops have no inputs.  AND, OR, XOR and XNOR are n-ary, with
+#: 2-input forms for the common case.  Within the lane mask, NOT is
+#: ``M ^ x`` and XNOR is ``M ^ (x ^ y ^ ...)``.
+OP_CONST0 = 0
+OP_CONST1 = 1
+OP_NOT = 2
+OP_AND2 = 3
+OP_OR2 = 4
+OP_XOR2 = 5
+OP_XNOR2 = 6
+OP_AND = 7
+OP_OR = 8
+OP_XOR = 9
+OP_XNOR = 10
+
+#: Steps a program is interpreted before it compiles to Python code.
+#: On CellIFT-instrumented tiny Rocket and Sodor (2-CPU x86-64 VM,
+#: Python 3.11.7) the compile costs 55-83 / 39 ms, and one lane runs
+#: 1,250-1,720 / 2,600 cycles/s interpreted against 3,900-5,700 /
+#: 8,500 compiled: the tiers break even after 136-153 steps.  A slower
+#: run of the same pair measured 100-125.
+HOT_STEPS = 128
+
+#: Statements per separately compiled chunk of the tier-up step body.
+#: The compiler holds about 4 KB per statement while it runs: one
 #: ``compile()`` of instrumented tiny Rocket's 5143-statement body
-#: peaks at ~28 MB, while chunks of 64 keep the whole program build
-#: under 2 MB with no measurable cost in compile or step time.
+#: peaks at ~28 MB, while chunks of 64 keep the program build and its
+#: compile near 2 MB with no measurable cost in compile or step time.
 CHUNK_STATEMENTS = 64
 
 LaneInputs = Union[Mapping[str, int], Sequence[Mapping[str, int]], None]
 
 
 class _PlaneCompiler:
-    """Compiles a circuit's cells into bit-plane assignment code.
+    """Compiles a circuit's cells into a bit-plane op program.
 
     ``desc_of[name]`` maps every signal to its LSB-first tuple of plane
-    descriptors.  Emitted lines form the body of ``_step(p, M)`` where
-    ``p`` is the plane array and ``M`` the all-lanes-one mask; within
-    the lane mask, bitwise NOT is ``M ^ x``.
+    descriptors.  ``ops`` lists the emitted ``(opcode, out_slot,
+    in_slot, ...)`` tuples in evaluation order.
     """
 
     def __init__(self) -> None:
         self.n_slots = 0
-        self.lines: List[str] = []
+        self.ops: List[Tuple[int, ...]] = []
         self.desc_of: Dict[str, Tuple[int, ...]] = {}
         self._not_cache: Dict[int, int] = {}
 
-    # -- slot / expression helpers -------------------------------------
+    # -- slot / op helpers ----------------------------------------------
     def alloc(self) -> int:
         slot = self.n_slots
         self.n_slots += 1
         return slot
 
-    def ref(self, desc: int) -> str:
-        if desc == CONST0:
-            return "0"
-        if desc == CONST1:
-            return "M"
-        return f"p[{desc}]"
-
-    def emit(self, expr: str) -> int:
+    def emit(self, code: int, *ins: int) -> int:
         slot = self.alloc()
-        self.lines.append(f"    p[{slot}] = {expr}")
+        self.ops.append((code, slot) + ins)
         return slot
 
     # -- descriptor-level boolean algebra ------------------------------
@@ -91,7 +115,7 @@ class _PlaneCompiler:
             return CONST0
         cached = self._not_cache.get(desc)
         if cached is None:
-            cached = self.emit(f"M ^ p[{desc}]")
+            cached = self.emit(OP_NOT, desc)
             self._not_cache[desc] = cached
             self._not_cache[cached] = desc
         return cached
@@ -110,7 +134,7 @@ class _PlaneCompiler:
             return CONST1
         if len(live) == 1:
             return live[0]
-        return self.emit(" & ".join(self.ref(d) for d in live))
+        return self.emit(OP_AND2 if len(live) == 2 else OP_AND, *live)
 
     def or_(self, descs: Sequence[int]) -> int:
         live: List[int] = []
@@ -126,7 +150,7 @@ class _PlaneCompiler:
             return CONST0
         if len(live) == 1:
             return live[0]
-        return self.emit(" | ".join(self.ref(d) for d in live))
+        return self.emit(OP_OR2 if len(live) == 2 else OP_OR, *live)
 
     def xor_(self, descs: Sequence[int]) -> int:
         parity = 0
@@ -147,10 +171,11 @@ class _PlaneCompiler:
             return CONST1 if parity else CONST0
         if len(live) == 1:
             return self.not_(live[0]) if parity else live[0]
-        expr = " ^ ".join(self.ref(d) for d in live)
-        if parity:
-            expr = f"M ^ ({expr})"
-        return self.emit(expr)
+        if len(live) == 2:
+            code = OP_XNOR2 if parity else OP_XOR2
+        else:
+            code = OP_XNOR if parity else OP_XOR
+        return self.emit(code, *live)
 
     def mux_(self, sel: int, a: int, b: int) -> int:
         """``sel ? a : b`` on one plane."""
@@ -282,11 +307,15 @@ class _PlaneCompiler:
 
 
 class BatchProgram:
-    """A circuit compiled once for bit-parallel simulation.
+    """A circuit translated once into a bit-plane op program.
 
-    Lane-count independent: the same program serves any K.  Cached on
-    the circuit via :func:`batch_program_for` (circuits are immutable
-    after construction, the same invariant ``frame_program_for`` uses).
+    Lane-count independent: the same program serves any K.  ``ops`` is
+    the op program; ``step_fn(p, M)`` evaluates it over the plane list
+    ``p`` under the lane mask ``M``.  It interprets ``ops`` for the
+    program's first :data:`HOT_STEPS` steps, over every simulator that
+    shares the program, and then :meth:`tier_up` swaps in compiled
+    code.  Cached on the circuit via :func:`batch_program_for`; a
+    mutation of the circuit drops the cache.
     """
 
     def __init__(self, circuit: Circuit) -> None:
@@ -308,15 +337,35 @@ class BatchProgram:
             slots = tuple(comp.alloc() for _ in range(sig.width))
             comp.desc_of[sig.name] = slots
             self.input_slots.append((sig.name, sig.width, slots))
-        comp.lines.append("    pass")
         for cell in circuit.topo_cells():
             comp.compile_cell(cell)
         self.clock_fn = self._clock_fn(comp)
         self.n_slots = comp.n_slots
         self.desc_of = comp.desc_of
-        self.step_fn = self._compile_fn(
-            "_batch_step", comp.lines, f"<batch-step:{circuit.name}>")
+        self.ops = comp.ops
         self.widths = {name: sig.width for name, sig in circuit.signals.items()}
+        #: Steps run so far on the interpreter.
+        self.interpreted_steps = 0
+        #: True once :meth:`tier_up` has swapped in compiled code.
+        self.compiled = False
+        self.step_fn: Callable = self._interpret
+
+    def _interpret(self, p: List[int], M: int) -> None:
+        if self.interpreted_steps >= HOT_STEPS:
+            self.tier_up()
+            self.step_fn(p, M)
+            return
+        self.interpreted_steps += 1
+        _run_ops(self.ops, p, M)
+
+    def tier_up(self) -> None:
+        """Compile the op program, one statement per op, into ``step_fn``."""
+        if self.compiled:
+            return
+        body = [_op_source(op) for op in self.ops] or ["    pass"]
+        self.step_fn = self._compile_fn(
+            "_batch_step", body, f"<batch-step:{self.circuit.name}>")
+        self.compiled = True
 
     def _clock_fn(self, comp: _PlaneCompiler) -> Callable:
         """``q <= d`` for every register bit, reads before writes.
@@ -324,7 +373,7 @@ class BatchProgram:
         The q planes fill slots ``[0, n_reg_slots)`` in register order,
         so one gather of every d-plane and one slice assignment clock all
         registers, register-to-register chains included.  A constant
-        d-plane gets a slot that the step body writes each cycle.
+        d-plane gets a slot that the step program writes each cycle.
         """
         const_slots: Dict[int, int] = {}
         sources: List[int] = []
@@ -332,7 +381,8 @@ class BatchProgram:
             for desc in comp.desc_of[reg.d.name]:
                 if desc < 0:
                     if desc not in const_slots:
-                        const_slots[desc] = comp.emit(comp.ref(desc))
+                        const_slots[desc] = comp.emit(
+                            OP_CONST0 if desc == CONST0 else OP_CONST1)
                     desc = const_slots[desc]
                 sources.append(desc)
         n = len(sources)
@@ -376,15 +426,77 @@ class BatchProgram:
         return run_chunks
 
 
+def _run_ops(ops: Sequence[Tuple[int, ...]], p: List[int], M: int) -> None:
+    """Interpret an op program over the plane list ``p``."""
+    for op in ops:
+        code = op[0]
+        if code == OP_AND2:
+            _, out, a, b = op
+            p[out] = p[a] & p[b]
+        elif code == OP_OR2:
+            _, out, a, b = op
+            p[out] = p[a] | p[b]
+        elif code == OP_NOT:
+            p[op[1]] = M ^ p[op[2]]
+        elif code == OP_XOR2:
+            _, out, a, b = op
+            p[out] = p[a] ^ p[b]
+        elif code == OP_XNOR2:
+            _, out, a, b = op
+            p[out] = M ^ p[a] ^ p[b]
+        elif code == OP_AND:
+            acc = M
+            for slot in op[2:]:
+                acc &= p[slot]
+            p[op[1]] = acc
+        elif code == OP_OR:
+            acc = 0
+            for slot in op[2:]:
+                acc |= p[slot]
+            p[op[1]] = acc
+        elif code == OP_XOR or code == OP_XNOR:
+            acc = M if code == OP_XNOR else 0
+            for slot in op[2:]:
+                acc ^= p[slot]
+            p[op[1]] = acc
+        else:
+            p[op[1]] = M if code == OP_CONST1 else 0
+
+
+_INFIX = {
+    OP_AND2: " & ", OP_AND: " & ",
+    OP_OR2: " | ", OP_OR: " | ",
+    OP_XOR2: " ^ ", OP_XOR: " ^ ",
+    OP_XNOR2: " ^ ", OP_XNOR: " ^ ",
+}
+
+
+def _op_source(op: Tuple[int, ...]) -> str:
+    """One op as a statement of the compiled step body."""
+    code = op[0]
+    if code == OP_CONST0:
+        expr = "0"
+    elif code == OP_CONST1:
+        expr = "M"
+    elif code == OP_NOT:
+        expr = f"M ^ p[{op[2]}]"
+    else:
+        expr = _INFIX[code].join(f"p[{slot}]" for slot in op[2:])
+        if code == OP_XNOR2 or code == OP_XNOR:
+            expr = f"M ^ ({expr})"
+    return f"    p[{op[1]}] = {expr}"
+
+
 def batch_program_for(circuit: Circuit) -> BatchProgram:
-    """Memoized :class:`BatchProgram` for a circuit."""
-    program = getattr(circuit, "_batch_program", None)
+    """Memoized :class:`BatchProgram` for a circuit.
+
+    ``Circuit._changed`` drops the memo, so a cell added after the
+    program was built is simulated too.
+    """
+    program = circuit._batch_program
     if program is None:
         program = BatchProgram(circuit)
-        try:
-            circuit._batch_program = program
-        except AttributeError:  # pragma: no cover
-            pass
+        circuit._batch_program = program
     return program
 
 

@@ -4,7 +4,10 @@ The bit-parallel engine must be *indistinguishable*, lane for lane,
 from :class:`~repro.sim.Simulator` — 50+ fuzzed sequential machines, 64
 lanes each, checked for bit-identical signal values, waveforms, and
 error behavior (out-of-range or missing inputs raise
-``SimulationError`` with the interpreter's exact message).
+``SimulationError`` with the interpreter's exact message).  The
+lane-for-lane cases run on both tiers of the plane program: interpreted
+(below :data:`~repro.sim.batch.HOT_STEPS` steps), compiled (past it),
+and across the switch.
 """
 
 import random
@@ -12,7 +15,8 @@ import random
 import pytest
 
 from repro.bench.fuzz import random_machine
-from repro.sim import BatchSimulator, Simulator
+from repro.sim import BatchSimulator, Simulator, batch_program_for
+from repro.sim.batch import HOT_STEPS
 from repro.sim.simulator import SimulationError
 
 LANES = 64
@@ -37,11 +41,32 @@ def _circuit(seed):
     return random_machine(seed, width=4, max_regs=3, max_ops=8)
 
 
+def _on_tier(circuit, tier):
+    """Step the circuit's program past ``HOT_STEPS`` for the compiled tier."""
+    if tier == "compiled":
+        frame = {name: 0 for name in _input_widths(circuit)}
+        BatchSimulator(circuit, lanes=1).run([frame] * (HOT_STEPS + 1),
+                                             record=[])
+    program = batch_program_for(circuit)
+    assert program.compiled == (tier == "compiled")
+    return circuit
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lanes_match_both_scalar_engines(seed):
     """64 lanes in one pass == 64 scalar runs, through both lane views
     (``lane_trace`` and the sliced ``lane`` waveform)."""
-    circuit = _circuit(seed)
+    _check_lanes_match(seed, "interpreted")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_compiled_lanes_match_both_scalar_engines(seed):
+    """The same, on a program stepped past ``HOT_STEPS``."""
+    _check_lanes_match(seed, "compiled")
+
+
+def _check_lanes_match(seed, tier):
+    circuit = _on_tier(_circuit(seed), tier)
     rng = random.Random(seed + 5000)
     stimuli = _lane_stimuli(circuit, rng)
     names = list(circuit.signals)
@@ -57,10 +82,37 @@ def test_lanes_match_both_scalar_engines(seed):
             assert trace == lane_wf.trace(name), (name, lane)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_lanes_match_across_tier_up(seed):
+    """A run that crosses ``HOT_STEPS`` matches scalar runs lane for lane."""
+    circuit = _circuit(seed)
+    rng = random.Random(seed + 9000)
+    stimuli = _lane_stimuli(circuit, rng, lanes=8, cycles=HOT_STEPS + 8)
+    names = list(circuit.signals)
+    batch = BatchSimulator(circuit, lanes=8).run(stimuli, record=names)
+    assert batch_program_for(circuit).compiled
+    ref = Simulator(circuit)
+    for lane in range(8):
+        ref.reset({})
+        ref_wf = ref.run(stimuli[lane], record=names)
+        for name in names:
+            assert ref_wf.trace(name) == batch.lane_trace(name, lane), (name, lane)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_step_outputs_and_state_match(seed):
     """step() outputs and register state match scalar runs per lane."""
-    circuit = _circuit(seed)
+    _check_step_outputs_and_state(seed, "interpreted")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_compiled_step_outputs_and_state_match(seed):
+    """The same, on a program stepped past ``HOT_STEPS``."""
+    _check_step_outputs_and_state(seed, "compiled")
+
+
+def _check_step_outputs_and_state(seed, tier):
+    circuit = _on_tier(_circuit(seed), tier)
     rng = random.Random(seed + 6000)
     stimuli = _lane_stimuli(circuit, rng, cycles=5)
     bsim = BatchSimulator(circuit, lanes=LANES)

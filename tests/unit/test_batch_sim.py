@@ -14,6 +14,8 @@ import pytest
 
 from repro.bench.fuzz import random_machine
 from repro.hdl import ModuleBuilder
+from repro.hdl.cells import Cell, CellOp
+from repro.hdl.signals import Signal, SignalKind
 from repro.obs import Tracer
 from repro.obs.summarize import render_summary, summary_from_events
 from repro.sim import (
@@ -21,7 +23,8 @@ from repro.sim import (
     Simulator,
     batch_program_for,
 )
-from repro.sim.batch import CHUNK_STATEMENTS, BatchProgram
+from repro.sim import batch as batch_module
+from repro.sim.batch import CHUNK_STATEMENTS, HOT_STEPS, BatchProgram
 from repro.sim.coverage import CoverageCollector
 from repro.sim.simulator import SimulationError
 from repro.taint import TaintSources, glift_scheme, instrument
@@ -141,6 +144,23 @@ class TestMetamorphic:
         assert (BatchSimulator(circuit, lanes=2).program
                 is BatchSimulator(circuit, lanes=200).program)
 
+    def test_cell_added_after_build_is_simulated(self):
+        """Mutating a circuit drops its memoized program, so a monitor
+        added after a batch run is simulated like the scalar engine
+        simulates it."""
+        circuit = random_machine(2, width=3)
+        stale = batch_program_for(circuit)
+        src = circuit.outputs[0]
+        mon = Signal("mon", src.width, SignalKind.OUTPUT)
+        circuit.add_cell(Cell(CellOp.NOT, mon, (src,)))
+        assert batch_program_for(circuit) is not stale
+        frame = {n: 1 for n in _input_widths(circuit)}
+        bsim = BatchSimulator(circuit, lanes=2)
+        bsim.step(frame)
+        scalar = Simulator(circuit)
+        scalar.step(frame)
+        assert bsim.peek("mon", 0) == scalar.peek("mon")
+
     def test_per_lane_initial_states(self):
         circuit = build_mux_chain(True)
         inits = [{"m.secret": k, "m.pub1": 15 - k} for k in range(16)]
@@ -211,6 +231,7 @@ class TestCompiledProgram:
         like the scalar interpreter."""
         circuit = random_machine(5, width=12, max_regs=3, max_ops=30)
         program = batch_program_for(circuit)
+        program.tier_up()
         inputs = sum(sig.width for sig in circuit.inputs)
         statements = program.n_slots - program.n_reg_slots - inputs
         assert statements > 2 * CHUNK_STATEMENTS
@@ -222,11 +243,13 @@ class TestCompiledProgram:
             scalar = Simulator(circuit).run(stimuli[lane], record=names)
             for name in names:
                 assert batch.lane_trace(name, lane) == scalar.trace(name), name
+        assert program.compiled and program.interpreted_steps == 0
 
     def test_compile_peak_memory_on_instrumented_rocket(self):
-        """Compiling instrumented tiny Rocket (a ~5100-statement step
-        body) stays under 8 MB of peak allocation; one unchunked
-        ``compile()`` of that body alone peaks near 28 MB."""
+        """Building instrumented tiny Rocket's program and compiling its
+        ~5100-statement step body stays under 8 MB of peak allocation;
+        one unchunked ``compile()`` of that body alone peaks near
+        28 MB."""
         from repro.cegar.loop import instrument_task
         from repro.contracts import make_contract_task
         from repro.cores import CoreConfig, build_rocket
@@ -237,11 +260,125 @@ class TestCompiledProgram:
         tracemalloc.start()
         try:
             program = BatchProgram(design.circuit)
+            program.tier_up()
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert program.compiled
         assert program.n_slots > 5000
         assert peak < 8 * 2**20
+
+
+class TestTiers:
+    """A program is interpreted for :data:`HOT_STEPS` steps, then compiled."""
+
+    @staticmethod
+    def _count_compiles(monkeypatch):
+        calls = []
+
+        def counting_compile(*args, **kwargs):
+            calls.append(args[1])
+            return compile(*args, **kwargs)
+        monkeypatch.setattr(batch_module, "compile", counting_compile,
+                            raising=False)
+        return calls
+
+    def test_short_run_never_compiles(self, monkeypatch):
+        calls = self._count_compiles(monkeypatch)
+        circuit = random_machine(3, width=4, max_regs=3, max_ops=12)
+        frame = {n: 1 for n in _input_widths(circuit)}
+        first = BatchSimulator(circuit, lanes=4)
+        second = BatchSimulator(circuit, lanes=1)
+        for _ in range(HOT_STEPS // 2):
+            first.advance(frame)
+        second.run([frame] * (HOT_STEPS - HOT_STEPS // 2), record=[])
+        program = batch_program_for(circuit)
+        assert program.interpreted_steps == HOT_STEPS
+        assert not program.compiled
+        assert calls == []
+
+    def test_hot_program_compiles_exactly_once(self, monkeypatch):
+        calls = self._count_compiles(monkeypatch)
+        circuit = random_machine(5, width=12, max_regs=3, max_ops=30)
+        program = batch_program_for(circuit)
+        chunks = -(-len(program.ops) // CHUNK_STATEMENTS)
+        assert chunks > 1
+        frame = {n: 0 for n in _input_widths(circuit)}
+        sim = BatchSimulator(circuit, lanes=2)
+        for _ in range(HOT_STEPS + 1):
+            sim.advance(frame)
+        assert program.compiled
+        assert len(calls) == chunks
+        for _ in range(2 * HOT_STEPS):
+            sim.advance(frame)
+        BatchSimulator(circuit, lanes=3).advance(frame)
+        assert len(calls) == chunks
+        assert program.interpreted_steps == HOT_STEPS
+
+    @pytest.mark.parametrize("tier", ["interpreted", "compiled"])
+    def test_every_opcode_matches_scalar(self, tier):
+        """A circuit whose op program uses every opcode runs lane for
+        lane like the scalar interpreter on both tiers."""
+        b = ModuleBuilder("ops")
+        x = b.input("x", 3)
+        y = b.input("y", 3)
+        one = b.const(1, 1)
+        r = b.reg("r", 4, reset=9)
+        r.drive(b.cat(one, x ^ y))              # CONST1 d-plane, XOR2
+        z = b.reg("z", 2, reset=3)
+        z.drive(b.const(0, 2))                  # CONST0 d-plane
+        b.output("and", (x & y).redor())        # AND2, OR
+        b.output("or", (x | y).redand())        # OR2, AND
+        b.output("not", ~x)                     # NOT
+        b.output("xor", x.redxor())             # XOR
+        b.output("xnor", b.cat(one, x).redxor())        # XNOR
+        b.output("xnor2", b.cat(one, x[1:0]).redxor())  # XNOR2
+        b.output("regs", b.cat(r, z))
+        circuit = b.build()
+        program = batch_program_for(circuit)
+        assert {op[0] for op in program.ops} == set(range(11))
+        if tier == "compiled":
+            program.tier_up()
+        rng = random.Random(13)
+        stimuli = _lane_stimuli(circuit, rng, lanes=8, cycles=6)
+        names = list(circuit.signals)
+        batch = BatchSimulator(circuit, lanes=8).run(stimuli, record=names)
+        assert program.compiled == (tier == "compiled")
+        for lane in range(8):
+            scalar = Simulator(circuit).run(stimuli[lane], record=names)
+            for name in names:
+                assert batch.lane_trace(name, lane) == scalar.trace(name), name
+
+    def test_planes_identical_across_mid_run_switch(self, monkeypatch):
+        """Every plane after every step is the same whether the program
+        switches tiers mid-run, is compiled from the start, or is only
+        ever interpreted."""
+        circuit = random_machine(9, width=6, max_regs=4, max_ops=20)
+        rng = random.Random(9)
+        lanes, cycles = 8, HOT_STEPS + 16
+        widths = _input_widths(circuit)
+        frames = [[{n: rng.getrandbits(w) for n, w in widths.items()}
+                   for _ in range(lanes)] for _ in range(cycles)]
+
+        def plane_history(program):
+            circuit._batch_program = program
+            sim = BatchSimulator(circuit, lanes=lanes)
+            history = []
+            for lane_frames in frames:
+                sim.advance(lane_frames)
+                history.append(list(sim._planes))
+            return history
+
+        switching = BatchProgram(circuit)
+        mid_run = plane_history(switching)
+        assert switching.compiled
+        compiled = BatchProgram(circuit)
+        compiled.tier_up()
+        assert plane_history(compiled) == mid_run
+        monkeypatch.setattr(batch_module, "HOT_STEPS", 10 * cycles)
+        interpreted = BatchProgram(circuit)
+        assert plane_history(interpreted) == mid_run
+        assert not interpreted.compiled
 
 
 class TestTaintLanes:

@@ -2,7 +2,10 @@
 instrument_task, the per-candidate verification unit, scheme digests,
 seedless determinism, and result/statistics plumbing."""
 
+import os
 import random
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from repro.bench.fuzz import random_machine
 from repro.formal.counterexample import Counterexample
 from repro.hdl import ModuleBuilder
+from repro.obs import Tracer
 from repro.sim.simulator import Simulator
 from repro.taint import TaintSources, cellift_scheme, glift_scheme
 from repro.cegar import (
@@ -20,7 +24,11 @@ from repro.cegar import (
     scheme_digest,
     verify_candidate,
 )
+from repro.cegar import loop
 from repro.cegar.loop import instrument_task, simulate_for_counterexample
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
+from conftest import build_mux_chain  # noqa: E402
 
 
 def _leaky_task():
@@ -353,6 +361,36 @@ class TestLoopOutcomes:
                                                sim_depth=6, seed=0,
                                                exact_validation=False))
         assert result.status is CegarStatus.BOUND_REACHED
+
+    def test_fast_validation_replays_each_counterexample_once(self, monkeypatch):
+        """The fast false-taint oracle that judged a counterexample
+        spurious also serves its refinement: one two-lane replay per
+        counterexample, with both spans still recorded."""
+        built = []
+
+        class CountingOracle(loop.FastFalseTaintOracle):
+            def __init__(self, *args):
+                built.append(args[1])
+                super().__init__(*args)
+        monkeypatch.setattr(loop, "FastFalseTaintOracle", CountingOracle)
+        task = TaintVerificationTask(
+            name="fig2", circuit=build_mux_chain(False),
+            sources=TaintSources(registers={"m.secret": -1}),
+            sinks=("sink",),
+            symbolic_registers=frozenset(
+                {"m.secret", "m.pub1", "m.pub2", "m.pub3"}),
+        )
+        tracer = Tracer()
+        result = run_compass(task, CegarConfig(
+            mc_enabled=False, exact_validation=False, sim_trials=16,
+            sim_depth=6, seed=0, trace=tracer))
+        spans = Counter(e["name"] for e in tracer.snapshot_events()
+                        if e.get("type") == "span")
+        eliminated = result.stats.counterexamples_eliminated
+        assert eliminated >= 1
+        assert len(built) == eliminated
+        assert spans["cegar.validate-fast"] == eliminated
+        assert spans["cegar.oracle-build"] == eliminated
 
     def test_budget_exhaustion_reported(self):
         task = _leaky_task()
