@@ -70,14 +70,12 @@ class FastFalseTaintOracle:
         cex: Counterexample,
         secrets: SecretSpec,
     ) -> None:
-        from repro.formal.counterexample import replay_batch
-
         widths = {reg.q.name: reg.q.width for reg in circuit.registers}
         resets = {reg.q.name: reg.reset_value for reg in circuit.registers}
         flipped_cex = cex.with_initial_state(
             secrets.flip(cex.initial_state, widths, resets))
-        # Both replays share one bit-parallel pass (two lanes).
-        self.baseline, self.flipped = replay_batch(circuit, [cex, flipped_cex])
+        self.baseline = cex.replay(circuit)
+        self.flipped = flipped_cex.replay(circuit)
 
     def value_changed(self, signal_name: str, cycle: int) -> bool:
         return self.baseline.value(signal_name, cycle) != self.flipped.value(signal_name, cycle)

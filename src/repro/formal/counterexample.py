@@ -2,7 +2,7 @@
 
 A counterexample is stored as a *stimulus*: the initial register state
 plus per-cycle input values.  The full waveform is reconstructed by
-replaying the stimulus on the circuit with the reference simulator —
+replaying the stimulus on the circuit with :class:`Simulator` —
 mirroring the paper's flow, which simulates each counterexample over the
 netlist to obtain the waveform for backtracing.
 """
@@ -71,8 +71,7 @@ def replay_batch(
     with zero frames up to the longest and each returned waveform is
     truncated back to its own length, so every entry is bit-identical to
     ``cex.replay(circuit, record)``.  This is how the CEGAR machinery
-    certifies many candidate witnesses at once (refinement pruning,
-    false-taint filtering).
+    certifies many candidate witnesses at once (refinement pruning).
     """
     from repro.sim.batch import BatchSimulator
 

@@ -11,8 +11,9 @@ simulates K concurrent testbenches (GLIFT-style bitslicing, K up to the
 native integer width and beyond).
 
 The netlist is compiled **once** into a flat op program over a list of
-plane integers — the ``(opcode, out_slot, in_slot, ...)`` shape of
-:mod:`repro.formal.frameprog` applied to two-value simulation: wiring
+plane integers — ``(opcode, out_slot, a, b, 0)`` tuples of one fixed
+shape, as in the scalar :class:`~repro.sim.simulator.Simulator`'s word
+program, applied to two-value simulation of bit planes: wiring
 ops (``BUF``/``SLICE``/``CONCAT``/``ZEXT``/``SEXT``) become compile-time
 plane aliases that cost nothing at runtime, constants fold away, and
 arithmetic lowers to carry/borrow chains over planes.
@@ -47,11 +48,13 @@ from repro.sim.waveform import BatchWaveform, Waveform
 CONST0 = -1
 CONST1 = -2
 
-#: Op program opcodes.  Every op is ``(opcode, out_slot, in_slot, ...)``
-#: over the plane array ``p`` and the all-lanes mask ``M``; the two
-#: constant ops have no inputs.  AND, OR, XOR and XNOR are n-ary, with
-#: 2-input forms for the common case.  Within the lane mask, NOT is
-#: ``M ^ x`` and XNOR is ``M ^ (x ^ y ^ ...)``.
+#: Op program opcodes.  Every op is a tuple of one fixed shape,
+#: ``(opcode, out_slot, a, b, 0)``, over the plane array ``p`` and the
+#: all-lanes mask ``M``, so the interpreter unpacks it in its loop
+#: header.  The 2-input forms read slots ``a`` and ``b``, NOT reads
+#: ``a``, the two constant ops read nothing, and the n-ary AND, OR, XOR
+#: and XNOR read the tuple of slots in ``a``.  Within the lane mask, NOT
+#: is ``M ^ x`` and XNOR is ``M ^ (x ^ y ^ ...)``.
 OP_CONST0 = 0
 OP_CONST1 = 1
 OP_NOT = 2
@@ -63,6 +66,8 @@ OP_AND = 7
 OP_OR = 8
 OP_XOR = 9
 OP_XNOR = 10
+
+Op = Tuple[int, int, object, int, int]
 
 #: Steps a program is interpreted before it compiles to Python code.
 #: On CellIFT-instrumented tiny Rocket and Sodor (2-CPU x86-64 VM,
@@ -86,13 +91,13 @@ class _PlaneCompiler:
     """Compiles a circuit's cells into a bit-plane op program.
 
     ``desc_of[name]`` maps every signal to its LSB-first tuple of plane
-    descriptors.  ``ops`` lists the emitted ``(opcode, out_slot,
-    in_slot, ...)`` tuples in evaluation order.
+    descriptors.  ``ops`` lists the emitted ``(opcode, out_slot, a, b,
+    0)`` tuples in evaluation order.
     """
 
     def __init__(self) -> None:
         self.n_slots = 0
-        self.ops: List[Tuple[int, ...]] = []
+        self.ops: List[Op] = []
         self.desc_of: Dict[str, Tuple[int, ...]] = {}
         self._not_cache: Dict[int, int] = {}
 
@@ -104,7 +109,11 @@ class _PlaneCompiler:
 
     def emit(self, code: int, *ins: int) -> int:
         slot = self.alloc()
-        self.ops.append((code, slot) + ins)
+        if len(ins) > 2:  # the n-ary forms
+            self.ops.append((code, slot, ins, 0, 0))
+        else:
+            ins += (0, 0)
+            self.ops.append((code, slot, ins[0], ins[1], 0))
         return slot
 
     # -- descriptor-level boolean algebra ------------------------------
@@ -426,41 +435,36 @@ class BatchProgram:
         return run_chunks
 
 
-def _run_ops(ops: Sequence[Tuple[int, ...]], p: List[int], M: int) -> None:
+def _run_ops(ops: Sequence[Op], p: List[int], M: int) -> None:
     """Interpret an op program over the plane list ``p``."""
-    for op in ops:
-        code = op[0]
+    for code, out, a, b, _ in ops:
         if code == OP_AND2:
-            _, out, a, b = op
             p[out] = p[a] & p[b]
         elif code == OP_OR2:
-            _, out, a, b = op
             p[out] = p[a] | p[b]
         elif code == OP_NOT:
-            p[op[1]] = M ^ p[op[2]]
+            p[out] = M ^ p[a]
         elif code == OP_XOR2:
-            _, out, a, b = op
             p[out] = p[a] ^ p[b]
         elif code == OP_XNOR2:
-            _, out, a, b = op
             p[out] = M ^ p[a] ^ p[b]
         elif code == OP_AND:
             acc = M
-            for slot in op[2:]:
+            for slot in a:
                 acc &= p[slot]
-            p[op[1]] = acc
+            p[out] = acc
         elif code == OP_OR:
             acc = 0
-            for slot in op[2:]:
+            for slot in a:
                 acc |= p[slot]
-            p[op[1]] = acc
+            p[out] = acc
         elif code == OP_XOR or code == OP_XNOR:
             acc = M if code == OP_XNOR else 0
-            for slot in op[2:]:
+            for slot in a:
                 acc ^= p[slot]
-            p[op[1]] = acc
+            p[out] = acc
         else:
-            p[op[1]] = M if code == OP_CONST1 else 0
+            p[out] = M if code == OP_CONST1 else 0
 
 
 _INFIX = {
@@ -471,20 +475,21 @@ _INFIX = {
 }
 
 
-def _op_source(op: Tuple[int, ...]) -> str:
+def _op_source(op: Op) -> str:
     """One op as a statement of the compiled step body."""
-    code = op[0]
+    code, out, a, b, _ = op
     if code == OP_CONST0:
         expr = "0"
     elif code == OP_CONST1:
         expr = "M"
     elif code == OP_NOT:
-        expr = f"M ^ p[{op[2]}]"
+        expr = f"M ^ p[{a}]"
     else:
-        expr = _INFIX[code].join(f"p[{slot}]" for slot in op[2:])
+        slots = a if code >= OP_AND else (a, b)  # OP_AND and up are n-ary
+        expr = _INFIX[code].join(f"p[{slot}]" for slot in slots)
         if code == OP_XNOR2 or code == OP_XNOR:
             expr = f"M ^ ({expr})"
-    return f"    p[{op[1]}] = {expr}"
+    return f"    p[{out}] = {expr}"
 
 
 def batch_program_for(circuit: Circuit) -> BatchProgram:

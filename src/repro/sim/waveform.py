@@ -22,6 +22,29 @@ class Waveform:
         self._trace: Dict[str, List[int]] = {name: [] for name in signal_names}
         self._length = 0
 
+    @classmethod
+    def from_frames(
+        cls,
+        signal_names: Sequence[str],
+        slots: Sequence[int],
+        frames: Sequence[Sequence[int]],
+    ) -> "Waveform":
+        """A waveform of ``len(frames)`` cycles, built in one pass.
+
+        ``frames[t]`` holds every value of cycle ``t`` by slot, and
+        ``signal_names[i]`` is read from slot ``slots[i]``.  With no
+        frames there are no slots to read, and the signals get empty
+        traces.
+        """
+        if not frames:
+            return cls(signal_names)
+        waveform = cls(())
+        columns = list(zip(*frames))
+        waveform._trace = {name: list(columns[slot])
+                           for name, slot in zip(signal_names, slots)}
+        waveform._length = len(frames)
+        return waveform
+
     @property
     def length(self) -> int:
         """Number of recorded cycles."""
