@@ -13,8 +13,7 @@ import time
 import pytest
 
 from repro.bench.workloads import WORKLOADS
-from repro.sim import BatchSimulator, batch_program_for
-from repro.sim.batch import HOT_STEPS
+from repro.sim import Simulator
 from repro.taint import TaintSources, cellift_scheme, instrument
 
 from _common import emit, refined_scheme_by_testing, simulation_core
@@ -22,21 +21,14 @@ from _common import emit, refined_scheme_by_testing, simulation_core
 CORES = ("Sodor", "Rocket", "BOOM-S")
 
 
-def _warm(circuit):
-    """Step the circuit's program past ``HOT_STEPS``, onto the compiled tier."""
-    if not batch_program_for(circuit).compiled:
-        BatchSimulator(circuit, lanes=1).run([{}] * (HOT_STEPS + 1), record=[])
-
-
-def _run(circuit, initial_state, max_cycles=20000):
-    # One lane: the timed loop is the simulation, not the plane-program
-    # build or its compile (memoized per circuit, paid by the warm-up).
-    _warm(circuit)
-    sim = BatchSimulator(circuit, lanes=1, initial_states=initial_state)
+def _run(sim, initial_state, max_cycles=20000):
+    # The timed loop is the simulation, not the translation of the
+    # circuit into its op program (paid once, when ``sim`` was built).
+    sim.reset(initial_state)
     started = time.monotonic()
     for _ in range(max_cycles):
-        sim.advance({})
-        if sim.peek("core.halted", 0):
+        sim.step({})
+        if sim.peek("core.halted"):
             break
     return time.monotonic() - started
 
@@ -49,13 +41,15 @@ def _figure6_rows(core_name):
         "CellIFT": instrument(core.circuit, cellift_scheme(), sources),
         "Compass": instrument(core.circuit, compass_scheme.copy(), sources),
     }
+    duv = Simulator(core.circuit)
+    sims = {label: Simulator(design.circuit) for label, design in designs.items()}
     ratios = {label: [] for label in designs}
     for workload in WORKLOADS.values():
         data = workload.make_data(random.Random(0), core.config)
         init = core.initial_state_for(workload.program, data)
-        base = min(_run(core.circuit, init) for _ in range(2))
-        for label, design in designs.items():
-            inst = min(_run(design.circuit, init) for _ in range(2))
+        base = min(_run(duv, init) for _ in range(2))
+        for label, sim in sims.items():
+            inst = min(_run(sim, init) for _ in range(2))
             ratios[label].append(inst / base)
     return ratios
 

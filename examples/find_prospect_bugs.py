@@ -11,65 +11,38 @@ secret provably changes an attacker-visible signal).  The fixed core
 Run:  python examples/find_prospect_bugs.py        (~1 minute)
 """
 
-import time
-
-from repro.bench.gadgets import NESTED_BRANCH_GADGET, SPECTRE_GADGET
+from repro.bench.gadgets import NESTED_BRANCH_GADGET, SPECTRE_GADGET, check_gadget
 from repro.cores import CoreConfig, build_prospect
-from repro.contracts import make_contract_task
-from repro.cegar.falsetaint import exact_false_taint_check
-from repro.cegar.loop import instrument_task
-from repro.formal import BmcStatus, SafetyProperty, bounded_model_check
-from repro.taint import cellift_scheme
 
 CFG = CoreConfig.formal()
 
 
-def check_gadget(core, program, label, max_bound=10):
+def report_gadget(core, program, label, max_bound=10):
     """Directed formal check: pin the program, search for tainted sinks."""
-    task = make_contract_task(core)
-    scheme = cellift_scheme()
-    for module in core.precise_modules:
-        scheme.module_defaults[module] = scheme.default
-    design, prop = instrument_task(task, scheme)
-    pinned = core.initial_state_for(program)
-    free = frozenset(set(task.symbolic_registers) - set(core.imem_words))
-    directed = SafetyProperty(prop.name, prop.bad, prop.assumptions,
-                              prop.init_assumptions, free)
-    started = time.monotonic()
-    result = bounded_model_check(design.circuit, directed, max_bound=max_bound,
-                                 time_limit=180, initial_values=pinned)
-    elapsed = time.monotonic() - started
-    if result.status is not BmcStatus.COUNTEREXAMPLE:
-        print(f"  {label}: no violation up to {result.bound} cycles "
-              f"({elapsed:.1f}s) -> SECURE on this gadget")
+    check = check_gadget(core, program, max_bound, time_limit=180)
+    if check.counterexample is None:
+        print(f"  {label}: no violation up to {check.bound} cycles "
+              f"({check.elapsed:.1f}s) -> SECURE on this gadget")
         return
-    cex = result.counterexample.with_initial_state(pinned)
-    taint_wf = cex.replay(design.circuit)
-    sink = next(s for s in core.sinks
-                if taint_wf.value(design.taint_name[s], taint_wf.length - 1))
-    real = not exact_false_taint_check(
-        core.circuit, cex, task.secret_registers(), sink,
-        init_assumption_outputs=core.init_assumption_outputs,
-    )
-    verdict = "REAL LEAK" if real else "spurious taint"
-    print(f"  {label}: taint on {sink} at cycle {cex.length - 1} "
-          f"({elapsed:.1f}s) -> {verdict}")
+    verdict = "REAL LEAK" if check.real else "spurious taint"
+    print(f"  {label}: taint on {check.sink} at cycle {check.bound} "
+          f"({check.elapsed:.1f}s) -> {verdict}")
 
 
 def main() -> None:
     print("Bug 1: issue gate consults the wrong source register's secret bit")
     print(" buggy core (bug 1 enabled), Spectre gadget:")
-    check_gadget(build_prospect(CFG, bug1=True, bug2=False), SPECTRE_GADGET, "ProSpeCT+bug1")
+    report_gadget(build_prospect(CFG, bug1=True, bug2=False), SPECTRE_GADGET, "ProSpeCT+bug1")
     print(" fixed core (ProSpeCT-S), same gadget:")
-    check_gadget(build_prospect(CFG, secure=True), SPECTRE_GADGET, "ProSpeCT-S")
+    report_gadget(build_prospect(CFG, secure=True), SPECTRE_GADGET, "ProSpeCT-S")
 
     print("\nBug 2: transient flags cleared when *any* branch resolves")
     print(" buggy core (bug 2 enabled), nested-branch gadget:")
-    check_gadget(build_prospect(CFG, bug1=False, bug2=True), NESTED_BRANCH_GADGET,
-                 "ProSpeCT+bug2", max_bound=14)
+    report_gadget(build_prospect(CFG, bug1=False, bug2=True), NESTED_BRANCH_GADGET,
+                  "ProSpeCT+bug2", max_bound=14)
     print(" fixed core (ProSpeCT-S), same gadget:")
-    check_gadget(build_prospect(CFG, secure=True), NESTED_BRANCH_GADGET,
-                 "ProSpeCT-S", max_bound=14)
+    report_gadget(build_prospect(CFG, secure=True), NESTED_BRANCH_GADGET,
+                  "ProSpeCT-S", max_bound=14)
 
 
 if __name__ == "__main__":

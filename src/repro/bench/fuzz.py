@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence
 
 from repro.hdl.circuit import Circuit
 from repro.sim import Simulator
@@ -107,14 +107,33 @@ def check_soundness_once(
     base_state: Optional[Mapping[str, int]] = None,
 ) -> List[SoundnessViolation]:
     """Compare one secret pair under one stimulus; returns violations."""
+    return _soundness_violations(
+        design, Simulator(design.uninstrumented), Simulator(design.circuit),
+        secrets_a, secrets_b, stimulus, base_state)
+
+
+def _soundness_violations(
+    design: InstrumentedDesign,
+    plain: Simulator,
+    tainted: Simulator,
+    secrets_a: Mapping[str, int],
+    secrets_b: Mapping[str, int],
+    stimulus: Sequence[Mapping[str, int]],
+    base_state: Optional[Mapping[str, int]],
+) -> List[SoundnessViolation]:
+    """:func:`check_soundness_once` on simulators of the original and the
+    instrumented design, which it resets."""
     circuit = design.uninstrumented
     init_a = dict(base_state or {})
     init_b = dict(base_state or {})
     init_a.update(secrets_a)
     init_b.update(secrets_b)
-    wf_a = Simulator(circuit, initial_state=init_a).run(stimulus)
-    wf_b = Simulator(circuit, initial_state=init_b).run(stimulus)
-    wf_t = Simulator(design.circuit, initial_state=init_a).run(stimulus)
+    plain.reset(init_a)
+    wf_a = plain.run(stimulus)
+    plain.reset(init_b)
+    wf_b = plain.run(stimulus)
+    tainted.reset(init_a)
+    wf_t = tainted.run(stimulus)
     violations: List[SoundnessViolation] = []
     for name in circuit.signals:
         taint_name = design.taint_name.get(name)
@@ -127,74 +146,20 @@ def check_soundness_once(
     return violations
 
 
-def check_soundness_batch(
-    design: InstrumentedDesign,
-    trials: Sequence[Tuple[Mapping[str, int], Mapping[str, int], Sequence[Mapping[str, int]]]],
-    base_state: Optional[Mapping[str, int]] = None,
-) -> List[SoundnessViolation]:
-    """Check many ``(secrets_a, secrets_b, stimulus)`` trials in one pass.
-
-    Bit-parallel: all secret-A and secret-B runs of the original circuit
-    share one :class:`~repro.sim.batch.BatchSimulator` pass (2·N lanes),
-    and all instrumented replays share another (N lanes).  Stimuli must
-    be equal-length across trials (as :func:`fuzz_soundness` generates
-    them).  Returns the violations of the *first* failing trial, in the
-    same (signal, cycle) order :func:`check_soundness_once` reports —
-    the scalar loop stops at the first failing trial too.
-    """
-    from repro.sim.batch import BatchSimulator
-
-    if not trials:
-        return []
-    circuit = design.uninstrumented
-    count = len(trials)
-
-    def merged(secrets: Mapping[str, int]) -> Dict[str, int]:
-        init = dict(base_state or {})
-        init.update(secrets)
-        return init
-
-    plain_inits = [merged(a) for a, _, _ in trials] + [merged(b) for _, b, _ in trials]
-    stimuli = [list(stim) for _, _, stim in trials]
-    wf = BatchSimulator(circuit, lanes=2 * count,
-                        initial_states=plain_inits).run(stimuli * 2)
-    taint_names = [t for t in design.taint_name.values()
-                   if t in design.circuit.signals]
-    wf_t = BatchSimulator(design.circuit, lanes=count,
-                          initial_states=[merged(a) for a, _, _ in trials]
-                          ).run(stimuli, record=taint_names)
-    for trial in range(count):
-        violations: List[SoundnessViolation] = []
-        for name in circuit.signals:
-            taint_name = design.taint_name.get(name)
-            if taint_name is None or not wf_t.has_signal(taint_name):
-                continue
-            for cycle in range(len(stimuli[trial])):
-                va = wf.value(name, cycle, trial)
-                vb = wf.value(name, cycle, count + trial)
-                if va != vb and wf_t.value(taint_name, cycle, trial) == 0:
-                    violations.append(SoundnessViolation(name, cycle, va, vb))
-        if violations:
-            return violations  # one failing trial is enough
-    return []
-
-
 def fuzz_soundness(
     design: InstrumentedDesign,
     trials: int = 25,
     cycles: int = 6,
     seed: int = 0,
     base_state: Optional[Mapping[str, int]] = None,
-    batch: bool = True,
 ) -> FuzzReport:
     """Random differential soundness fuzzing of an instrumented design.
 
     Secrets are the design's taint sources (``design.sources``); inputs
-    and secret values are sampled uniformly per trial.  With ``batch``
-    (the default) every trial runs as one lane of a bit-parallel
-    :class:`~repro.sim.batch.BatchSimulator` pass — same RNG draws,
-    same report, ~trials-times fewer simulator passes; ``batch=False``
-    keeps the scalar reference loop for differential testing.
+    and secret values are sampled uniformly per trial.  Every trial
+    runs on the same two simulators, one of the original design and
+    one of the instrumented design, reset per run; the first failing
+    trial ends the search.
     """
     rng = random.Random(seed)
     circuit = design.uninstrumented
@@ -202,18 +167,7 @@ def fuzz_soundness(
     reg_widths = {reg.q.name: reg.q.width for reg in circuit.registers}
     secret_names = [n for n in design.sources.registers if n in reg_widths]
     input_sigs = list(circuit.inputs)
-    if batch:
-        drawn = []
-        for _ in range(trials):
-            secrets_a = {n: rng.getrandbits(reg_widths[n]) for n in secret_names}
-            secrets_b = {n: rng.getrandbits(reg_widths[n]) for n in secret_names}
-            stimulus = [
-                {sig.name: rng.getrandbits(sig.width) for sig in input_sigs}
-                for _ in range(cycles)
-            ]
-            drawn.append((secrets_a, secrets_b, stimulus))
-        report.violations.extend(check_soundness_batch(design, drawn, base_state))
-        return report
+    plain, tainted = Simulator(circuit), Simulator(design.circuit)
     for _ in range(trials):
         secrets_a = {n: rng.getrandbits(reg_widths[n]) for n in secret_names}
         secrets_b = {n: rng.getrandbits(reg_widths[n]) for n in secret_names}
@@ -221,9 +175,8 @@ def fuzz_soundness(
             {sig.name: rng.getrandbits(sig.width) for sig in input_sigs}
             for _ in range(cycles)
         ]
-        report.violations.extend(
-            check_soundness_once(design, secrets_a, secrets_b, stimulus, base_state)
-        )
+        report.violations.extend(_soundness_violations(
+            design, plain, tainted, secrets_a, secrets_b, stimulus, base_state))
         if report.violations:
             break  # one counterexample is enough to fail a check
     return report

@@ -8,7 +8,14 @@ secret is ever architecturally read — which is exactly what makes the
 transient leak a contract violation.
 """
 
+import time
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional
+
 from repro.cores.isa import assemble
+
+if TYPE_CHECKING:
+    from repro.formal.counterexample import Counterexample
 
 #: Spectre-style gadget: a transient load reads the secret, a dependent
 #: transient load turns its value into a data-memory *address* (visible
@@ -47,3 +54,65 @@ NESTED_BRANCH_GADGET = assemble("""
 skip:
     halt
 """)
+
+
+@dataclass
+class GadgetCheck:
+    """Outcome of :func:`check_gadget`."""
+
+    #: The deepest cycle proven free of sink taint, or the cycle the
+    #: counterexample reaches.
+    bound: int
+    #: Wall time of the directed model check, in seconds.
+    elapsed: float
+    #: The violating trace, with the program pinned in its initial
+    #: state; None when the core is secure on the gadget up to ``bound``.
+    counterexample: Optional["Counterexample"] = None
+    #: The sink tainted in the counterexample's last cycle.
+    sink: str = ""
+    #: The exact two-copy check found the secret really reaches ``sink``.
+    real: bool = False
+
+
+def check_gadget(core, program: List[int], max_bound: int,
+                 time_limit: Optional[float] = None) -> GadgetCheck:
+    """Directed formal check of one gadget (paper Appendix C).
+
+    ``program`` is pinned into the instruction memory of ``core``,
+    instrumented with precise taint (CellIFT, the core's precise
+    modules included), and bounded model checking searches for a cycle
+    in which an observation sink is tainted.  A counterexample is
+    replayed on the instrumented design to find that sink, and the exact
+    two-copy check then tells a real leak from spurious taint.
+    """
+    from repro.cegar.falsetaint import exact_false_taint_check
+    from repro.cegar.loop import instrument_task
+    from repro.contracts import make_contract_task
+    from repro.formal import BmcStatus, SafetyProperty, bounded_model_check
+    from repro.taint import cellift_scheme
+
+    task = make_contract_task(core)
+    scheme = cellift_scheme()
+    for module in core.precise_modules:
+        scheme.module_defaults[module] = scheme.default
+    design, prop = instrument_task(task, scheme)
+    pinned = core.initial_state_for(program)
+    free = frozenset(set(task.symbolic_registers) - set(core.imem_words))
+    directed = SafetyProperty(prop.name, prop.bad, prop.assumptions,
+                              prop.init_assumptions, free)
+    started = time.monotonic()
+    result = bounded_model_check(design.circuit, directed, max_bound=max_bound,
+                                 time_limit=time_limit, initial_values=pinned)
+    elapsed = time.monotonic() - started
+    if result.status is not BmcStatus.COUNTEREXAMPLE:
+        return GadgetCheck(result.bound, elapsed)
+    cex = result.counterexample.with_initial_state(pinned)
+    taint_wf = cex.replay(design.circuit)
+    last = taint_wf.length - 1
+    sink = next(s for s in core.sinks
+                if taint_wf.value(design.taint_name[s], last))
+    real = not exact_false_taint_check(
+        core.circuit, cex, task.secret_registers(), sink,
+        init_assumption_outputs=core.init_assumption_outputs,
+    )
+    return GadgetCheck(last, elapsed, cex, sink, real)

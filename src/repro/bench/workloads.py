@@ -28,10 +28,11 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List
 
 from repro.cores.common import CoreConfig
 from repro.cores.isa import IsaInterpreter, assemble
+from repro.sim.simulator import Simulator
 
 
 @dataclass(frozen=True)
@@ -219,58 +220,34 @@ def workload_names() -> List[str]:
     return list(WORKLOADS)
 
 
-def run_workload_batch(core, workload: Workload, seeds: Sequence[int],
-                       circuit=None, max_cycles: int = 20000,
-                       self_check: bool = True, tracer=None):
-    """Execute one workload for many data seeds in a single bit-parallel
-    pass — the Figure-6 overhead sweep's K-hungry inner loop.
+def run_workload(sim: Simulator, core, workload: Workload, seed: int,
+                 max_cycles: int = 20000, self_check: bool = True) -> int:
+    """Execute one workload for one data seed: the Figure-6 overhead
+    sweep's inner loop.  Returns the cycle count at which it halted.
 
-    Each seed becomes one lane of a :class:`~repro.sim.batch.BatchSimulator`
-    (same program, per-seed data memory).  Lanes run until every lane's
-    ``core.halted`` fires; a lane's data memory is snapshotted at its own
-    halt cycle and (by default) checked against the architectural
-    interpreter.  One seed is one lane: this is also the single-run path.
-
-    ``circuit`` overrides the simulated netlist (e.g. a taint-
-    instrumented variant of ``core.circuit`` sharing its signal names).
-    Returns ``(cycles_per_lane, simulator)``.
+    ``sim`` simulates ``core.circuit`` or a taint-instrumented variant
+    sharing its signal names.  It is reset to the program and the seed's
+    data memory first, so a sweep over seeds builds it once.  It runs
+    until ``core.halted`` fires and keeps that state for the caller to
+    read; the data memory is (by default) checked against the
+    architectural interpreter.
     """
-    from repro.sim import BatchSimulator
-
     cfg = core.config
-    lanes = len(seeds)
-    datas = [workload.make_data(random.Random(seed), cfg) for seed in seeds]
-    expected = [workload.expected_memory(data, cfg) for data in datas]
-    inits = [core.initial_state_for(workload.program, data) for data in datas]
-    sim = BatchSimulator(circuit if circuit is not None else core.circuit,
-                         lanes=lanes, initial_states=inits, tracer=tracer)
-    halted = 0
-    memories: Dict[int, List[int]] = {}
-    cycles: Dict[int, int] = {}
-    depth = len(expected[0]) if expected else 0
-    for t in range(1, max_cycles + 1):
-        sim.advance({})
-        newly = sim.peek_planes("core.halted")[0] & ~halted
-        if newly:
-            for lane in range(lanes):
-                if (newly >> lane) & 1:
-                    cycles[lane] = t
-                    memories[lane] = [sim.peek(core.dmem_words[a], lane)
-                                     for a in range(depth)]
-            halted |= newly
-            if halted == sim.lane_mask:
-                break
-    stuck = [seeds[k] for k in range(lanes) if k not in cycles]
-    if stuck:
+    data = workload.make_data(random.Random(seed), cfg)
+    sim.reset(core.initial_state_for(workload.program, data))
+    for cycles in range(1, max_cycles + 1):
+        sim.step({})
+        if sim.peek(core.halted):
+            break
+    else:
         raise RuntimeError(
-            f"{workload.name} on {core.name}: seeds {stuck} did not halt "
+            f"{workload.name} on {core.name}: seed {seed} did not halt "
             f"in {max_cycles} cycles")
     if self_check:
-        for lane in range(lanes):
-            for address, value in enumerate(expected[lane]):
-                got = memories[lane][address]
-                if got != value:
-                    raise AssertionError(
-                        f"{workload.name} on {core.name} (seed {seeds[lane]}): "
-                        f"mem[{address}] = {got}, expected {value}")
-    return [cycles[k] for k in range(lanes)], sim
+        for address, value in enumerate(workload.expected_memory(data, cfg)):
+            got = sim.peek(core.dmem_words[address])
+            if got != value:
+                raise AssertionError(
+                    f"{workload.name} on {core.name} (seed {seed}): "
+                    f"mem[{address}] = {got}, expected {value}")
+    return cycles

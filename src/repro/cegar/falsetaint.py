@@ -18,14 +18,14 @@ Two tests, one cheap and one exact:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Set
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.hdl.circuit import Circuit
 from repro.formal.bmc import BmcStatus, bounded_model_check
 from repro.formal.counterexample import Counterexample
 from repro.formal.product import self_composition
 from repro.formal.properties import SafetyProperty
-from repro.sim.waveform import Waveform
+from repro.sim.simulator import Simulator
 
 
 @dataclass
@@ -74,8 +74,9 @@ class FastFalseTaintOracle:
         resets = {reg.q.name: reg.reset_value for reg in circuit.registers}
         flipped_cex = cex.with_initial_state(
             secrets.flip(cex.initial_state, widths, resets))
-        self.baseline = cex.replay(circuit)
-        self.flipped = flipped_cex.replay(circuit)
+        sim = Simulator(circuit)
+        self.baseline = cex.replay_on(sim)
+        self.flipped = flipped_cex.replay_on(sim)
 
     def value_changed(self, signal_name: str, cycle: int) -> bool:
         return self.baseline.value(signal_name, cycle) != self.flipped.value(signal_name, cycle)
@@ -137,35 +138,10 @@ class ExactValidator:
                     n[len(self.product.prefix2) + 1:] for n in self.init_assumptions
                 ],
             )
-        initial_values, symbolic = self._initial_state(cex)
-        prop = SafetyProperty(
-            name=f"false-taint:{signal_name}",
-            bad=bad,
-            init_assumptions=self.init_assumptions,
-            symbolic_registers=frozenset(symbolic),
-        )
-        result = bounded_model_check(
-            self.lowered, prop,
-            max_bound=cex.length - 1,
-            time_limit=time_limit,
-            initial_values=initial_values,
-            input_constraints=[dict(frame) for frame in cex.inputs],
-        )
-        if result.status is BmcStatus.COUNTEREXAMPLE:
-            return False
-        return result.status is BmcStatus.BOUND_REACHED
-
-    def _initial_state(self, cex: Counterexample):
-        initial_values: Dict[str, int] = {}
-        symbolic: Set[str] = set()
-        for reg in self.circuit.registers:
-            value = cex.initial_state.get(reg.q.name, reg.reset_value)
-            initial_values[self.product.c1(reg.q.name)] = value
-            if reg.q.name in self.secret_registers:
-                symbolic.add(self.product.c2(reg.q.name))
-            else:
-                initial_values[self.product.c2(reg.q.name)] = value
-        return initial_values, symbolic
+        return _false_taint_query(
+            self.lowered, self.circuit, self.product, cex,
+            self.secret_registers, signal_name, bad, self.init_assumptions,
+            time_limit)
 
 
 def exact_false_taint_check(
@@ -186,40 +162,61 @@ def exact_false_taint_check(
     concrete, only copy 2's secret state is symbolic, and the check is
     bounded by the counterexample length.
     """
-    secret_set = set(secret_registers)
     shared = {sig.name for sig in circuit.inputs}
     product = self_composition(circuit, shared_inputs=shared)
     bad = product.differs(signal_name)
     product.circuit.validate()
+    # Structural invariants of the design (e.g. "shadow ISA memory equals
+    # DUV memory at reset") must also hold inside the symbolic copy.
+    init_assumptions = tuple(product.c2(name) for name in init_assumption_outputs)
+    # The unlowered product: BMC lowers only the cone of this signal's
+    # difference monitor.
+    return _false_taint_query(
+        product.circuit, circuit, product, cex, set(secret_registers),
+        signal_name, bad, init_assumptions, time_limit)
 
+
+def _false_taint_query(
+    model,
+    circuit: Circuit,
+    product,
+    cex: Counterexample,
+    secret_registers: Set[str],
+    signal_name: str,
+    bad: str,
+    init_assumptions: Tuple[str, ...],
+    time_limit: Optional[float],
+) -> bool:
+    """Model-check one ``false-taint:<signal>`` query on the product.
+
+    Copy 1 starts from the counterexample's state and copy 2 from the
+    same state except that its secret registers are symbolic; both see
+    the counterexample's inputs.  ``model`` is ``product.circuit`` or a
+    lowering of it, and ``bad`` the monitor of the two copies' values of
+    ``signal_name`` differing.  True (falsely tainted) when no secret
+    valuation makes the copies differ for the length of the trace.
+    """
     initial_values: Dict[str, int] = {}
     symbolic: Set[str] = set()
     for reg in circuit.registers:
         value = cex.initial_state.get(reg.q.name, reg.reset_value)
         initial_values[product.c1(reg.q.name)] = value
-        if reg.q.name in secret_set:
+        if reg.q.name in secret_registers:
             symbolic.add(product.c2(reg.q.name))
         else:
             initial_values[product.c2(reg.q.name)] = value
-
-    # Structural invariants of the design (e.g. "shadow ISA memory equals
-    # DUV memory at reset") must also hold inside the symbolic copy.
-    init_assumptions = tuple(product.c2(name) for name in init_assumption_outputs)
     prop = SafetyProperty(
         name=f"false-taint:{signal_name}",
         bad=bad,
         init_assumptions=init_assumptions,
         symbolic_registers=frozenset(symbolic),
     )
-    input_frames = [dict(frame) for frame in cex.inputs]
     result = bounded_model_check(
-        product.circuit,
+        model,
         prop,
         max_bound=cex.length - 1,
         time_limit=time_limit,
         initial_values=initial_values,
-        input_constraints=input_frames,
+        input_constraints=[dict(frame) for frame in cex.inputs],
     )
-    if result.status is BmcStatus.COUNTEREXAMPLE:
-        return False
     return result.status is BmcStatus.BOUND_REACHED

@@ -25,7 +25,6 @@ import json
 import random
 import time
 import warnings
-from array import array
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -36,6 +35,7 @@ from repro.formal.counterexample import Counterexample
 from repro.formal.portfolio import ENGINE_NAMES
 from repro.formal.properties import SafetyProperty
 from repro.obs import NullTracer, Tracer
+from repro.sim.simulator import Simulator
 from repro.taint.instrument import InstrumentedDesign, TaintSources, instrument
 from repro.taint.space import TaintScheme, blackbox_scheme
 from repro.cegar.backtrace import find_refinement_location
@@ -410,24 +410,20 @@ def simulate_for_counterexample(
     init assumptions hold); otherwise symbolic registers and inputs are
     sampled uniformly and trials violating init assumptions are skipped.
 
-    Trials are judged in order: a strictly shorter violation replaces
-    the best so far, and the search stops drawing once the best is at
-    most 3 cycles long.  All trials are drawn up front and simulated as
-    the lanes of one :class:`~repro.sim.batch.BatchSimulator`; the RNG
-    is then rewound to just after the last trial that one-at-a-time
-    search would have drawn, so the result and the RNG state equal it.
+    Trials are drawn and simulated one at a time, on one simulator
+    reset per trial.  A trial runs only while it could still give a
+    strictly shorter violation than the best so far, and the search
+    stops drawing once the best is at most 3 cycles long.
     """
     circuit = design.circuit
     input_names = [sig.name for sig in circuit.inputs]
     reg_widths = {reg.q.name: reg.q.width for reg in circuit.registers}
     symbolic = [name for name in sorted(task.symbolic_registers) if name in reg_widths]
-
-    draws: List[Tuple[Dict[str, int], List[Dict[str, int]]]] = []
-    # The RNG state after each trial's draw, packed: a ``getstate()``
-    # tuple boxes 625 ints (~24 KB); 48 of them would outweigh the
-    # whole prefilter's other allocations.
-    state_after: List[Tuple[array, object]] = []
+    sim = Simulator(circuit)
+    best: Optional[Counterexample] = None
     for _ in range(trials):
+        if best is not None and best.length <= 3:
+            break  # shallow enough; deeper search will not beat it much
         if task.stimulus_sampler is not None:
             init, frames = task.stimulus_sampler(rng, depth)
             frames = [
@@ -442,87 +438,37 @@ def simulate_for_counterexample(
                  for name in input_names}
                 for _ in range(depth)
             ]
-        draws.append((init, frames))
-        version, internal, gauss_next = rng.getstate()
-        state_after.append((array("I", internal), gauss_next))
-    if not draws:
-        return None
-
-    lengths = _violation_lengths(circuit, prop, draws)
-    best: Optional[int] = None
-    used = 0
-    for trial, length in enumerate(lengths):
-        if best is not None and lengths[best] <= 3:
-            break  # shallow enough; deeper search will not beat it much
-        used += 1
-        if length is not None and (best is None or length < lengths[best]):
-            best = trial
-    internal, gauss_next = state_after[used - 1]
-    rng.setstate((version, tuple(internal), gauss_next))
-    if best is None:
-        return None
-    init, frames = draws[best]
-    return Counterexample(
-        length=lengths[best],
-        inputs=[dict(f) for f in frames[:lengths[best]]],
-        initial_state=dict(init),
-        bad_signal=prop.bad,
-    )
+        horizon = len(frames) if best is None else min(len(frames), best.length - 1)
+        sim.reset(init)
+        length = _violation_length(sim, prop, frames[:horizon])
+        if length is not None:
+            best = Counterexample(
+                length=length,
+                inputs=[dict(f) for f in frames[:length]],
+                initial_state=dict(init),
+                bad_signal=prop.bad,
+            )
+    return best
 
 
-def _violation_lengths(
-    circuit: Circuit,
-    prop: SafetyProperty,
-    draws: Sequence[Tuple[Dict[str, int], List[Dict[str, int]]]],
-) -> List[Optional[int]]:
-    """Per trial, the first cycle count at which ``bad`` fires, or None.
+def _violation_length(
+    sim: Simulator, prop: SafetyProperty, frames: Sequence[Dict[str, int]]
+) -> Optional[int]:
+    """The cycle count at which ``bad`` first fires on ``frames``, or None.
 
-    A trial stops at its first cycle violating an assumption (the init
-    assumptions count in cycle 0 only) and at the end of its stimulus.
-    Each trial is one lane; a lane that has stopped gets all-zero
-    frames.  Once some trial fires, later trials are dropped: whatever
-    they would still fire is longer, so in-order selection never picks
-    them.
+    The run stops at its first cycle violating an assumption; the init
+    assumptions count in cycle 0 only.
     """
-    from repro.sim.batch import BatchSimulator
-
-    lengths: List[Optional[int]] = [None] * len(draws)
-    live = sum(1 << lane for lane, (_init, frames) in enumerate(draws) if frames)
-    if not live:
-        return lengths
-    sim = BatchSimulator(circuit, lanes=len(draws),
-                         initial_states=[init for init, _ in draws])
-    idle = {sig.name: 0 for sig in circuit.inputs}
-    t = 0
-    while live:
-        sim.advance([frames[t] if (live >> lane) & 1 else idle
-                     for lane, (_init, frames) in enumerate(draws)])
-        ok = live
-        if t == 0:
-            for name in prop.init_assumptions:
-                ok &= _nonzero_lanes(sim, name)
-        for name in prop.assumptions:
-            ok &= _nonzero_lanes(sim, name)
-        hit = ok & _nonzero_lanes(sim, prop.bad)
-        live = ok & ~hit
-        if hit:
-            for lane in range(len(draws)):
-                if (hit >> lane) & 1:
-                    lengths[lane] = t + 1
-            live &= (hit & -hit) - 1
-        t += 1
-        for lane, (_init, frames) in enumerate(draws):
-            if len(frames) == t:
-                live &= ~(1 << lane)
-    return lengths
-
-
-def _nonzero_lanes(sim, name: str) -> int:
-    """Mask of the lanes in which signal ``name`` is non-zero."""
-    acc = 0
-    for plane in sim.peek_planes(name):
-        acc |= plane
-    return acc
+    peek = sim.peek
+    for t, frame in enumerate(frames):
+        sim.step(frame)
+        if t == 0 and not all(peek(name) for name in prop.init_assumptions):
+            return None
+        if not all(peek(name) for name in prop.assumptions):
+            return None
+        if peek(prop.bad):
+            return t + 1
+    return None
 
 
 def _config_digest(task: TaintVerificationTask, config: CegarConfig) -> str:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.formal.counterexample import Counterexample
+from repro.sim.simulator import Simulator
 from repro.taint.instrument import InstrumentedDesign, TaintSources, instrument
 from repro.taint.space import TaintScheme
 from repro.cegar.loop import TaintVerificationTask, _tainted_sink
@@ -54,17 +55,16 @@ def _blocks_all(
 ) -> bool:
     """Does ``scheme`` keep every counterexample's sink untainted?
 
-    All counterexamples replay bit-parallel in one pass (one lane per
-    witness), recording only the sink taint signals the check reads.
+    The counterexamples replay one after another on one simulator of
+    the instrumented design, recording only the sink taint signals the
+    check reads; the first one whose sink is still tainted decides.
     """
-    from repro.formal.counterexample import replay_batch
-
     design = instrument(task.circuit, scheme, task.sources)
-    record = {design.taint_name[sink] for sink in task.sinks
-              if design.taint_name.get(sink) in design.circuit.signals}
-    waveforms = replay_batch(design.circuit, list(counterexamples),
-                             record=sorted(record))
-    for waveform in waveforms:
+    record = sorted({design.taint_name[sink] for sink in task.sinks
+                     if design.taint_name.get(sink) in design.circuit.signals})
+    sim = Simulator(design.circuit)
+    for cex in counterexamples:
+        waveform = cex.replay_on(sim, record=record)
         if _tainted_sink(design, waveform, task.sinks, waveform.length - 1):
             return False
     return True

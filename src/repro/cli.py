@@ -260,11 +260,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_leak_check(args) -> int:
     from repro.bench import gadgets
-    from repro.contracts import make_contract_task
-    from repro.cegar.falsetaint import exact_false_taint_check
-    from repro.cegar.loop import instrument_task
-    from repro.formal import BmcStatus, SafetyProperty, bounded_model_check
-    from repro.taint import cellift_scheme
 
     gadget = {
         "spectre": gadgets.SPECTRE_GADGET,
@@ -272,40 +267,22 @@ def cmd_leak_check(args) -> int:
         "mul": gadgets.MUL_TIMING_GADGET,
     }[args.gadget]
     core = _build_core(args)
-    task = make_contract_task(core)
-    scheme = cellift_scheme()
-    for module in core.precise_modules:
-        scheme.module_defaults[module] = scheme.default
-    design, prop = instrument_task(task, scheme)
-    pinned = core.initial_state_for(gadget)
-    free = frozenset(set(task.symbolic_registers) - set(core.imem_words))
-    directed = SafetyProperty(prop.name, prop.bad, prop.assumptions,
-                              prop.init_assumptions, free)
-    started = time.monotonic()
-    result = bounded_model_check(design.circuit, directed, max_bound=args.max_bound,
-                                 time_limit=args.budget, initial_values=pinned)
-    elapsed = time.monotonic() - started
-    if result.status is not BmcStatus.COUNTEREXAMPLE:
-        print(f"{core.name}: no taint violation up to cycle {result.bound} "
-              f"({elapsed:.1f}s) — secure on this gadget")
+    check = gadgets.check_gadget(core, gadget, args.max_bound,
+                                 time_limit=args.budget)
+    cex = check.counterexample
+    if cex is None:
+        print(f"{core.name}: no taint violation up to cycle {check.bound} "
+              f"({check.elapsed:.1f}s) — secure on this gadget")
         return 0
-    cex = result.counterexample.with_initial_state(pinned)
-    taint_wf = cex.replay(design.circuit)
-    sink = next(s for s in core.sinks
-                if taint_wf.value(design.taint_name[s], taint_wf.length - 1))
-    real = not exact_false_taint_check(
-        core.circuit, cex, task.secret_registers(), sink,
-        init_assumption_outputs=core.init_assumption_outputs,
-    )
-    verdict = "REAL LEAK" if real else "spurious taint (refine the scheme)"
-    print(f"{core.name}: taint on {sink} at cycle {cex.length - 1} "
-          f"({elapsed:.1f}s) — {verdict}")
+    verdict = "REAL LEAK" if check.real else "spurious taint (refine the scheme)"
+    print(f"{core.name}: taint on {check.sink} at cycle {check.bound} "
+          f"({check.elapsed:.1f}s) — {verdict}")
     if args.trace:
         from repro.sim.trace_view import format_counterexample
 
         print()
         print(format_counterexample(cex, core.circuit, signals=list(core.sinks)))
-    return 2 if real else 0
+    return 2 if check.real else 0
 
 
 def cmd_overhead(args) -> int:
@@ -333,7 +310,8 @@ def cmd_overhead(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from repro.bench.workloads import WORKLOADS, run_workload_batch
+    from repro.bench.workloads import WORKLOADS, run_workload
+    from repro.sim import Simulator
     from repro.taint import TaintSources, cellift_scheme, instrument
 
     tracer = None
@@ -344,40 +322,43 @@ def cmd_simulate(args) -> int:
     cfg = CoreConfig.simulation()
     core = core_registry()[args.core](cfg, False)
     workload = WORKLOADS[args.workload]
-    # One lane per data seed, all lanes in one bit-parallel pass.
+    # One run per data seed, on one simulator reset per seed.
     seeds = list(range(args.seed, args.seed + args.lanes))
     started = time.monotonic()
-    cycles_per_lane, _sim = run_workload_batch(core, workload, seeds,
-                                               tracer=tracer)
+    sim = Simulator(core.circuit)
+    cycles = [run_workload(sim, core, workload, seed) for seed in seeds]
     elapsed = time.monotonic() - started
-    lane_steps = sum(cycles_per_lane)
-    if tracer is not None and elapsed > 0:
-        tracer.gauge("sim.steps_per_sec", lane_steps / elapsed)
-    if args.lanes > 1:
-        print(f"{workload.name} on {core.name}: {args.lanes} lanes "
-              f"(seeds {seeds[0]}..{seeds[-1]}), "
-              f"{min(cycles_per_lane)}-{max(cycles_per_lane)} cycles/lane, "
-              f"{elapsed:.3f}s, {lane_steps / elapsed if elapsed else 0:,.0f} "
-              "lane-steps/s (every lane self-checked against the ISA "
-              "interpreter)")
-    else:
-        print(f"{workload.name} on {core.name}: {cycles_per_lane[0]} cycles, "
-              f"{elapsed:.3f}s (self-checked against the ISA interpreter)")
+    steps = sum(cycles)
+    if tracer is not None:
+        tracer.gauge("sim.lanes", len(seeds))
+        tracer.count("sim.steps", steps)
+        if elapsed > 0:
+            tracer.gauge("sim.steps_per_sec", steps / elapsed)
+    tainted = []
     if args.taint:
         sources = TaintSources(registers={core.dmem_words[i]: -1 for i in range(4)})
         design = instrument(core.circuit, cellift_scheme(), sources)
-        _tcycles, tsim = run_workload_batch(
-            core, workload, seeds, circuit=design.circuit, tracer=tracer)
-        for lane, seed in enumerate(seeds):
-            tainted = [i for i in range(cfg.dmem_depth)
-                       if tsim.peek(design.taint_name[core.dmem_words[i]],
-                                    lane) != 0]
-            if args.lanes > 1:
-                print(f"  seed {seed}: tainted memory words "
-                      f"(inputs 0-3 tainted): {tainted}")
-            else:
-                print("tainted memory words after run "
-                      f"(inputs 0-3 tainted): {tainted}")
+        tsim = Simulator(design.circuit)
+        for seed in seeds:
+            run_workload(tsim, core, workload, seed)
+            tainted.append([i for i in range(cfg.dmem_depth)
+                            if tsim.peek(design.taint_name[core.dmem_words[i]]) != 0])
+    if args.lanes > 1:
+        print(f"{workload.name} on {core.name}: {args.lanes} seeds "
+              f"({seeds[0]}..{seeds[-1]}), {elapsed:.3f}s, "
+              f"{steps / elapsed if elapsed else 0:,.0f} cycles/s (every run "
+              "self-checked against the ISA interpreter)")
+        for k, seed in enumerate(seeds):
+            line = f"  seed {seed}: {cycles[k]} cycles"
+            if args.taint:
+                line += f", tainted memory words (inputs 0-3 tainted): {tainted[k]}"
+            print(line)
+    else:
+        print(f"{workload.name} on {core.name}: {cycles[0]} cycles, "
+              f"{elapsed:.3f}s (self-checked against the ISA interpreter)")
+        if args.taint:
+            print("tainted memory words after run "
+                  f"(inputs 0-3 tainted): {tainted[0]}")
     if tracer is not None:
         from repro.obs import write_trace_file
 
@@ -673,14 +654,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", choices=sorted(WORKLOADS), default="median")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lanes", type=_lane_count, default=1, metavar="K",
-                   help="run K data seeds bit-parallel (one lane per seed, "
-                        "one simulation pass; seeds are SEED..SEED+K-1)")
+                   help="run K data seeds, SEED..SEED+K-1, one after "
+                        "another on one simulator")
     p.add_argument("--taint", action="store_true",
                    help="also run CellIFT-instrumented taint simulation")
     p.add_argument("--trace", metavar="FILE", default=None,
                    help="record a performance trace (sim.lanes / "
-                        "sim.steps_per_sec counters; repro trace summarize "
-                        "reads it)")
+                        "sim.steps / sim.steps_per_sec; repro trace "
+                        "summarize reads it)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("export", help="emit a core as Verilog or JSON")

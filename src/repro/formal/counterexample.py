@@ -9,7 +9,7 @@ netlist to obtain the waveform for backtracing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from repro.hdl.circuit import Circuit
@@ -44,13 +44,22 @@ class Counterexample:
         unknown initial-state entries and extra inputs are ignored,
         missing inputs default to 0.
         """
-        known_regs = {reg.q.name for reg in circuit.registers}
-        init = {k: v for k, v in self.initial_state.items() if k in known_regs}
-        sim = Simulator(circuit, initial_state=init)
-        input_names = [sig.name for sig in circuit.inputs]
-        stimulus = []
-        for frame in self.inputs:
-            stimulus.append({name: frame.get(name, 0) for name in input_names})
+        return self.replay_on(Simulator(circuit), record)
+
+    def replay_on(
+        self,
+        sim: Simulator,
+        record: Optional[Iterable[str]] = None,
+    ) -> Waveform:
+        """:meth:`replay` on an existing simulator, which is reset first.
+
+        Replaying many counterexamples on one circuit this way builds
+        its simulator once.
+        """
+        sim.reset(self.initial_state)
+        input_names = [sig.name for sig in sim.circuit.inputs]
+        stimulus = [{name: frame.get(name, 0) for name in input_names}
+                    for frame in self.inputs]
         return sim.run(stimulus, record=record)
 
     def with_initial_state(self, overrides: Dict[str, int]) -> "Counterexample":
@@ -58,39 +67,3 @@ class Counterexample:
         merged.update(overrides)
         return Counterexample(self.length, [dict(f) for f in self.inputs], merged, self.bad_signal)
 
-
-def replay_batch(
-    circuit: Circuit,
-    counterexamples: List["Counterexample"],
-    record: Optional[Iterable[str]] = None,
-) -> List[Waveform]:
-    """Replay N counterexamples on one circuit in a single pass.
-
-    Each counterexample becomes one lane of a
-    :class:`~repro.sim.batch.BatchSimulator`; shorter traces are padded
-    with zero frames up to the longest and each returned waveform is
-    truncated back to its own length, so every entry is bit-identical to
-    ``cex.replay(circuit, record)``.  This is how the CEGAR machinery
-    certifies many candidate witnesses at once (refinement pruning).
-    """
-    from repro.sim.batch import BatchSimulator
-
-    if not counterexamples:
-        return []
-    known_regs = {reg.q.name for reg in circuit.registers}
-    input_names = [sig.name for sig in circuit.inputs]
-    max_length = max(cex.length for cex in counterexamples)
-    zero_frame = {name: 0 for name in input_names}
-    inits = []
-    stimuli = []
-    for cex in counterexamples:
-        inits.append({k: v for k, v in cex.initial_state.items() if k in known_regs})
-        frames = [{name: frame.get(name, 0) for name in input_names}
-                  for frame in cex.inputs]
-        frames.extend([zero_frame] * (max_length - len(frames)))
-        stimuli.append(frames)
-    sim = BatchSimulator(circuit, lanes=len(counterexamples), initial_states=inits)
-    names = list(record) if record is not None else None
-    batch = sim.run(stimuli, record=names)
-    return [batch.lane(lane, length=cex.length)
-            for lane, cex in enumerate(counterexamples)]

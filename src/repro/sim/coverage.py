@@ -9,10 +9,9 @@ collector tracks, per signal, how many bits ever held 0 and ever held
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional
 
-from repro.hdl.circuit import Circuit
 from repro.sim.simulator import Simulator
 
 
@@ -28,24 +27,6 @@ class SignalCoverage:
     def observe(self, value: int) -> None:
         self.seen_one |= value
         self.seen_zero |= ~value & ((1 << self.width) - 1)
-
-    def observe_planes(self, planes, lane_mask: int) -> None:
-        """Union-accumulate one batched observation across all lanes.
-
-        ``planes`` is the LSB-first bit-plane tuple from a
-        :class:`~repro.sim.batch.BatchSimulator`: design bit ``b`` was
-        observed at 1 in *some* lane iff plane ``b`` is nonzero, and at
-        0 in some lane iff plane ``b`` is not the all-lanes mask — so
-        batched coverage is exactly the union of the per-lane runs.
-        """
-        one = zero = 0
-        for b, plane in enumerate(planes):
-            if plane:
-                one |= 1 << b
-            if plane != lane_mask:
-                zero |= 1 << b
-        self.seen_one |= one
-        self.seen_zero |= zero
 
     @property
     def covered_bits(self) -> int:
@@ -97,15 +78,9 @@ class CoverageReport:
 
 
 class CoverageCollector:
-    """Wraps a simulator and records toggle coverage as it steps.
+    """Wraps a simulator and records toggle coverage as it steps."""
 
-    Works with the scalar engines and, lane-aware, with
-    :class:`~repro.sim.batch.BatchSimulator`: a batched step
-    accumulates the *union* of every lane's toggles, so coverage from K
-    batched lanes equals the union of K scalar runs.
-    """
-
-    def __init__(self, simulator, signals: Optional[Iterable[str]] = None) -> None:
+    def __init__(self, simulator: Simulator, signals: Optional[Iterable[str]] = None) -> None:
         self.simulator = simulator
         circuit = simulator.circuit
         names = list(signals) if signals is not None else [
@@ -114,17 +89,11 @@ class CoverageCollector:
         self._coverage = {
             name: SignalCoverage(name, circuit.signal(name).width) for name in names
         }
-        self._batched = hasattr(simulator, "peek_planes")
 
     def step(self, inputs: Optional[Mapping[str, int]] = None):
         outputs = self.simulator.step(inputs)
-        if self._batched:
-            lane_mask = self.simulator.lane_mask
-            for cov in self._coverage.values():
-                cov.observe_planes(self.simulator.peek_planes(cov.name), lane_mask)
-        else:
-            for cov in self._coverage.values():
-                cov.observe(self.simulator.peek(cov.name))
+        for cov in self._coverage.values():
+            cov.observe(self.simulator.peek(cov.name))
         return outputs
 
     def report(self) -> CoverageReport:

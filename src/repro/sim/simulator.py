@@ -22,9 +22,10 @@ translation is a table keyed by :class:`~repro.hdl.cells.CellOp`:
 :func:`repro.hdl.cells.evaluate_cell` stays the semantics: the property
 suite (``tests/property/test_simulator_semantics.py``) checks this
 engine against a per-cell ``evaluate_cell`` loop over
-:meth:`~repro.hdl.circuit.Circuit.topo_cells`.  The many-lane engine is
-:class:`repro.sim.batch.BatchSimulator`, which compiles the circuit to
-bit planes and is checked lane for lane against this one.
+:meth:`~repro.hdl.circuit.Circuit.topo_cells`.  It is the one
+simulation engine: the CEGAR prefilter, counterexample replay,
+refinement pruning, soundness fuzzing and ``repro simulate`` all build
+one simulator per circuit and :meth:`Simulator.reset` it per run.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.hdl import ModuleBuilder
-from repro.hdl.cells import CellOp
+from repro.hdl.cells import CellOp, evaluate_cell
 from repro.formal.encode import FrameEncoder
 from repro.formal.unroll import Unroller
 
@@ -133,3 +133,29 @@ class ReferenceUnroller(Unroller):
         frame.encode_combinational(self.lowered.circuit)
         self.frames.append(frame)
         return frame
+
+
+class ReferenceSimulator:
+    """A cycle as ``evaluate_cell`` over ``topo_cells()`` defines it."""
+
+    def __init__(self, circuit, initial_state=None):
+        self.circuit = circuit
+        init = initial_state or {}
+        self.values = {reg.q.name: init.get(reg.q.name, reg.reset_value) & reg.q.mask
+                       for reg in circuit.registers}
+
+    def step(self, inputs):
+        values = self.values
+        values.update(inputs)
+        for cell in self.circuit.topo_cells():
+            values[cell.out.name] = evaluate_cell(
+                cell, [values[sig.name] for sig in cell.ins])
+        outputs = {sig.name: values[sig.name] for sig in self.circuit.outputs}
+        snapshot = dict(values)
+        for name, value in [(reg.q.name, values[reg.d.name])
+                            for reg in self.circuit.registers]:
+            values[name] = value
+        return outputs, snapshot
+
+    def state(self):
+        return {reg.q.name: self.values[reg.q.name] for reg in self.circuit.registers}

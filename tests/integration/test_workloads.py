@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from repro.bench.workloads import WORKLOADS, run_workload_batch
+from repro.bench.workloads import WORKLOADS, run_workload
 from repro.cores import CoreConfig, core_registry
-from repro.sim import BatchSimulator
+from repro.sim import Simulator
 from repro.taint import TaintSources, cellift_scheme, instrument
 
 CFG = CoreConfig.simulation()
@@ -21,8 +21,8 @@ def _core(name):
     return _CORES[name]
 
 
-#: Halt cycle of each (core, workload) at data seed 3, as recorded by the
-#: scalar engine; a one-lane batch run must reproduce every count.
+#: Halt cycle of each (core, workload) at data seed 3; a run must
+#: reproduce every count.
 SEED3_CYCLES = {
     ("Sodor", "matrix_mul"): 168, ("Sodor", "median"): 128,
     ("Sodor", "qsort"): 176, ("Sodor", "rsa"): 84, ("Sodor", "rsort"): 296,
@@ -41,16 +41,18 @@ SEED3_CYCLES = {
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
 @pytest.mark.parametrize("core_name", ["Sodor", "Rocket", "BOOM", "BOOM-S", "ProSpeCT-S"])
 def test_workload_runs_self_checked(core_name, workload_name):
-    (cycles,), _sim = run_workload_batch(
-        _core(core_name), WORKLOADS[workload_name], [3],
-    )
+    core = _core(core_name)
+    cycles = run_workload(Simulator(core.circuit), core, WORKLOADS[workload_name], 3)
     assert cycles == SEED3_CYCLES[core_name, workload_name]
 
 
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
 def test_workloads_deterministic(workload_name):
-    c1, _ = run_workload_batch(_core("Rocket"), WORKLOADS[workload_name], [5])
-    c2, _ = run_workload_batch(_core("Rocket"), WORKLOADS[workload_name], [5])
+    core = _core("Rocket")
+    sim = Simulator(core.circuit)
+    c1 = run_workload(sim, core, WORKLOADS[workload_name], 5)
+    sim.step({})
+    c2 = run_workload(sim, core, WORKLOADS[workload_name], 5)
     assert c1 == c2
 
 
@@ -63,10 +65,10 @@ def test_instrumentation_does_not_change_cycle_count():
                         TaintSources(registers={core.dmem_words[0]: -1}))
 
     def cycles_of(circuit):
-        sim = BatchSimulator(circuit, lanes=1, initial_states=init)
+        sim = Simulator(circuit, initial_state=init)
         for n in range(1, 20000):
-            sim.advance({})
-            if sim.peek("core.halted", 0):
+            sim.step({})
+            if sim.peek("core.halted"):
                 return n
         raise AssertionError("no halt")
 
@@ -81,16 +83,16 @@ def test_taint_follows_sorted_data():
     data = {i: v for i, v in enumerate([9, 3, 7, 1, 8, 2, 6, 4])}
     sources = TaintSources(registers={core.dmem_words[0]: -1})  # value 9
     design = instrument(core.circuit, cellift_scheme(), sources)
-    sim = BatchSimulator(design.circuit, lanes=1,
-                         initial_states=core.initial_state_for(workload.program, data))
+    sim = Simulator(design.circuit,
+                    initial_state=core.initial_state_for(workload.program, data))
     for _ in range(20000):
-        sim.advance({})
-        if sim.peek("core.halted", 0):
+        sim.step({})
+        if sim.peek("core.halted"):
             break
     tainted = {i for i in range(CFG.dmem_depth)
-               if sim.peek(design.taint_name[core.dmem_words[i]], 0) != 0}
+               if sim.peek(design.taint_name[core.dmem_words[i]]) != 0}
     # 9 sorts to index 7; its original slot 0 received an untainted value,
     # but slots the tainted value transited may be conservatively tainted.
     assert 7 in tainted
-    values = [sim.peek(core.dmem_words[i], 0) for i in range(8)]
+    values = [sim.peek(core.dmem_words[i]) for i in range(8)]
     assert values[:8] == sorted([9, 3, 7, 1, 8, 2, 6, 4])

@@ -12,8 +12,8 @@ replaced::
 property).  For every flat lowering of the netlist-identity corpus
 (``test_netlist_identity.flat_cases()``) this checks:
 
-- simulation: from the same random register state and inputs,
-  ``BatchSimulator`` lanes give equal values, cycle by cycle, for the
+- simulation: from the same random register states and inputs, one
+  ``Simulator`` reset per lane gives equal values, cycle by cycle, for the
   property roots, the outputs and the register next-state, on the
   hashed netlist, the reference and the raw lowering (which no hashing
   rule touches, so a rule both pipelines share cannot hide a fault);
@@ -71,14 +71,16 @@ def _observed(hashed, reference, prop):
 
 
 def _simulate(lowered, names, states, frames):
-    """Per cycle, the planes of ``names`` after the clock edge."""
-    from repro.sim.batch import BatchSimulator
+    """Per lane and cycle, the values of ``names`` after the clock edge."""
+    from repro.sim import Simulator
 
-    sim = BatchSimulator(lowered.circuit, lanes=LANES, initial_states=states)
+    sim = Simulator(lowered.circuit)
     trace = []
-    for frame in frames:
-        sim.advance(frame)
-        trace.append({name: sim.peek_planes(name) for name in names})
+    for lane, state in enumerate(states):
+        sim.reset(state)
+        for frame in frames:
+            sim.step(frame[lane])
+            trace.append({name: sim.peek(name) for name in names})
     return trace
 
 

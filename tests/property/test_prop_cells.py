@@ -7,7 +7,7 @@ from repro.hdl import ModuleBuilder, lower_to_gates
 from repro.hdl.cells import Cell, CellOp, evaluate_cell
 from repro.hdl.optimize import simplify
 from repro.hdl.signals import Signal, SignalKind
-from repro.sim import BatchSimulator, Simulator
+from repro.sim import Simulator
 
 WIDTH = 6
 value = st.integers(min_value=0, max_value=(1 << WIDTH) - 1)
@@ -78,20 +78,23 @@ class TestSimulatorEngineEquivalence:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_compiled_matches_interpreter(self, data):
+        """The simulator's translated op program against the reference
+        that interprets ``evaluate_cell`` cell by cell."""
         import sys, os
         sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
-        from conftest import random_cell_circuit
+        from conftest import ReferenceSimulator, random_cell_circuit
 
         seed = data.draw(st.integers(min_value=0, max_value=30))
         circ = random_cell_circuit(seed)
-        interp = Simulator(circ)
-        compiled = BatchSimulator(circ, lanes=1)
+        compiled = Simulator(circ)
+        interp = ReferenceSimulator(circ)
         for _ in range(5):
             frame = {
                 f"in{i}": data.draw(st.integers(min_value=0, max_value=15))
                 for i in range(3)
             }
-            assert [interp.step(frame)] == compiled.step(frame)
+            outputs, _snapshot = interp.step(frame)
+            assert compiled.step(frame) == outputs
 
 
 class TestOptimizerPreservesSemantics:

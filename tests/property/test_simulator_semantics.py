@@ -2,11 +2,11 @@
 
 :class:`~repro.sim.Simulator` runs a translated op program;
 :func:`repro.hdl.cells.evaluate_cell` stays the definition of every
-cell.  ``_Reference`` below is the plain definition of a cycle: inputs
-and registers, then ``evaluate_cell`` on every cell of
-``topo_cells()``, then every register takes its ``d``.  Every case
-checks that the two agree, cycle for cycle, on step outputs,
-``snapshot()`` and ``state()``:
+cell.  ``ReferenceSimulator`` (``tests/conftest.py``) is the plain
+definition of a cycle: inputs and registers, then ``evaluate_cell`` on
+every cell of ``topo_cells()``, then every register takes its ``d``.
+Every case checks that the two agree, cycle for cycle, on step
+outputs, ``snapshot()`` and ``state()``:
 
 - one-cell circuits for every :class:`CellOp` at random widths from 1
   to 70 (words wider than 64 bits included), each cell applied once to
@@ -15,47 +15,26 @@ checks that the two agree, cycle for cycle, on step outputs,
 - taint-instrumented tiny Sodor and Rocket, for a few cycles.
 """
 
+import os
 import random
+import sys
 
 import pytest
 
 from repro.bench.fuzz import random_machine
-from repro.hdl.cells import Cell, CellOp, evaluate_cell
+from repro.hdl.cells import Cell, CellOp
 from repro.hdl.circuit import Circuit, Register
 from repro.hdl.signals import Signal, SignalKind
 from repro.sim import Simulator
 
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
+from conftest import ReferenceSimulator  # noqa: E402
+
 MAX_WIDTH = 70
 
 
-class _Reference:
-    """A cycle as ``evaluate_cell`` over ``topo_cells()`` defines it."""
-
-    def __init__(self, circuit, initial_state=None):
-        self.circuit = circuit
-        init = initial_state or {}
-        self.values = {reg.q.name: init.get(reg.q.name, reg.reset_value) & reg.q.mask
-                       for reg in circuit.registers}
-
-    def step(self, inputs):
-        values = self.values
-        values.update(inputs)
-        for cell in self.circuit.topo_cells():
-            values[cell.out.name] = evaluate_cell(
-                cell, [values[sig.name] for sig in cell.ins])
-        outputs = {sig.name: values[sig.name] for sig in self.circuit.outputs}
-        snapshot = dict(values)
-        for name, value in [(reg.q.name, values[reg.d.name])
-                            for reg in self.circuit.registers]:
-            values[name] = value
-        return outputs, snapshot
-
-    def state(self):
-        return {reg.q.name: self.values[reg.q.name] for reg in self.circuit.registers}
-
-
 def _check(circuit, frames, initial_state=None):
-    ref = _Reference(circuit, initial_state)
+    ref = ReferenceSimulator(circuit, initial_state)
     sim = Simulator(circuit, initial_state=initial_state)
     assert sim.snapshot() == ref.state()
     for cycle, frame in enumerate(frames):
@@ -66,7 +45,7 @@ def _check(circuit, frames, initial_state=None):
     # run() records the same values as pre-edge snapshots.
     names = list(circuit.signals)
     wave = Simulator(circuit, initial_state=initial_state).run(frames, record=names)
-    ref = _Reference(circuit, initial_state)
+    ref = ReferenceSimulator(circuit, initial_state)
     for cycle, frame in enumerate(frames):
         _, snapshot = ref.step(frame)
         assert {name: wave.value(name, cycle) for name in names} == snapshot, cycle

@@ -112,10 +112,10 @@ class TestSimulationPrefilter:
 
 
 def _sequential_prefilter(task, design, prop, trials, depth, rng):
-    """Reference: one trial at a time on the scalar interpreter.
+    """Reference: one trial at a time, on a fresh simulator per trial.
 
-    The lane-parallel prefilter must return the same counterexample and
-    leave ``rng`` in the same state as this loop.
+    The prefilter, which resets one simulator per trial, must return the
+    same counterexample and leave ``rng`` in the same state as this loop.
     """
     circuit = design.circuit
     input_names = [sig.name for sig in circuit.inputs]
@@ -237,7 +237,7 @@ def _scripted_sampler(fire_at):
 
 
 class TestPrefilterMatchesSequential:
-    """The lane-parallel prefilter against the one-at-a-time reference."""
+    """The prefilter against the fresh-simulator-per-trial reference."""
 
     @pytest.mark.parametrize("trials", [0, 1, 5, 32])
     @pytest.mark.parametrize("make_task", [_leaky_task, _safe_task, _pipeline_task])
@@ -364,7 +364,7 @@ class TestLoopOutcomes:
 
     def test_fast_validation_replays_each_counterexample_once(self, monkeypatch):
         """The fast false-taint oracle that judged a counterexample
-        spurious also serves its refinement: one two-lane replay per
+        spurious also serves its refinement: one oracle (two replays) per
         counterexample, with both spans still recorded."""
         built = []
 

@@ -2,6 +2,7 @@
 the integration suite and examples)."""
 
 import json
+import re
 
 import pytest
 
@@ -49,6 +50,33 @@ class TestSimulate:
         assert lines[0].endswith("s (self-checked against the ISA interpreter)")
         assert lines[1] == ("tainted memory words after run (inputs 0-3 "
                             f"tainted): {list(range(32))}")
+
+    def test_multi_seed_run_matches_single_seed_runs(self, capsys, tmp_path):
+        """``--lanes 3`` prints, per seed, the cycle count and tainted
+        words of a ``--lanes 1`` run of that seed, and ``--trace`` still
+        records ``sim.lanes``."""
+        trace = tmp_path / "sim.jsonl"
+        assert main(["simulate", "--core", "Sodor", "--workload", "median",
+                     "--lanes", "3", "--taint", "--trace", str(trace)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("median on Sodor: 3 seeds (0..2), ")
+        multi = {}
+        for line in lines[1:4]:
+            match = re.fullmatch(r"  seed (\d+): (\d+) cycles, tainted memory "
+                                 r"words \(inputs 0-3 tainted\): (\[.*\])", line)
+            assert match, line
+            multi[int(match[1])] = (int(match[2]), match[3])
+        for seed in range(3):
+            assert main(["simulate", "--core", "Sodor", "--workload", "median",
+                         "--seed", str(seed), "--taint"]) == 0
+            first, second = capsys.readouterr().out.splitlines()[:2]
+            cycles = int(re.match(r"median on Sodor: (\d+) cycles, ", first)[1])
+            words = second.split(": ", 1)[1]
+            assert multi[seed] == (cycles, words)
+        gauges = {event["name"]: event["value"]
+                  for event in map(json.loads, trace.read_text().splitlines())
+                  if event["type"] == "gauge"}
+        assert gauges["sim.lanes"] == 3
 
     def test_rejects_unknown_workload(self, capsys):
         with pytest.raises(SystemExit) as info:
