@@ -55,16 +55,21 @@ def _reinstrument(
     circuit: Circuit,
     sources: TaintSources,
     scheme: TaintScheme,
+    previous: InstrumentedDesign,
     cex: Counterexample,
     tracer,
     location: RefinementLocation,
     option: str,
 ) -> Tuple[InstrumentedDesign, Waveform]:
     """Instrument one ladder option and replay the counterexample on it:
-    a ``cegar.refine-gen`` and a ``cegar.refine-sim`` span."""
+    a ``cegar.refine-gen`` and a ``cegar.refine-sim`` span.
+
+    The taint logic the option leaves unchanged is copied from
+    ``previous``, the design the refinement starts from.
+    """
     args = {"location": location.name, "option": option}
     with tracer.span("cegar.refine-gen", cat="gen", **args):
-        design = instrument(circuit, scheme, sources)
+        design = instrument(circuit, scheme, sources, previous=previous)
     with tracer.span("cegar.refine-sim", cat="simu", **args):
         waveform = cex.replay(design.circuit)
     return design, waveform
@@ -96,8 +101,8 @@ def apply_refinement(
     if location.kind is LocationKind.MODULE:
         new_scheme = scheme.copy()
         new_scheme.open_blackbox(location.name)
-        new_design, waveform = _reinstrument(circuit, sources, new_scheme, cex,
-                                             tracer, location, "open")
+        new_design, waveform = _reinstrument(circuit, sources, new_scheme, design,
+                                             cex, tracer, location, "open")
         return RefinementOutcome(
             new_scheme, new_design, waveform, location,
             f"open blackbox {location.name}",
@@ -109,8 +114,8 @@ def apply_refinement(
             raise CorrelationImprecisionAlert(location)
         new_scheme = scheme.copy()
         new_scheme.refine_register(location.name, Granularity.BIT)
-        new_design, waveform = _reinstrument(circuit, sources, new_scheme, cex,
-                                             tracer, location, "bit")
+        new_design, waveform = _reinstrument(circuit, sources, new_scheme, design,
+                                             cex, tracer, location, "bit")
         return RefinementOutcome(
             new_scheme, new_design, waveform, location,
             f"register {location.name}: word -> bit granularity",
@@ -136,8 +141,8 @@ def apply_refinement(
         candidate = scheme.copy()
         candidate.refine_cell(location.name, TaintOption(option.granularity, effective))
         label = f"{option.granularity.value}/{effective.value}"
-        new_design, waveform = _reinstrument(circuit, sources, candidate, cex,
-                                             tracer, location, label)
+        new_design, waveform = _reinstrument(circuit, sources, candidate, design,
+                                             cex, tracer, location, label)
         if _taint_value(new_design, waveform, location.signal, location.cycle) == 0:
             return RefinementOutcome(
                 candidate, new_design, waveform, location,

@@ -172,6 +172,44 @@ class Circuit:
         self._changed()
         return cell
 
+    def adopt_cells(self, cells: Sequence[Cell]) -> None:
+        """Append cells that already passed :func:`validate_cell`.
+
+        For frozen cells taken from another circuit, such as a copied
+        fragment of taint logic: each cell's own widths and arity were
+        checked where it was first added, so only what depends on this
+        circuit is checked here (one driver per signal, no driver on an
+        INPUT or REG signal, and every input is a signal of this
+        circuit, equal to the one the cell references).  Adopted cells
+        count as checked for :meth:`validate`.
+        """
+        signals = self.signals
+        producer = self._producer
+        for cell in cells:
+            out = cell.out
+            if out.name in producer:
+                raise CircuitError(f"signal {out.name!r} already driven")
+            if out.kind in (SignalKind.INPUT, SignalKind.REG):
+                raise CircuitError(f"cannot drive {out.kind.value} signal {out.name!r} with a cell")
+            for sig in cell.ins:
+                known = signals.get(sig.name)
+                if known is not sig and known != sig:
+                    what = "unknown" if known is None else "a different"
+                    raise CircuitError(
+                        f"cell {out.name!r} references {what} signal {sig.name!r}")
+            existing = signals.get(out.name)
+            if existing is None:
+                signals[out.name] = out
+                if out.kind is SignalKind.OUTPUT:
+                    self.outputs.append(out)
+            elif existing != out:
+                raise CircuitError(f"conflicting redefinition of signal {out.name!r}")
+            if self._checked == len(self.cells):
+                self._checked += 1
+            self.cells.append(cell)
+            producer[out.name] = cell
+        self._changed()
+
     def add_register(self, register: Register) -> Register:
         if register.q.kind is not SignalKind.REG:
             raise CircuitError(f"register q signal {register.q.name!r} must have kind REG")

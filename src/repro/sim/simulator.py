@@ -265,11 +265,14 @@ class Simulator:
         self._reg_slot_of = dict(slot_of)
         n_slots = n_regs
         inputs = []
-        for sig in circuit.inputs:
+        for index, sig in enumerate(circuit.inputs):
             slot_of[sig.name] = n_slots
-            inputs.append((sig.name, n_slots, sig.mask, sig.width))
+            inputs.append((index, sig.name, sig.mask, sig.width))
             n_slots += 1
         self._inputs = inputs
+        #: The inputs' slots, and a frame's checked values for them.
+        self._input_slots = slice(n_regs, n_slots)
+        self._frame = [0] * len(inputs)
         constants: List[Tuple[int, int]] = []
         ops: List[Op] = []
         table = _TRANSLATE
@@ -349,13 +352,17 @@ class Simulator:
     # ------------------------------------------------------------------
     def _evaluate_comb(self, inputs: Mapping[str, int]) -> None:
         values = self._values
-        for name, slot, mask, width in self._inputs:
+        frame = self._frame
+        for index, name, mask, width in self._inputs:
             if name not in inputs:
                 raise SimulationError(f"missing input {name!r}")
             value = inputs[name]
             if not (0 <= value <= mask):
                 raise SimulationError(f"input {name!r}: value {value} exceeds width {width}")
-            values[slot] = value
+            frame[index] = value
+        # Written only once every input passed: a rejected frame leaves
+        # every value as it was.
+        values[self._input_slots] = frame
         _run_ops(self._ops, values)
         self._visible = self._slot_of
 

@@ -5,11 +5,22 @@ directly as IR cells; :class:`Emitter` provides fresh naming and the
 usual operator helpers over raw :class:`~repro.hdl.signals.Signal`
 objects.  Taint cells inherit the module path of the original cell they
 instrument so per-module statistics (Table 4) remain meaningful.
+
+Naming.  An Emitter names a cell ``{module}._{tag}{n}_{counter}``, with
+``n`` the circuit's cell count, so names stay unique across Emitters on
+one circuit (the monitors add theirs with tag ``mon``).  The
+instrumentation pass instead emits in *fragments*, the cells it adds for
+one unit of the design (:meth:`Emitter.begin_fragment`): a fragment's
+cells are named ``{module}._t{key}_{k}`` from the unit's key (a source
+cell's index in ``circuit.cells``) and a counter local to the fragment,
+and a constant it creates is named ``{module}._tc{width}_{value:x}``.
+A fragment's names then do not depend on what was emitted before it,
+which lets a re-instrumentation copy unchanged fragments verbatim.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hdl.cells import Cell, CellOp
 from repro.hdl.circuit import Circuit, Register
@@ -17,21 +28,43 @@ from repro.hdl.signals import Signal, SignalKind
 
 
 class Emitter:
-    """Appends cells to ``circuit`` with fresh names under a module path."""
+    """Appends cells to ``circuit`` with fresh names under a module path.
+
+    Outside a fragment a cell is named ``{module}._{tag}{n}_{counter}``
+    (``n`` the circuit's cell count).  After :meth:`begin_fragment`
+    cells are named ``{module}._t{key}_{k}``, ``k`` counting from 1
+    within the fragment, and constants ``{module}._tc{width}_{value:x}``
+    (see the module docstring).
+    """
 
     def __init__(self, circuit: Circuit, tag: str = "tt") -> None:
         self.circuit = circuit
         self.tag = tag
         self._counter = 0
-        self._const_cache = {}
+        self._const_cache: Dict[Tuple[int, int, str], Signal] = {}
+        #: Key of the fragment being emitted; None outside fragments.
+        self._fragment: Optional[object] = None
+        #: The constants the current fragment read: ``(key, signal,
+        #: created)`` for each :meth:`const` call, in call order.
+        self.const_log: List[Tuple[Tuple[int, int, str], Signal, bool]] = []
 
     # ------------------------------------------------------------------
+    def begin_fragment(self, key: object) -> None:
+        """Name the following cells after fragment ``key``."""
+        self._fragment = key
+        self._counter = 0
+        self.const_log = []
+
     def fresh_name(self, module: str, hint: str = "") -> str:
-        # The circuit's cell count strictly increases with every added
-        # cell, so names stay unique even across multiple Emitters
-        # attached to the same circuit.
         self._counter += 1
-        base = f"_{self.tag}{len(self.circuit.cells)}_{self._counter}{('_' + hint) if hint else ''}"
+        suffix = f"_{hint}" if hint else ""
+        if self._fragment is not None:
+            base = f"_t{self._fragment}_{self._counter}{suffix}"
+        else:
+            # The circuit's cell count strictly increases with every
+            # added cell, so names stay unique even across multiple
+            # Emitters attached to the same circuit.
+            base = f"_{self.tag}{len(self.circuit.cells)}_{self._counter}{suffix}"
         return f"{module}.{base}" if module else base
 
     def cell(
@@ -57,10 +90,42 @@ class Emitter:
         key = (value, width, module)
         cached = self._const_cache.get(key)
         if cached is not None:
+            if self._fragment is not None:
+                self.const_log.append((key, cached, False))
             return cached
-        sig = self.cell(CellOp.CONST, width, (), module, params=(("value", value),))
+        name = None
+        if self._fragment is not None:
+            base = f"_tc{width}_{value:x}"
+            name = f"{module}.{base}" if module else base
+        sig = self.cell(CellOp.CONST, width, (), module,
+                        params=(("value", value),), name=name)
         self._const_cache[key] = sig
+        if self._fragment is not None:
+            self.const_log.append((key, sig, True))
         return sig
+
+    def adopt_consts(self, log: Sequence[Tuple[Tuple[int, int, str], Signal, bool]]) -> bool:
+        """Take over the constants of a fragment copied from elsewhere.
+
+        ``log`` is the fragment's :attr:`const_log` when it was emitted.
+        The copy is what emitting it here would give only if every
+        constant it created is still new here and every constant it
+        read from the cache is cached here; returns False (and changes
+        nothing) otherwise.
+        """
+        cache = self._const_cache
+        made = set()
+        for key, _sig, created in log:
+            if created:
+                if key in cache:
+                    return False
+                made.add(key)
+            elif key not in cache and key not in made:
+                return False
+        for key, sig, created in log:
+            if created:
+                cache[key] = sig
+        return True
 
     def zeros(self, width: int, module: str = "") -> Signal:
         return self.const(0, width, module)

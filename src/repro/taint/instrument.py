@@ -21,6 +21,7 @@ separately via :class:`TaintSources`.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -74,6 +75,9 @@ class InstrumentedDesign:
     #: Non-fatal findings the pass surfaced (scheme entries and taint
     #: sources that matched nothing — historically silently ignored).
     warnings: object = None
+    #: Where each source cell's taint logic sits in ``circuit.cells``,
+    #: for :func:`instrument`'s ``previous=`` (see :class:`_Fragments`).
+    fragments: Optional["_Fragments"] = field(default=None, repr=False, compare=False)
 
     @property
     def uninstrumented(self) -> Circuit:
@@ -141,7 +145,10 @@ class InstrumentedDesign:
 
 
 def instrument(
-    circuit: Circuit, scheme: TaintScheme, sources: Optional[TaintSources] = None
+    circuit: Circuit,
+    scheme: TaintScheme,
+    sources: Optional[TaintSources] = None,
+    previous: Optional[InstrumentedDesign] = None,
 ) -> InstrumentedDesign:
     """Run the instrumentation pass and return the instrumented design.
 
@@ -151,12 +158,21 @@ def instrument(
     ignores such entries when generating logic (a stale override is not
     an error), but a silent typo in a source name has historically
     meant "verifying nothing", so they are surfaced here.
+
+    ``previous`` is an earlier instrumentation of the same, unchanged
+    ``circuit`` with the same ``sources`` (typically the design a
+    refinement step starts from).  The taint logic of every source cell
+    whose region, applied option and input taint signals (name and
+    width) are unchanged is then copied from it instead of emitted
+    again; the result equals a fresh instrumentation, cell for cell.
+    A GATE unit-level scheme, or a ``previous`` that does not match,
+    runs the pass in full.
     """
     sources = sources or TaintSources()
     if scheme.unit_level is UnitLevel.GATE:
         design = _instrument_gate_level(circuit, scheme, sources)
     else:
-        design = _Instrumenter(circuit, scheme, sources).run()
+        design = _Instrumenter(circuit, scheme, sources, previous).run()
     from repro.lint.diagnostics import LintReport
     from repro.lint.structural import scheme_reference_diagnostics
 
@@ -192,14 +208,52 @@ def _instrument_gate_level(
     return result
 
 
+@dataclass
+class _Fragments:
+    """Where an instrumentation put each source cell's taint logic.
+
+    The fragment of ``circuit.cells[i]`` (the cells emitted for it) is
+    ``circuit.cells[start[i]:end[i]]`` of the instrumented circuit, and
+    ``consts[i]`` is the Emitter's constant log for it when not empty
+    (see ``Emitter.adopt_consts``).  ``start[i]`` is -1 for a cell
+    inside a region, and for a fragment that also emitted a region's
+    output taint on first use: that logic is not the cell's own, so
+    such a fragment is always emitted again.  ``topo`` is the source
+    circuit's ``topo_cells()`` list; a circuit changed since drops that
+    memo, so a ``topo_cells()`` that is not this very list means the
+    fragments no longer apply.
+    """
+
+    topo: List[Cell]
+    start: array
+    end: array
+    consts: Dict[int, tuple] = field(default_factory=dict)
+
+
 class _Instrumenter:
-    def __init__(self, circuit: Circuit, scheme: TaintScheme, sources: TaintSources) -> None:
+    def __init__(self, circuit: Circuit, scheme: TaintScheme, sources: TaintSources,
+                 previous: Optional[InstrumentedDesign] = None) -> None:
         circuit.validate()
         self.src = circuit
         self.scheme = scheme
         self.sources = sources
         self.inst = circuit.clone(f"{circuit.name}+{scheme.name}")
         self.em = Emitter(self.inst)
+        topo = circuit.topo_cells()
+        unset = array("l", [-1]) * len(circuit.cells)
+        self.fragments = _Fragments(topo, unset, array("l", unset))
+        #: The design fragments are copied from, if it fits this run.
+        self.previous: Optional[InstrumentedDesign] = None
+        if (previous is not None and previous.fragments is not None
+                and previous.fragments.topo is topo
+                and previous.sources == sources):
+            self.previous = previous
+        self._regions: Dict[str, Optional[str]] = {}
+        #: Applied option per (cell op, requested option).
+        self._options: Dict[Tuple[CellOp, TaintOption], TaintOption] = {}
+        #: ``[start, end)`` of ``previous.circuit.cells`` copied but not
+        #: appended yet.
+        self._pending: Tuple[int, int] = (0, 0)
         self.taint_of: Dict[str, Signal] = {}
         self.module_taint: Dict[str, Signal] = {}
         self.applied: Dict[str, TaintOption] = {}
@@ -215,8 +269,11 @@ class _Instrumenter:
         self._declare_blackbox_bits()
         self._declare_register_taints()
         self._taint_inputs()
-        for cell in self.src.topo_cells():
-            self._process_cell(cell)
+        index_of = {cell.out.name: i for i, cell in enumerate(self.src.cells)}
+        for cell in self.fragments.topo:
+            self._process_cell(index_of[cell.out.name], cell)
+        if self.previous is not None:
+            self._adopt_pending()
         self._finish_registers()
         self._finish_blackbox_bits()
         self.inst.validate()
@@ -229,12 +286,17 @@ class _Instrumenter:
             module_taint={r: s.name for r, s in self.module_taint.items()},
             applied_options=self.applied,
             region_of_cell=self.region_of_cell,
+            fragments=self.fragments,
         )
 
     # ------------------------------------------------------------------
     def _region(self, module_path: str) -> Optional[str]:
+        regions = self._regions
+        if module_path in regions:
+            return regions[module_path]
         region = self.scheme.effective_region(module_path)
-        return region[0] if region else None
+        regions[module_path] = found = region[0] if region else None
+        return found
 
     def _region_kind(self, region: str) -> str:
         return "custom" if region in self.scheme.custom_modules else "blackbox"
@@ -282,6 +344,7 @@ class _Instrumenter:
             self.taint_of[reg.q.name] = q
 
     def _taint_inputs(self) -> None:
+        self.em.begin_fragment("i")  # input taints are constants, named by value
         for sig in self.src.inputs:
             mask = self.sources.input_mask(sig.name, sig.width)
             if mask == 0:
@@ -362,7 +425,7 @@ class _Instrumenter:
         return result
 
     # ------------------------------------------------------------------
-    def _process_cell(self, cell: Cell) -> None:
+    def _process_cell(self, index: int, cell: Cell) -> None:
         region = self._region(cell.module)
         self.region_of_cell[cell.out.name] = region
         if region is not None:
@@ -370,20 +433,88 @@ class _Instrumenter:
                 if self._producer_region.get(sig.name) != region:
                     self._entering[region].add(sig.name)
             return
-        option = self.scheme.option_for_cell(cell.out.name, cell.module)
-        complexity = effective_complexity(cell.op, option)
-        option = TaintOption(option.granularity, complexity)
-        in_taints = [self._taint_expr(sig) for sig in cell.ins]
-        taint = propagate(cell, option, in_taints, self.em)
-        named = self.em.buf(taint, cell.module, name=f"{cell.out.name}__t")
-        self.taint_of[cell.out.name] = named
+        requested = self.scheme.option_for_cell(cell.out.name, cell.module)
+        option = self._options.get((cell.op, requested))
+        if option is None:
+            complexity = effective_complexity(cell.op, requested)
+            option = TaintOption(requested.granularity, complexity)
+            self._options[(cell.op, requested)] = option
         self.applied[cell.out.name] = option
+        taint_of = self.taint_of
+        in_taints = [taint_of.get(sig.name) for sig in cell.ins]
+        own = None not in in_taints  # no region output taint to emit first
+        if self.previous is not None:
+            if own and self._copy_fragment(index, cell, option, in_taints):
+                return
+            self._adopt_pending()
+        em = self.em
+        start = len(self.inst.cells)
+        em.begin_fragment(index)
+        if not own:
+            in_taints = [self._taint_expr(sig) for sig in cell.ins]
+        taint = propagate(cell, option, in_taints, em)
+        taint_of[cell.out.name] = em.buf(taint, cell.module, name=f"{cell.out.name}__t")
+        if own:
+            self._record(index, start, len(self.inst.cells), em.const_log)
+
+    def _record(self, index: int, start: int, end: int, consts: Sequence) -> None:
+        fragments = self.fragments
+        fragments.start[index] = start
+        fragments.end[index] = end
+        if consts:
+            fragments.consts[index] = tuple(consts)
+
+    def _copy_fragment(self, index: int, cell: Cell, option: TaintOption,
+                       in_taints: List[Signal]) -> bool:
+        """Copy ``cell``'s fragment from the previous design if emitting
+        it again would give the same cells; returns whether it did.
+
+        Copies of fragments that sit back to back in the previous
+        design are adopted as one run (see :meth:`_adopt_pending`).
+        """
+        previous = self.previous
+        old = previous.fragments
+        start = old.start[index]
+        if start < 0:
+            return False
+        # Only a cell outside every region has a fragment, and this one
+        # is outside every region now: its region is unchanged.
+        name = cell.out.name
+        if previous.applied_options[name] != option:
+            return False
+        old_taint = previous.taint_name
+        old_signals = previous.circuit.signals
+        for sig, taint in zip(cell.ins, in_taints):
+            old_name = old_taint[sig.name]
+            if old_name != taint.name or old_signals[old_name].width != taint.width:
+                return False
+        consts = old.consts.get(index, ())
+        if consts and not self.em.adopt_consts(consts):
+            return False
+        end = old.end[index]
+        run_start, run_end = self._pending
+        if run_end != start:
+            self._adopt_pending()
+            run_start = start
+        self._pending = (run_start, end)
+        at = len(self.inst.cells) + start - run_start
+        self.taint_of[name] = previous.circuit.cells[end - 1].out
+        self._record(index, at, at + end - start, consts)
+        return True
+
+    def _adopt_pending(self) -> None:
+        """Append the run of copied cells not appended yet."""
+        start, end = self._pending
+        if end > start:
+            self.inst.adopt_cells(self.previous.circuit.cells[start:end])
+        self._pending = (0, 0)
 
     def _finish_registers(self) -> None:
-        for reg in self.src.registers:
+        for i, reg in enumerate(self.src.registers):
             q = self._reg_taint_q.get(reg.q.name)
             if q is None:
                 continue  # blackboxed
+            self.em.begin_fragment(f"r{i}")
             d_taint = self._taint_expr(self.src.signal(reg.d.name))
             d_taint = self.em.adapt(d_taint, q.width, reg.q.module)
             mask = self.sources.register_mask(reg.q.name, reg.q.width)
@@ -400,7 +531,8 @@ class _Instrumenter:
             region = self._region(reg.q.module)
             if region is not None and self._producer_region.get(reg.d.name) != region:
                 self._entering[region].add(reg.d.name)
-        for region, q in self.module_taint.items():
+        for i, (region, q) in enumerate(self.module_taint.items()):
+            self.em.begin_fragment(f"b{i}")
             parts = [q]
             for name in sorted(self._entering[region]):
                 taint = self._taint_expr(self.src.signal(name))

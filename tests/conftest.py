@@ -159,3 +159,32 @@ class ReferenceSimulator:
 
     def state(self):
         return {reg.q.name: self.values[reg.q.name] for reg in self.circuit.registers}
+
+
+def rehome_into_modules(circuit, rng):
+    """Copy ``circuit`` with random registers and cells moved into
+    submodules ``m0``/``m1`` (inputs and outputs stay at the top)."""
+    from repro.hdl.cells import Cell
+    from repro.hdl.circuit import Circuit, Register
+    from repro.hdl.signals import Signal, SignalKind
+
+    moved = {}
+    for sig in circuit.signals.values():
+        module = ""
+        if sig.kind not in (SignalKind.INPUT, SignalKind.OUTPUT):
+            module = rng.choice(("", "m0", "m1"))
+        name = f"{module}.{sig.name}" if module else sig.name
+        moved[sig.name] = Signal(name, sig.width, sig.kind, module=module)
+    out = Circuit(circuit.name)
+    for sig in moved.values():
+        out.add_signal(sig)
+    for reg in circuit.registers:
+        out.add_register(Register(moved[reg.q.name], moved[reg.d.name],
+                                  reg.reset_value))
+    for cell in circuit.cells:
+        new_out = moved[cell.out.name]
+        out.add_cell(Cell(cell.op, new_out,
+                          tuple(moved[s.name] for s in cell.ins),
+                          cell.params, module=new_out.module))
+    out.validate()
+    return out

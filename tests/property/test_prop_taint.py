@@ -19,7 +19,7 @@ import sys
 import os
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
-from conftest import random_cell_circuit  # noqa: E402
+from conftest import random_cell_circuit, rehome_into_modules  # noqa: E402
 
 SCHEME_FACTORIES = {
     "cellift": cellift_scheme,
@@ -115,35 +115,6 @@ def test_taint_of_secret_register_starts_set(seed):
     assert sim.peek(design.taint_name["secret"]) != 0
 
 
-def _rehome(circuit, rng):
-    """Copy ``circuit`` with random registers and cells moved into
-    submodules ``m0``/``m1`` (inputs and outputs stay at the top)."""
-    from repro.hdl.cells import Cell
-    from repro.hdl.circuit import Circuit, Register
-    from repro.hdl.signals import Signal, SignalKind
-
-    moved = {}
-    for sig in circuit.signals.values():
-        module = ""
-        if sig.kind not in (SignalKind.INPUT, SignalKind.OUTPUT):
-            module = rng.choice(("", "m0", "m1"))
-        name = f"{module}.{sig.name}" if module else sig.name
-        moved[sig.name] = Signal(name, sig.width, sig.kind, module=module)
-    out = Circuit(circuit.name)
-    for sig in moved.values():
-        out.add_signal(sig)
-    for reg in circuit.registers:
-        out.add_register(Register(moved[reg.q.name], moved[reg.d.name],
-                                  reg.reset_value))
-    for cell in circuit.cells:
-        new_out = moved[cell.out.name]
-        out.add_cell(Cell(cell.op, new_out,
-                          tuple(moved[s.name] for s in cell.ins),
-                          cell.params, module=new_out.module))
-    out.validate()
-    return out
-
-
 def _random_scheme(circuit, rng):
     """Blackboxed modules, BIT/WORD registers and ladder options on cells."""
     from repro.taint.space import refinement_ladder
@@ -173,7 +144,7 @@ def test_instrumentation_never_drives_the_data_path(seed, data):
     from repro.bench.fuzz import random_machine
 
     rng = random.Random(seed)
-    circ = _rehome(random_machine(seed, max_regs=3, max_ops=8), rng)
+    circ = rehome_into_modules(random_machine(seed, max_regs=3, max_ops=8), rng)
     scheme = _random_scheme(circ, rng)
     secret = rng.choice(circ.registers).q.name
     design = instrument(circ, scheme, TaintSources(registers={secret: -1}))

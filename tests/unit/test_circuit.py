@@ -128,6 +128,38 @@ class TestValidateOnce:
         assert lints == [circ]
         assert circ.clone()._checked < len(circ.cells)
 
+    def test_adopted_cells_skip_validate_cell_and_count_as_checked(self, monkeypatch):
+        """``adopt_cells`` takes frozen cells from another circuit: no
+        ``validate_cell``, but every check that depends on the circuit
+        it joins, and the cells count as checked (no full lint)."""
+        import repro.hdl.circuit as circuit_module
+        import repro.lint.structural as structural
+
+        src = Circuit("src")
+        a = src.add_signal(Signal("a", 4, SignalKind.INPUT))
+        n = src.add_cell(Cell(CellOp.NOT, _wire("n", 4), (a,)))
+        m = src.add_cell(Cell(CellOp.AND, _wire("m", 4), (a, n.out)))
+        dst = Circuit("dst")
+        dst.add_signal(a)
+        checked, lints = [], []
+        monkeypatch.setattr(circuit_module, "validate_cell", checked.append)
+        real_lint = structural.invariant_diagnostics
+        monkeypatch.setattr(structural, "invariant_diagnostics",
+                            lambda c: lints.append(c) or real_lint(c))
+        dst.adopt_cells(src.cells)
+        dst.validate()
+        assert checked == [] and lints == []
+        assert dst.cells == src.cells and dst._checked == 2
+        assert dst.topo_cells() == [n, m]
+        with pytest.raises(CircuitError, match="already driven"):
+            dst.adopt_cells([n])
+        other = Circuit("other")
+        other.add_signal(Signal("a", 2, SignalKind.INPUT))
+        with pytest.raises(CircuitError, match="references a different signal 'a'"):
+            other.adopt_cells([n])
+        with pytest.raises(CircuitError, match="references unknown signal 'n'"):
+            Circuit("empty").adopt_cells([Cell(CellOp.BUF, _wire("b", 4), (n.out,))])
+
     def test_loop_added_after_validate_is_caught(self):
         c = Circuit("grow")
         a = c.add_signal(Signal("a", 1, SignalKind.INPUT))

@@ -43,6 +43,24 @@ class TestErrorContract:
             Simulator(_counter()).step({"en": value})
         assert str(info.value) == f"input 'en': value {value} exceeds width 1"
 
+    def test_rejected_frame_changes_nothing(self):
+        """Every input is checked before any is written: a rejected
+        frame leaves the last evaluation's values and the cycle count."""
+        b = ModuleBuilder("sum")
+        a = b.input("a", 4)
+        c = b.input("c", 4)
+        b.output("o", a + c)
+        sim = Simulator(b.build())
+        sim.step({"a": 1, "c": 1})
+        before = sim.snapshot()
+        assert before["a"] == 1 and before["c"] == 1 and before["o"] == 2
+        with pytest.raises(SimulationError, match=r"^missing input 'c'$"):
+            sim.step({"a": 5})
+        with pytest.raises(SimulationError, match=r"^input 'c': value 16 exceeds width 4$"):
+            sim.step({"a": 5, "c": 16})
+        assert sim.snapshot() == before and sim.cycle == 1
+        assert sim.step({"a": 5, "c": 2}) == {"o": 7}
+
     def test_peek_before_evaluation(self):
         sim = Simulator(_counter())
         assert sim.peek("c") == 3
